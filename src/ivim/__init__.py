@@ -12,27 +12,18 @@ and a CLI.
 from .grid import (
     Grid,
     PiecewiseLinear,
-    hat_eval,
     interp_eval,
     make_grid,
-    mu_weight,
     project_samples,
-)
-from .multiplier import (
-    Multiplier,
-    custom_multiplier,
-    dlambda_ds_eval,
-    exp_multiplier,
-    g_term,
-    h_integrand,
-    lambda_eval,
 )
 from .engine import (
     DivergenceError,
     IvpSystem,
+    Multiplier,
     SolveConfig,
     SolveReport,
     eval_solution,
+    exp_multiplier,
     ivim_step,
     shift_to_zero,
     solve,
@@ -72,17 +63,10 @@ __all__ = [
     "Grid",
     "PiecewiseLinear",
     "make_grid",
-    "hat_eval",
-    "mu_weight",
     "interp_eval",
     "project_samples",
     "Multiplier",
     "exp_multiplier",
-    "custom_multiplier",
-    "lambda_eval",
-    "dlambda_ds_eval",
-    "g_term",
-    "h_integrand",
     "DivergenceError",
     "IvpSystem",
     "SolveConfig",

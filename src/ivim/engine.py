@@ -22,10 +22,13 @@ standard composite trapezoid rule; the first-node basis function is excluded
 from the state space, which is why the default ``paper`` mode drops that
 term.  The omission costs one order of accuracy whenever ``f(a, 0) != 0``.
 
-For exponential weights the sums telescope: with prefix accumulation of
-``exp(alpha (t_r - a)) c_r`` a sweep costs O(n) instead of O(n^2).  The fast
-path is used when ``|alpha| (T - a) <= 30`` so the factored exponentials stay
-well conditioned.
+For exponential weights the sum is the linear recurrence
+``A_{i+1} = exp(-alpha h) (A_i + c_i)``, so a sweep is a prefix scan costing
+O(n).  The scan runs over blocks of nodes whose factored weights
+``exp(+-alpha (t - t_s))`` stay within ``e^30``; a scalar carry passes the sum
+over earlier blocks on to the next block start.  When ``|alpha| (T - a) <= 30``
+the whole grid is one block.  For ``alpha < 0`` the weights grow along the
+interval, so ``-alpha (T - a)`` is limited to 700 to keep them finite.
 """
 
 from __future__ import annotations
@@ -37,11 +40,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .grid import Grid, PiecewiseLinear, interp_eval, make_grid, project_samples
-from .multiplier import Multiplier, exp_multiplier
 
 __all__ = [
     "DivergenceError",
     "IvpSystem",
+    "Multiplier",
+    "exp_multiplier",
     "SolveConfig",
     "SolveReport",
     "shift_to_zero",
@@ -49,17 +53,34 @@ __all__ = [
     "solve",
     "successive_diff_norm",
     "eval_solution",
-    "FAST_PATH_EXPONENT_LIMIT",
 ]
 
-FAST_PATH_EXPONENT_LIMIT = 30.0
-_DIRECT_EXPONENT_LIMIT = 700.0
+# Largest |alpha| * width of one scan block, so the factored weights stay
+# well conditioned; and the largest growth -alpha * (T - a) before they
+# overflow.
+_BLOCK_EXPONENT = 30.0
+_GROWTH_EXPONENT_LIMIT = 700.0
 
 MODES = ("paper", "full_trapezoid")
 
 
 class DivergenceError(RuntimeError):
     """Iteration produced a non-finite or unboundedly large value."""
+
+
+@dataclass(frozen=True)
+class Multiplier:
+    """Lagrange multiplier ``lambda(s, t) = -exp(alpha (s - t))``."""
+
+    alpha: float
+
+
+def exp_multiplier(alpha: float) -> Multiplier:
+    """Multiplier for the linear part ``u' + alpha*u``; ``alpha`` must be finite."""
+    alpha = float(alpha)
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
+    return Multiplier(alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -295,29 +316,36 @@ def _coefficients(sys: IvpSystem, t: np.ndarray, U: np.ndarray) -> np.ndarray:
     return C
 
 
-def _update_fast(alpha: float, C: np.ndarray, t: np.ndarray, h: float, mode: str) -> np.ndarray:
-    w = np.exp(alpha * (t - t[0]))
-    q = w * C
-    q[0] = 0.0
-    prefix = np.concatenate(([0.0], np.cumsum(q)[:-1]))  # sum over r < i
-    winv = np.exp(-alpha * (t - t[0]))
-    out = h * winv * prefix + 0.5 * h * C
-    if mode == "full_trapezoid":
-        out = out + 0.5 * h * winv * C[0]  # w[0] == 1
-    out[0] = 0.0
-    return out
+def _update(alpha: float, C: np.ndarray, t: np.ndarray, h: float, mode: str) -> np.ndarray:
+    """Nodal sums ``h sum_{r<i} e^{alpha(t_r - t_i)} c_r + h/2 c_i`` as a blocked scan.
 
-
-def _update_direct(alpha: float, C: np.ndarray, t: np.ndarray, h: float, mode: str) -> np.ndarray:
+    Within a block starting at node s the sum is ``e^{-alpha(t_i - t_s)}``
+    times a cumulative sum of ``e^{alpha(t_r - t_s)} c_r``, seeded with the
+    carry ``sum_{r<s} e^{alpha(t_r - t_s)} c_r``.  A single block performs the
+    plain O(n) prefix-sum update.
+    """
     n = t.size
-    out = np.zeros(n)
-    for i in range(1, n):
-        weights = np.exp(alpha * (t[1:i] - t[i]))
-        acc = float(weights @ C[1:i])
-        val = h * acc + 0.5 * h * C[i]
-        if mode == "full_trapezoid":
-            val += 0.5 * h * np.exp(alpha * (t[0] - t[i])) * C[0]
-        out[i] = val
+    if abs(alpha) * (t[-1] - t[0]) <= _BLOCK_EXPONENT:
+        size = n
+    else:
+        size = int(_BLOCK_EXPONENT / (abs(alpha) * h)) + 1
+    out = np.empty(n)
+    carry = 0.0
+    for s in range(0, n, size):
+        e = min(s + size, n)
+        d = t[s:e] - t[s]
+        q = np.exp(alpha * d) * C[s:e]
+        if s == 0:
+            q[0] = 0.0
+        prefix = np.cumsum(np.concatenate(([carry], q)))  # sums over r < i
+        winv = np.exp(-alpha * d)
+        out[s:e] = h * winv * prefix[:-1] + 0.5 * h * C[s:e]
+        if s == 0 and mode == "full_trapezoid":
+            out[:e] += 0.5 * h * winv * C[0]  # the s = a endpoint,
+            prefix[-1] += 0.5 * C[0]  # and through the carry for later blocks
+        if e < n:
+            carry = np.exp(-alpha * (t[e] - t[s])) * prefix[-1]
+    out[0] = 0.0
     return out
 
 
@@ -327,24 +355,18 @@ def ivim_step(
     grid: Grid,
     mults: Sequence[Multiplier],
     mode: str = "paper",
-    *,
-    use_fast: Optional[bool] = None,
 ) -> list:
     """One interpolated iteration sweep over all equations.
 
     ``state`` holds the previous iterate (k elements on ``grid``);
     ``sys`` must be normalized (zero initial values) and ``mults`` must be the
     per-equation exponential multipliers.  The coupled right-hand sides are
-    evaluated with the full state vector at each node.  ``use_fast`` forces
-    the prefix-sum path on/off; by default it is chosen per equation.
+    evaluated with the full state vector at each node.
     """
     if mode not in MODES:
         raise ValueError(f"mode={mode!r}, choose from {MODES}")
     if len(state) != sys.k or len(mults) != sys.k:
         raise ValueError("state and mults must have one entry per equation")
-    for mult in mults:
-        if mult.kind != "exponential":
-            raise ValueError("the nodal update requires exponential multipliers")
     for pl in state:
         if pl.grid.n != grid.n or pl.grid.a != grid.a or pl.grid.T != grid.T:
             raise ValueError("state grids do not match the solve grid")
@@ -357,15 +379,13 @@ def ivim_step(
     out = []
     for j in range(sys.k):
         alpha = mults[j].alpha
-        span = abs(alpha) * (grid.T - grid.a)
-        if span > _DIRECT_EXPONENT_LIMIT:
-            raise OverflowError(
-                f"|alpha|*(T-a) = {span} exceeds {_DIRECT_EXPONENT_LIMIT}; "
-                "the exponential weights overflow"
+        growth = -alpha * (grid.T - grid.a)
+        if growth > _GROWTH_EXPONENT_LIMIT:
+            raise ValueError(
+                f"equation {j + 1}: -alpha*(T-a) = {growth} exceeds "
+                f"{_GROWTH_EXPONENT_LIMIT}; the exponential weights overflow"
             )
-        fast = use_fast if use_fast is not None else span <= FAST_PATH_EXPONENT_LIMIT
-        update = _update_fast if fast else _update_direct
-        vals = update(alpha, C[j], t, h, mode)
+        vals = _update(alpha, C[j], t, h, mode)
         if not np.isfinite(vals).all():
             bad = int(np.flatnonzero(~np.isfinite(vals))[0])
             raise DivergenceError(

@@ -21,8 +21,6 @@ __all__ = [
     "Grid",
     "PiecewiseLinear",
     "make_grid",
-    "hat_eval",
-    "mu_weight",
     "interp_eval",
     "project_samples",
 ]
@@ -74,56 +72,6 @@ def make_grid(a: float, T: float, n: int) -> Grid:
     h = (T - a) / (n - 1)
     nodes = np.linspace(a, T, n)
     return Grid(a=a, T=T, n=n, h=h, nodes=nodes)
-
-
-def hat_eval(grid: Grid, i: int, t: float) -> float:
-    """Evaluate the hat function ``phi_i`` at ``t``.
-
-    ``phi_i`` equals 1 at node ``t_i``, 0 at every other node, and is
-    supported on ``[t_{i-1}, t_{i+1}]`` (one-sided for ``i = n``).  The index
-    ``i`` is 1-based and restricted to ``2 .. n`` since ``phi_1`` is not part
-    of the basis.
-    """
-    i = int(i)
-    if i < 2 or i > grid.n:
-        raise ValueError(f"basis index out of range: i={i}, valid range is 2..{grid.n}")
-    t = float(t)
-    if t < grid.a or t > grid.T:
-        raise ValueError(f"t={t} outside [{grid.a}, {grid.T}]")
-    center = grid.nodes[i - 1]
-    if t == center:
-        return 1.0
-    left = grid.nodes[i - 2]
-    if t <= left:
-        return 0.0
-    if t < center:
-        return (t - left) / grid.h
-    # falling branch; absent for the last node
-    if i == grid.n:
-        return 0.0  # unreachable given t <= T == center, kept for clarity
-    right = grid.nodes[i]
-    if t >= right:
-        return 0.0
-    return (right - t) / grid.h
-
-
-def mu_weight(r: int, i: int, h: float) -> float:
-    """Integral of ``phi_r`` over ``[a, t_i]``.
-
-    Equals 0 when the support lies right of ``t_i`` (``i <= r - 1``), ``h/2``
-    when the upper limit cuts the hat at its peak (``i = r``) and ``h`` once
-    the full hat is covered (``i >= r + 1``).  These are the weights that turn
-    the interpolated integrand into a plain nodal sum.
-    """
-    r = int(r)
-    i = int(i)
-    if r < 2 or i < 2:
-        raise ValueError(f"indices out of range: r={r}, i={i}, both must be >= 2")
-    if i <= r - 1:
-        return 0.0
-    if i == r:
-        return h / 2.0
-    return float(h)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import DivergenceError, IvpSystem, SolveReport
+from .problems import BUILTIN_PROBLEMS
 
 __all__ = [
     "ReferenceSolution",
@@ -23,10 +24,7 @@ __all__ = [
     "exact_builtin_eval",
     "error_metrics",
     "empirical_order",
-    "BUILTIN_INTERVALS",
 ]
-
-BUILTIN_INTERVALS = {"ex1": (0.0, 1.0), "ex2": (0.0, 3.0), "ex3": (0.0, 1.5)}
 
 _SQRT2 = math.sqrt(2.0)
 _EX1_PHASE = 0.5 * math.log((_SQRT2 - 1.0) / (_SQRT2 + 1.0))
@@ -110,9 +108,10 @@ def exact_builtin_eval(name: str, t: float) -> np.ndarray:
     ex3: second-order problem reduced to (u, v = u'); exact
          ``(t - sin t, 1 - cos t)`` on [0, 1.5].
     """
-    if name not in BUILTIN_INTERVALS:
+    if name not in BUILTIN_PROBLEMS:
         raise ValueError(f"unknown built-in problem {name!r}")
-    a, T = BUILTIN_INTERVALS[name]
+    interval = BUILTIN_PROBLEMS[name]["interval"]
+    a, T = interval["a"], interval["T"]
     t = float(t)
     if t < a or t > T:
         raise ValueError(f"t={t} outside [{a}, {T}] for {name}")

@@ -1,8 +1,9 @@
 """Independent oracles for the test suite.
 
 Nothing here shares code with the package's solver paths: the nodal update
-is a literal double loop over math.exp calls, and the quadrature check is a
-plain composite trapezoid sum.
+is a literal double loop over math.exp calls, the quadrature check is a
+plain composite trapezoid sum, and the hat functions are evaluated piece by
+piece from their definition.
 """
 
 import math
@@ -47,3 +48,32 @@ def composite_trapezoid(fn, a, b, cells):
     ys = np.array([fn(float(x)) for x in xs])
     h = (b - a) / cells
     return h * (0.5 * ys[0] + ys[1:-1].sum() + 0.5 * ys[-1])
+
+
+def hat_eval(grid, i, t):
+    """Evaluate the hat function ``phi_i`` at ``t``.
+
+    ``phi_i`` equals 1 at node ``t_i``, 0 at every other node, and is
+    supported on ``[t_{i-1}, t_{i+1}]`` (one-sided for ``i = n``).  The index
+    ``i`` is 1-based and restricted to ``2 .. n`` since ``phi_1`` is not part
+    of the basis.
+    """
+    i = int(i)
+    if i < 2 or i > grid.n:
+        raise ValueError(f"basis index out of range: i={i}, valid range is 2..{grid.n}")
+    t = float(t)
+    if t < grid.a or t > grid.T:
+        raise ValueError(f"t={t} outside [{grid.a}, {grid.T}]")
+    center = grid.nodes[i - 1]
+    if t == center:
+        return 1.0
+    left = grid.nodes[i - 2]
+    if t <= left:
+        return 0.0
+    if t < center:
+        return (t - left) / grid.h
+    # falling branch; absent for the last node, where t <= T == center
+    right = grid.nodes[i]
+    if t >= right:
+        return 0.0
+    return (right - t) / grid.h

