@@ -25,7 +25,6 @@ from .engine import (
     eval_solution,
     exp_multiplier,
     ivim_step,
-    shift_to_zero,
     solve,
     successive_diff_norm,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "IvpSystem",
     "SolveConfig",
     "SolveReport",
-    "shift_to_zero",
     "ivim_step",
     "solve",
     "successive_diff_norm",

@@ -107,7 +107,7 @@ def _cmd_solve(args) -> int:
     header = ["t"] + [f"u{j + 1}" for j in range(k)]
     exact_vals = None
     if system.exact is not None:
-        exact_vals = np.atleast_2d(system.exact(nodes))
+        exact_vals = _closed_form_reference(system, nodes).values
         header += [f"exact{j + 1}" for j in range(k)]
         header += [f"abs_err{j + 1}" for j in range(k)]
         header += ["log10_err"]
@@ -296,10 +296,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"ivim: divergence: {exc}", file=sys.stderr)
         return 2
-    except OverflowError as exc:
-        print(f"ivim: divergence: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         print(f"ivim: error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -3,24 +3,24 @@
 Each equation ``u_k' = f_k(t, u)`` carries a linear coefficient ``alpha_k``
 (linear part ``u_k' + alpha_k u_k``) whose exponential multiplier
 ``lambda(s, t) = -exp(alpha_k (s - t))`` drives the correction integral.
-After shifting the initial values to zero, one sweep replaces the previous
-iterate and the integrand by their piecewise-linear interpolants, so the
-update is a closed-form nodal sum: writing
+The iterates live in the span of the hat functions ``phi_2 .. phi_n``, so
+they vanish at ``t = a``: the solver iterates on ``w = u - u_a`` and adds the
+initial values back only where ``f`` is evaluated.  One sweep replaces the
+previous iterate and the integrand by their piecewise-linear interpolants,
+so the update is a closed-form nodal sum: writing
 
-    c(s) = alpha * u(s) + f(s, u(s))        (general form)
-         = g(s) - N(s, u(s))                (when the split f = -alpha*u - N + g
-                                             is supplied)
+    c(s) = alpha * w(s) + f(s, w(s) + u_a)
 
 the integrand is H(s, t) = -exp(alpha (s - t)) * c(s) and
 
-    u_new(t_i) = h * sum_{r=2}^{i-1} exp(alpha (t_r - t_i)) * c(t_r)
+    w_new(t_i) = h * sum_{r=2}^{i-1} exp(alpha (t_r - t_i)) * c(t_r)
                + h/2 * c(t_i)                                   (i = 2 .. n)
 
 with node 1 pinned to zero.  ``full_trapezoid`` mode adds the missing
 ``s = a`` endpoint ``h/2 * exp(alpha (t_1 - t_i)) * c(t_1)``, restoring the
 standard composite trapezoid rule; the first-node basis function is excluded
 from the state space, which is why the default ``paper`` mode drops that
-term.  The omission costs one order of accuracy whenever ``f(a, 0) != 0``.
+term.  The omission costs one order of accuracy whenever ``f(a, u_a) != 0``.
 
 For exponential weights the sum is the linear recurrence
 ``A_{i+1} = exp(-alpha h) (A_i + c_i)``, so a sweep is a prefix scan costing
@@ -48,7 +48,6 @@ __all__ = [
     "exp_multiplier",
     "SolveConfig",
     "SolveReport",
-    "shift_to_zero",
     "ivim_step",
     "solve",
     "successive_diff_norm",
@@ -60,6 +59,8 @@ __all__ = [
 # overflow.
 _BLOCK_EXPONENT = 30.0
 _GROWTH_EXPONENT_LIMIT = 700.0
+# A sweep whose nodal max norm exceeds this is reported as divergence.
+_DIVERGENCE_CAP = 1e12
 
 MODES = ("paper", "full_trapezoid")
 
@@ -89,15 +90,16 @@ class IvpSystem:
 
     ``rhs[k]`` is the complete right-hand side, called as ``rhs[k](t, state)``
     where ``state`` is indexable by equation (``state[j]``); both arguments
-    may be numpy arrays and the result must broadcast accordingly.
+    may be numpy arrays and the result must broadcast accordingly.  The
+    solver evaluates it at the iterate plus the initial values, so it always
+    sees the unshifted state.
 
-    Optionally an equation may instead (or additionally) carry the split
-    ``f = -alpha*u - N(t, u) + g(t)`` via ``nonlinear[k]`` and ``forcing[k]``
-    (either may be None, meaning identically zero).  When the split is given
-    the solver evaluates the integrand coefficient as ``g - N`` directly,
-    which is algebraically identical to the general form and keeps the
-    coefficient literally independent of the state when N is absent.  A
-    missing ``rhs`` is synthesized from the split.
+    Optionally an equation may instead (or additionally) carry the affine
+    split ``f = -alpha*u + g(t)`` via ``forcing[k]`` (None leaves it to ``rhs``).
+    The solver then evaluates the integrand coefficient as
+    ``g - alpha*u_a``, which is algebraically identical to the general form
+    and keeps the coefficient literally independent of the state.  A missing
+    ``rhs`` is synthesized from the split.
 
     ``exact`` (optional) maps a node array to exact values, shape (k, n).
     ``guess`` (optional) holds per-equation callables ``t -> value`` used as
@@ -109,7 +111,6 @@ class IvpSystem:
     T: float
     initial: tuple
     rhs: Optional[tuple] = None
-    nonlinear: Optional[tuple] = None
     forcing: Optional[tuple] = None
     exact: Optional[Callable] = None
     guess: Optional[tuple] = None
@@ -131,53 +132,31 @@ class IvpSystem:
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "T", float(self.T))
-        nonlinear = self._normalize_optional(self.nonlinear, k, "nonlinear")
-        forcing = self._normalize_optional(self.forcing, k, "forcing")
-        object.__setattr__(self, "nonlinear", nonlinear)
-        object.__setattr__(self, "forcing", forcing)
+        forcing = self.forcing
+        if forcing is not None:
+            forcing = tuple(forcing)
+            if len(forcing) != k:
+                raise ValueError("forcing must have one entry per equation")
+            object.__setattr__(self, "forcing", forcing)
         if self.guess is not None and len(self.guess) != k:
             raise ValueError("guess must have one entry per equation")
         rhs = self.rhs
         if rhs is None:
-            if nonlinear is None and forcing is None:
-                raise ValueError("each equation needs rhs or a (nonlinear, forcing) split")
-            rhs = tuple(
-                _synthesize_rhs(alphas[j],
-                                None if nonlinear is None else nonlinear[j],
-                                None if forcing is None else forcing[j],
-                                j)
-                for j in range(k)
-            )
+            if forcing is None:
+                raise ValueError("each equation needs rhs or forcing")
+            rhs = tuple(_synthesize_rhs(alphas[j], forcing[j], j) for j in range(k))
         elif len(rhs) != k:
             raise ValueError(f"rhs has {len(rhs)} entries for {k} equation(s)")
         object.__setattr__(self, "rhs", tuple(rhs))
-
-    @staticmethod
-    def _normalize_optional(entries, k, what):
-        if entries is None:
-            return None
-        entries = tuple(entries)
-        if len(entries) != k:
-            raise ValueError(f"{what} must have one entry per equation")
-        if all(e is None for e in entries):
-            return None
-        return entries
 
     @property
     def k(self) -> int:
         return len(self.alphas)
 
-    def split_given(self, j: int) -> bool:
-        return (self.nonlinear is not None and self.nonlinear[j] is not None) or (
-            self.forcing is not None and self.forcing[j] is not None
-        )
 
-
-def _synthesize_rhs(alpha, nonlinear, forcing, index):
+def _synthesize_rhs(alpha, forcing, index):
     def rhs(t, state):
         out = -alpha * np.asarray(state[index], dtype=float)
-        if nonlinear is not None:
-            out = out - nonlinear(t, state)
         if forcing is not None:
             out = out + forcing(t)
         return out
@@ -193,7 +172,6 @@ class SolveConfig:
     m_max: int
     mode: str = "paper"
     stop_tol: float = 0.0
-    divergence_cap: float = 1e12
     keep_history: bool = False
 
     def __post_init__(self):
@@ -205,8 +183,6 @@ class SolveConfig:
             raise ValueError(f"config invalid: mode={self.mode!r}, choose from {MODES}")
         if not (self.stop_tol >= 0.0 and np.isfinite(self.stop_tol)):
             raise ValueError(f"config invalid: stop_tol={self.stop_tol}")
-        if not (self.divergence_cap > 0.0):
-            raise ValueError(f"config invalid: divergence_cap={self.divergence_cap}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "m_max", int(self.m_max))
 
@@ -235,84 +211,20 @@ class SolveReport:
         return shifted + np.asarray(self.u_a)[:, None]
 
 
-def shift_to_zero(sys: IvpSystem) -> IvpSystem:
-    """Change variables so the initial values become zero.
+def _coefficients(sys: IvpSystem, t: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Integrand coefficients c, shape (k, n); H(s,t) = -e^{alpha(s-t)} c(s).
 
-    Returns the system unchanged when the initial values already vanish;
-    otherwise wraps the right-hand sides (and exact solution, if any) so that
-    the new unknown is ``u - u_a``.  The original system is not modified.
+    ``W`` is the shifted iterate ``u - u_a``; the right-hand sides see
+    ``W + u_a``.
     """
     ua = np.asarray(sys.initial)
-    if not ua.any():
-        return sys
-
-    def offset(state):
-        return np.asarray(state) + ua.reshape((-1,) + (1,) * (np.ndim(state) - 1))
-
-    def wrap_rhs(f):
-        return lambda t, state: f(t, offset(state))
-
-    # Shifting turns N(t, u) into N(t, w + u_a) + alpha*u_a so that g - N
-    # still matches alpha*w + f.  Equations without a split keep none.
-    nonlinear = None
-    if any(sys.split_given(j) for j in range(sys.k)):
-        entries = []
-        for j in range(sys.k):
-            if not sys.split_given(j):
-                entries.append(None)
-                continue
-            nl = sys.nonlinear[j] if sys.nonlinear is not None else None
-            shift_const = sys.alphas[j] * sys.initial[j]
-            if nl is None and shift_const == 0.0:
-                entries.append(None)
-            elif nl is None:
-                entries.append(
-                    (lambda c: lambda t, state: c + 0.0 * np.asarray(t))(shift_const)
-                )
-            else:
-                entries.append(
-                    (lambda f, c: lambda t, state: f(t, offset(state)) + c)(
-                        nl, shift_const
-                    )
-                )
-        nonlinear = tuple(entries)
-        if all(e is None for e in nonlinear):
-            nonlinear = None
-
-    exact = None
-    if sys.exact is not None:
-        base = sys.exact
-        exact = lambda t: np.atleast_2d(base(t)) - ua[:, None]
-
-    return IvpSystem(
-        alphas=sys.alphas,
-        a=sys.a,
-        T=sys.T,
-        initial=(0.0,) * sys.k,
-        rhs=tuple(wrap_rhs(f) for f in sys.rhs),
-        nonlinear=nonlinear,
-        forcing=sys.forcing,
-        exact=exact,
-        guess=sys.guess,
-        name=sys.name,
-    )
-
-
-def _coefficients(sys: IvpSystem, t: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Integrand coefficients c, shape (k, n); H(s,t) = -e^{alpha(s-t)} c(s)."""
-    n = t.size
-    C = np.empty((sys.k, n))
+    U = W + ua[:, None]
+    C = np.empty((sys.k, t.size))
     for j in range(sys.k):
-        if sys.split_given(j):
-            c = 0.0
-            if sys.forcing is not None and sys.forcing[j] is not None:
-                c = c + sys.forcing[j](t)
-            if sys.nonlinear is not None and sys.nonlinear[j] is not None:
-                c = c - sys.nonlinear[j](t, U)
+        if sys.forcing is not None and sys.forcing[j] is not None:
+            C[j] = sys.forcing[j](t) - sys.alphas[j] * ua[j]
         else:
-            c = sys.alphas[j] * U[j] + sys.rhs[j](t, U)
-        c = np.asarray(c, dtype=float)
-        C[j] = c if c.ndim else np.full(n, float(c))
+            C[j] = sys.alphas[j] * W[j] + sys.rhs[j](t, U)
     return C
 
 
@@ -358,10 +270,11 @@ def ivim_step(
 ) -> list:
     """One interpolated iteration sweep over all equations.
 
-    ``state`` holds the previous iterate (k elements on ``grid``);
-    ``sys`` must be normalized (zero initial values) and ``mults`` must be the
-    per-equation exponential multipliers.  The coupled right-hand sides are
-    evaluated with the full state vector at each node.
+    ``state`` holds the previous iterate ``u - u_a`` (k elements on
+    ``grid``, vanishing at ``a``); ``mults`` must be the per-equation
+    exponential multipliers.  The offset ``u_a = sys.initial`` is applied
+    where the coefficients are evaluated: the coupled right-hand sides see
+    the full state vector ``u`` at each node.
     """
     if mode not in MODES:
         raise ValueError(f"mode={mode!r}, choose from {MODES}")
@@ -373,8 +286,8 @@ def ivim_step(
 
     t = grid.nodes
     h = grid.h
-    U = np.vstack([pl.values for pl in state])
-    C = _coefficients(sys, t, U)
+    W = np.vstack([pl.values for pl in state])
+    C = _coefficients(sys, t, W)
 
     out = []
     for j in range(sys.k):
@@ -415,17 +328,17 @@ def solve(
 ) -> SolveReport:
     """Run the interpolated iteration up to ``cfg.m_max`` sweeps.
 
-    The system is normalized to zero initial values, per-equation exponential
-    multipliers are built from the linear coefficients, and iteration starts
-    from ``u0`` (default: the system's guess, else zero).  With
-    ``cfg.stop_tol > 0`` the loop exits early once the successive-difference
-    max norm drops to the tolerance.  Identical inputs produce bit-identical
-    reports.
+    The iterates are ``u - u_a`` (the offset is applied where the
+    coefficients are evaluated), per-equation exponential multipliers are
+    built from the linear coefficients, and iteration starts from ``u0``,
+    given as ``u - u_a`` (default: the system's guess minus ``u_a``, else
+    zero).  With ``cfg.stop_tol > 0`` the loop exits early once the
+    successive-difference max norm drops to the tolerance.  Identical inputs
+    produce bit-identical reports.
     """
     start = time.perf_counter()
-    shifted = shift_to_zero(sys)
     grid = make_grid(sys.a, sys.T, cfg.n)
-    mults = [exp_multiplier(alpha) for alpha in shifted.alphas]
+    mults = [exp_multiplier(alpha) for alpha in sys.alphas]
 
     if u0 is not None:
         if len(u0) != sys.k:
@@ -448,15 +361,15 @@ def solve(
     history: Optional[list] = [] if cfg.keep_history else None
     iterations_run = 0
     for _ in range(cfg.m_max):
-        new_state = ivim_step(state, shifted, grid, mults, cfg.mode)
+        new_state = ivim_step(state, sys, grid, mults, cfg.mode)
         diff = successive_diff_norm(new_state, state)
         diffs.append(diff)
         iterations_run += 1
         biggest = max(float(np.max(np.abs(pl.values))) for pl in new_state)
-        if biggest > cfg.divergence_cap:
+        if biggest > _DIVERGENCE_CAP:
             raise DivergenceError(
                 f"nodal max norm {biggest} exceeded divergence cap "
-                f"{cfg.divergence_cap} at iteration {iterations_run}"
+                f"{_DIVERGENCE_CAP} at iteration {iterations_run}"
             )
         if history is not None:
             history.append(np.vstack([pl.values for pl in new_state]))
@@ -465,8 +378,8 @@ def solve(
             break
 
     errors = None
-    if shifted.exact is not None:
-        exact_vals = np.atleast_2d(shifted.exact(grid.nodes))
+    if sys.exact is not None:
+        exact_vals = np.atleast_2d(sys.exact(grid.nodes)) - np.asarray(sys.initial)[:, None]
         U = np.vstack([pl.values for pl in state])
         errors = np.max(np.abs(U - exact_vals), axis=0)
 

@@ -46,7 +46,11 @@ class ReferenceSolution:
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
         if not np.isfinite(values).all():
-            raise ValueError("reference values must be finite")
+            j, i = np.argwhere(~np.isfinite(values))[0]
+            raise ValueError(
+                f"reference values must be finite: {self.source[0]} component {j + 1} "
+                f"is {values[j, i]} at t={nodes[i]}"
+            )
         nodes.flags.writeable = False
         values.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
@@ -70,6 +74,10 @@ def rk4_reference(sys: IvpSystem, step: float) -> ReferenceSolution:
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")
     ratio = (sys.T - sys.a) / step
+    if not math.isfinite(ratio):
+        raise ValueError(
+            f"step {step} gives no finite step count over the interval length {sys.T - sys.a}"
+        )
     nsteps = int(round(ratio))
     if nsteps < 1 or abs(ratio - nsteps) > 1e-9:
         raise ValueError(

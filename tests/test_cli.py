@@ -129,6 +129,42 @@ def test_growth_past_limit_exits_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_solve_nonfinite_exact_exits_1_without_outputs(tmp_path, capsys):
+    # log(t - 2) is NaN on [0, 1]; solve takes its reference from the same
+    # finite-checked closed form as converge
+    doc = {
+        "name": "badexact",
+        "interval": {"a": 0.0, "T": 1.0},
+        "equations": [{"alpha": 0.0, "rhs": "1"}],
+        "initial": [0.0],
+        "exact": ["log(t-2)"],
+    }
+    path = tmp_path / "badexact.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    code = _run("solve", "--problem", str(path), "--n", "33", "--m", "2",
+                "--out-dir", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error" in err and "reference values must be finite" in err
+    assert not (out / "solution.csv").exists()
+
+
+def test_huge_integer_alpha_exits_1(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"interval": {"a": 0, "T": 1}, "equations": [{"alpha": 1' + "0" * 400
+        + ', "rhs": "u"}], "initial": [0]}',
+        encoding="utf-8",
+    )
+    code = _run("solve", "--problem", str(path), "--n", "9", "--m", "2",
+                "--out-dir", str(tmp_path / "out"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error" in err and "too large" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_converge_sweep_with_orders(tmp_path):
     out = tmp_path / "run"
     code = _run("converge", "--problem", "ex1", "--m", "10",
@@ -232,6 +268,16 @@ def test_compare_step_must_divide(tmp_path, capsys):
                 "--rk4-step", "0.3", "--out-dir", str(tmp_path / "x"))
     assert code == 1
     capsys.readouterr()
+
+
+def test_compare_subnormal_step_exits_1(tmp_path, capsys):
+    # (T - a) / 1e-320 overflows to inf: no step count, an input error
+    code = _run("compare", "--problem", "ex1", "--n", "11", "--m", "3",
+                "--rk4-step", "1e-320", "--out-dir", str(tmp_path / "x"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error" in err and "step 1e-320" in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_compare_tracks_reference(tmp_path):

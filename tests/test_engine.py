@@ -11,7 +11,6 @@ from ivim import (
     get_problem,
     ivim_step,
     make_grid,
-    shift_to_zero,
     solve,
     successive_diff_norm,
 )
@@ -28,64 +27,47 @@ def _state_from(grid, rows):
     return [PiecewiseLinear(grid, np.asarray(row, dtype=float)) for row in rows]
 
 
-# --- shift_to_zero --------------------------------------------------------------
+# --- initial-value offset -----------------------------------------------------------
 
-def test_shift_simple_exponential_growth():
-    sys_ = IvpSystem(
-        alphas=(-1.0,), a=0.0, T=1.0, initial=(1.0,),
-        rhs=(lambda t, U: U[0],),
-    )
-    shifted = shift_to_zero(sys_)
-    assert shifted.initial == (0.0,)
-    # w' = w + 1 at w = 0
-    assert shifted.rhs[0](0.3, np.array([0.0])) == 1.0
-    # original untouched
-    assert sys_.initial == (1.0,)
-
-
-def test_shift_identity_when_already_zero():
-    sys_ = IvpSystem(
-        alphas=(0.0,), a=0.0, T=1.0, initial=(0.0,),
-        rhs=(lambda t, U: U[0],),
-    )
-    assert shift_to_zero(sys_) is sys_
-
-
-def test_shift_two_component_offsets():
+@pytest.mark.parametrize("mode", ["paper", "full_trapezoid"])
+def test_offset_matches_hand_shifted_system(mode):
+    # solving with u(a) = u_a must equal solving the hand-shifted system
+    # w' = f(t, w + u_a), w(a) = 0, and adding u_a back, bit for bit
     def rhs0(t, U):
         return U[0] * U[1] + t
 
     def rhs1(t, U):
         return U[0] - U[1]
 
-    sys_ = IvpSystem(
-        alphas=(0.0, 0.0), a=0.0, T=1.0, initial=(1.0, -1.0),
-        rhs=(rhs0, rhs1),
+    ua = np.array([1.0, -1.0])
+    given = IvpSystem(
+        alphas=(0.5, -0.25), a=0.0, T=1.0, initial=tuple(ua), rhs=(rhs0, rhs1),
     )
-    shifted = shift_to_zero(sys_)
-    w = np.array([0.0, 0.0])
-    u = np.array([1.0, -1.0])
-    assert shifted.rhs[0](0.5, w) == rhs0(0.5, u)
-    assert shifted.rhs[1](0.5, w) == rhs1(0.5, u)
+    by_hand = IvpSystem(
+        alphas=(0.5, -0.25), a=0.0, T=1.0, initial=(0.0, 0.0),
+        rhs=(lambda t, W: rhs0(t, W + ua[:, None]), lambda t, W: rhs1(t, W + ua[:, None])),
+    )
+    cfg = SolveConfig(n=65, m_max=6, mode=mode)
+    got = solve(given, cfg)
+    want = solve(by_hand, cfg)
+    assert np.array_equal(got.nodal_values(), want.nodal_values() + ua[:, None])
+    assert got.diffs == want.diffs
 
 
-def test_shift_preserves_split_semantics():
-    # u' = u, u(0) = 1 in split form: alpha = -1, N = 0, g = 0.  Shifting to
-    # w = u - 1 absorbs the constant alpha*u_a into the nonlinear slot so the
-    # integrand coefficient stays g - N = 1 = alpha*w + f(w).
+def test_forcing_with_nonzero_initial_value():
+    # u' = u, u(0) = 1 through the affine split: alpha = -1, g = 0; the
+    # coefficient is g - alpha*u_a = 1 whatever the iterate
     sys_ = IvpSystem(
         alphas=(-1.0,), a=0.0, T=1.0, initial=(1.0,),
         forcing=(lambda t: np.zeros_like(np.asarray(t, dtype=float)),),
+        exact=lambda t: np.exp(t)[None, :],
     )
-    shifted = shift_to_zero(sys_)
-    assert shifted.initial == (0.0,)
-    assert shifted.split_given(0)
-    assert shifted.nonlinear[0](0.4, np.array([0.0])) == -1.0
     rep = solve(sys_, SolveConfig(n=101, m_max=3, mode="full_trapezoid"))
-    # exact solution is e^t
     t = rep.grid.nodes
     vals = rep.nodal_values()[0]
     assert np.max(np.abs(vals - np.exp(t))) < 5e-5
+    # the report's errors compare like with like: u - u_a against exact - u_a
+    assert np.allclose(rep.errors, np.abs(vals - np.exp(t)), rtol=0, atol=1e-15)
 
 
 # --- one-step exactness -----------------------------------------------------------
@@ -123,8 +105,10 @@ def test_constant_rhs_one_step_any_state():
 # --- fidelity against the naive double loop ---------------------------------------
 
 def test_step_matches_naive_on_random_problems():
+    # with u(a) = u_a the oracle sees the hand-shifted rhs f(t, w + u_a)
     rng = np.random.default_rng(7)
-    for trial in range(6):
+    for trial in range(12):
+        ua = 0.0 if trial < 6 else 0.75
         alpha = float(rng.uniform(-3, 3))
         a_coef = float(rng.uniform(-1, 1))
         b_coef = float(rng.uniform(-1, 1))
@@ -132,13 +116,16 @@ def test_step_matches_naive_on_random_problems():
         def rhs(t, U, a_coef=a_coef, b_coef=b_coef):
             return a_coef * U[0] + b_coef * np.sin(t) + 0.3 * U[0] ** 2
 
-        sys_ = IvpSystem(alphas=(alpha,), a=0.0, T=2.0, initial=(0.0,), rhs=(rhs,))
+        def shifted_rhs(t, W, rhs=rhs, ua=ua):
+            return rhs(t, W + ua)
+
+        sys_ = IvpSystem(alphas=(alpha,), a=0.0, T=2.0, initial=(ua,), rhs=(rhs,))
         grid = make_grid(0.0, 2.0, 33)
         state_vals = np.vstack([np.concatenate(([0.0], rng.normal(size=32)))])
         state = _state_from(grid, state_vals)
         for mode in ("paper", "full_trapezoid"):
             got = ivim_step(state, sys_, grid, [exp_multiplier(alpha)], mode)
-            want = naive_step((alpha,), sys_.rhs, grid.nodes, grid.h, state_vals, mode)
+            want = naive_step((alpha,), (shifted_rhs,), grid.nodes, grid.h, state_vals, mode)
             assert np.max(np.abs(got[0].values - want[0])) <= 1e-12
 
 
@@ -323,8 +310,6 @@ def test_solve_config_validation():
         SolveConfig(n=10, m_max=5, mode="simpson")
     with pytest.raises(ValueError, match="config invalid"):
         SolveConfig(n=10, m_max=5, stop_tol=-1.0)
-    with pytest.raises(ValueError, match="config invalid"):
-        SolveConfig(n=10, m_max=5, divergence_cap=0.0)
 
 
 # --- successive_diff_norm -----------------------------------------------------------
