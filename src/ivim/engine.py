@@ -89,10 +89,10 @@ class IvpSystem:
     """System of k first-order equations ``u_k' = f_k(t, u)`` on ``[a, T]``.
 
     ``rhs[k]`` is the complete right-hand side, called as ``rhs[k](t, state)``
-    where ``state`` is indexable by equation (``state[j]``); both arguments
-    may be numpy arrays and the result must broadcast accordingly.  The
-    solver evaluates it at the iterate plus the initial values, so it always
-    sees the unshifted state.
+    where ``state`` is indexable by equation (``state[j]``); the solver passes
+    numpy arrays and the result must broadcast accordingly, while
+    ``rk4_reference`` passes float64 scalars.  The solver evaluates it at the
+    iterate plus the initial values, so it always sees the unshifted state.
 
     Optionally an equation may instead (or additionally) carry the affine
     split ``f = -alpha*u + g(t)`` via ``forcing[k]`` (None leaves it to ``rhs``).
@@ -126,6 +126,11 @@ class IvpSystem:
             raise ValueError(
                 f"initial has {len(initial)} entries for {k} equation(s)"
             )
+        for j, value in enumerate(initial):
+            if not np.isfinite(value):
+                raise ValueError(
+                    f"initial value of equation {j + 1} must be finite, got {value!r}"
+                )
         if float(self.T) <= float(self.a):
             raise ValueError(f"invalid interval: T={self.T} must exceed a={self.a}")
         object.__setattr__(self, "alphas", alphas)
@@ -215,16 +220,18 @@ def _coefficients(sys: IvpSystem, t: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Integrand coefficients c, shape (k, n); H(s,t) = -e^{alpha(s-t)} c(s).
 
     ``W`` is the shifted iterate ``u - u_a``; the right-hand sides see
-    ``W + u_a``.
+    ``W + u_a``.  A non-finite coefficient passes silently and is reported
+    by the caller's finiteness check on the update.
     """
     ua = np.asarray(sys.initial)
     U = W + ua[:, None]
     C = np.empty((sys.k, t.size))
-    for j in range(sys.k):
-        if sys.forcing is not None and sys.forcing[j] is not None:
-            C[j] = sys.forcing[j](t) - sys.alphas[j] * ua[j]
-        else:
-            C[j] = sys.alphas[j] * W[j] + sys.rhs[j](t, U)
+    with np.errstate(all="ignore"):
+        for j in range(sys.k):
+            if sys.forcing is not None and sys.forcing[j] is not None:
+                C[j] = sys.forcing[j](t) - sys.alphas[j] * ua[j]
+            else:
+                C[j] = sys.alphas[j] * W[j] + sys.rhs[j](t, U)
     return C
 
 
@@ -348,12 +355,13 @@ def solve(
                 raise ValueError("u0 grids do not match the solve grid")
         state = list(u0)
     elif sys.guess is not None:
-        state = [
-            project_samples(grid, _shifted_guess(sys.guess[j], sys.initial[j]))
-            if sys.guess[j] is not None
-            else PiecewiseLinear(grid, np.zeros(grid.n))
-            for j in range(sys.k)
-        ]
+        with np.errstate(all="ignore"):  # project_samples names a non-finite sample
+            state = [
+                project_samples(grid, _shifted_guess(sys.guess[j], sys.initial[j]))
+                if sys.guess[j] is not None
+                else PiecewiseLinear(grid, np.zeros(grid.n))
+                for j in range(sys.k)
+            ]
     else:
         state = [PiecewiseLinear(grid, np.zeros(grid.n)) for _ in range(sys.k)]
 
@@ -379,7 +387,8 @@ def solve(
 
     errors = None
     if sys.exact is not None:
-        exact_vals = np.atleast_2d(sys.exact(grid.nodes)) - np.asarray(sys.initial)[:, None]
+        with np.errstate(all="ignore"):
+            exact_vals = np.atleast_2d(sys.exact(grid.nodes)) - np.asarray(sys.initial)[:, None]
         U = np.vstack([pl.values for pl in state])
         errors = np.max(np.abs(U - exact_vals), axis=0)
 

@@ -494,17 +494,16 @@ _NP_FUNCS = {
 def compile_array(e: Expr) -> Callable[[dict], np.ndarray]:
     """Compile a tree into a numpy-vectorized ``fn(env) -> ndarray``.
 
-    Domain violations produce nan/inf silently (warnings suppressed); callers
-    are expected to check finiteness of whatever they derive from the result.
-    The scalar :func:`eval_expr` is the strict evaluator.
+    Every operator follows IEEE arithmetic, so domain violations and division
+    by zero produce nan/inf rather than raising; callers are expected to
+    check finiteness of whatever they derive from the result.  ``fn`` does
+    not touch numpy's error state: numpy reports those nan/inf as
+    ``RuntimeWarning`` unless the caller evaluates under
+    ``np.errstate(all="ignore")``, as the solver sweep, the guess and exact
+    evaluations and the RK4 reference each do once per call.  The scalar
+    :func:`eval_expr` is the strict evaluator.
     """
-    body = _compile(e)
-
-    def fn(env: dict) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            return body(env)
-
-    return fn
+    return _compile(e)
 
 
 def _compile(e: Expr):
@@ -531,7 +530,8 @@ def _compile(e: Expr):
         if op == "*":
             return lambda env: lf(env) * rf(env)
         if op == "/":
-            return lambda env: lf(env) / rf(env)
+            # np.divide, not '/', so 1/0 on two Python floats is inf
+            return lambda env: np.divide(lf(env), rf(env))
         return lambda env: np.power(lf(env), rf(env))
     if isinstance(e, Call):
         if e.fn == "nthroot":

@@ -99,15 +99,16 @@ def _state_names(k: int) -> list:
 
 def _compile_rhs(src: str, k: int):
     tree = parse(src)
-    validate_vars(tree, ["t"] + _state_names(k))
+    names = _state_names(k)
+    validate_vars(tree, ["t"] + names)
     fn = compile_array(tree)
+    # the state index behind each name; the alias u (k == 1 only) reads u1
+    components = tuple(zip(names, [*range(k), 0]))
 
     def rhs(t, state):
         env = {"t": t}
-        for j in range(k):
-            env[f"u{j + 1}"] = state[j]
-        if k == 1:
-            env["u"] = state[0]
+        for name, j in components:
+            env[name] = state[j]
         return fn(env)
 
     return rhs

@@ -68,7 +68,13 @@ def rk4_reference(sys: IvpSystem, step: float) -> ReferenceSolution:
     """Classical 4-stage Runge-Kutta trajectory at fixed step.
 
     ``step`` must divide the interval to within 1e-9 relative.  Integration
-    starts from the original (unshifted) initial values.
+    starts from the original (unshifted) initial values.  The state is one
+    float64 scalar per component, and each stage calls ``sys.rhs[j](t, state)``
+    with ``state`` a list of those scalars, so a right-hand side may only
+    index it.  Per component the arithmetic is that of
+    ``y + h/6 (k1 + 2 k2 + 2 k3 + k4)``, in that order.  Numpy's floating-point
+    warnings are off for the whole run; a state that turns non-finite raises
+    ``DivergenceError`` naming ``t``.
     """
     step = float(step)
     if step <= 0.0:
@@ -84,24 +90,32 @@ def rk4_reference(sys: IvpSystem, step: float) -> ReferenceSolution:
             f"step {step} does not divide the interval length {sys.T - sys.a}"
         )
 
-    def f(t, y):
-        return np.array([sys.rhs[j](t, y) for j in range(sys.k)], dtype=float)
-
+    rhs = sys.rhs
     h = (sys.T - sys.a) / nsteps
-    y = np.array(sys.initial, dtype=float)
+    half = 0.5 * h
+    sixth = h / 6.0
+    y = [np.float64(v) for v in sys.initial]
     values = np.empty((sys.k, nsteps + 1))
     values[:, 0] = y
     t = sys.a
-    for i in range(nsteps):
-        k1 = f(t, y)
-        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = f(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = sys.a + (i + 1) * h
-        if not np.isfinite(y).all():
-            raise DivergenceError(f"RK4 state became non-finite at t={t}")
-        values[:, i + 1] = y
+    with np.errstate(all="ignore"):
+        for i in range(nsteps):
+            k1 = [f(t, y) for f in rhs]
+            s = [yj + half * kj for yj, kj in zip(y, k1)]
+            k2 = [f(t + half, s) for f in rhs]
+            s = [yj + half * kj for yj, kj in zip(y, k2)]
+            k3 = [f(t + half, s) for f in rhs]
+            s = [yj + h * kj for yj, kj in zip(y, k3)]
+            k4 = [f(t + h, s) for f in rhs]
+            y = [
+                yj + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+                for yj, a1, a2, a3, a4 in zip(y, k1, k2, k3, k4)
+            ]
+            t = sys.a + (i + 1) * h
+            if not all(map(math.isfinite, y)):
+                raise DivergenceError(f"RK4 state became non-finite at t={t}")
+            for j, yj in enumerate(y):
+                values[j, i + 1] = yj
     nodes = np.linspace(sys.a, sys.T, nsteps + 1)
     return ReferenceSolution(nodes=nodes, values=values, source=("rk4", step))
 

@@ -3,8 +3,9 @@
 Nothing here shares code with the package's solver paths: the nodal update
 is a literal double loop over math.exp calls, the quadrature check is a
 plain composite trapezoid sum, the trapezoid march solves one node at a time
-with scalar fixed-point iterations, and the hat functions are evaluated
-piece by piece from their definition.
+with scalar fixed-point iterations, the RK4 march steps one whole state
+array at a time, and the hat functions are evaluated piece by piece from
+their definition.
 """
 
 import math
@@ -83,6 +84,36 @@ def trapezoid_march(f_scalar, a, T, n):
             raise ArithmeticError(f"trapezoid march did not settle at node {i + 1}")
         u[i] = nxt
     return np.array(u)
+
+
+def rk4_march(sys, nsteps):
+    """Classical RK4 on whole state arrays: the values at every step, (k, nsteps + 1).
+
+    Each stage gathers the k right-hand sides into one float64 array and
+    advances ``y + h/6 (k1 + 2 k2 + 2 k3 + k4)`` as array arithmetic.  A
+    non-finite state raises ``ArithmeticError`` naming ``t``.
+    """
+
+    def f(t, y):
+        return np.array([sys.rhs[j](t, y) for j in range(sys.k)], dtype=float)
+
+    h = (sys.T - sys.a) / nsteps
+    y = np.array(sys.initial, dtype=float)
+    values = np.empty((sys.k, nsteps + 1))
+    values[:, 0] = y
+    t = sys.a
+    with np.errstate(all="ignore"):
+        for i in range(nsteps):
+            k1 = f(t, y)
+            k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+            k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+            k4 = f(t + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t = sys.a + (i + 1) * h
+            if not np.isfinite(y).all():
+                raise ArithmeticError(f"RK4 state became non-finite at t={t}")
+            values[:, i + 1] = y
+    return values
 
 
 def hat_eval(grid, i, t):

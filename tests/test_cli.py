@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ivim
+import ivim.cli
+from ivim import SolveConfig, error_metrics, get_problem, rk4_reference, solve
 from ivim.cli import main
 
 
@@ -12,6 +19,36 @@ def _read_lines(path):
 
 def _run(*argv):
     return main(list(argv))
+
+
+def _run_process(*argv):
+    """Run the CLI in a fresh interpreter; returns (exit code, stderr)."""
+    env = dict(os.environ)
+    package_root = str(Path(ivim.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ivim.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stderr
+
+
+def _write_problem(tmp_path, doc, name="problem.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+# damped pendulum: no closed form, so converge scores it against RK4
+_PENDULUM = {
+    "name": "pendulum",
+    "interval": {"a": 0.0, "T": 2.0},
+    "equations": [
+        {"alpha": 0.0, "rhs": "u2"},
+        {"alpha": 0.25, "rhs": "-0.25*u2 - sin(u1)"},
+    ],
+    "initial": [0.5, 0.0],
+}
 
 
 def test_solve_builtin_ex1(tmp_path, capsys):
@@ -163,6 +200,89 @@ def test_huge_integer_alpha_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error" in err and "too large" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bad", ["1e400", "NaN"])
+def test_nonfinite_initial_value_exits_1_without_outputs(tmp_path, capsys, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        '{"interval": {"a": 0, "T": 1}, "equations": [{"alpha": 0, "rhs": "u"}], '
+        '"initial": [' + bad + "]}",
+        encoding="utf-8",
+    )
+    code = _run("solve", "--problem", str(path), "--n", "33", "--m", "3",
+                "--out-dir", str(tmp_path / "out"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error" in err and "initial value of equation 1 must be finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "rhs, argv, message",
+    [
+        ("1/t", ("converge", "--n", "33", "--m-list", "1,2"),
+         "RK4 state became non-finite at t="),
+        ("1/t", ("compare", "--n", "33", "--m", "3", "--rk4-step", "0.01"),
+         "RK4 state became non-finite at t="),
+        ("u + 1/0", ("solve", "--n", "33", "--m", "3"), "non-finite update"),
+    ],
+)
+def test_division_by_zero_exits_2_without_traceback(tmp_path, rhs, argv, message):
+    doc = {
+        "name": "pole",
+        "interval": {"a": 0.0, "T": 1.0},
+        "equations": [{"alpha": 0.0, "rhs": rhs}],
+        "initial": [0.0],
+    }
+    path = _write_problem(tmp_path, doc)
+    code, err = _run_process(argv[0], "--problem", str(path), *argv[1:],
+                             "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert "Traceback" not in err
+    assert "divergence" in err and message in err
+
+
+@pytest.mark.parametrize(
+    "sweep, n_max",
+    [(("--n", "33", "--m-list", "1,4,16"), 33), (("--m", "5", "--n-list", "9,17,33"), 33)],
+)
+def test_converge_runs_one_rk4_reference(tmp_path, monkeypatch, sweep, n_max):
+    steps = []
+
+    def counting(system, step):
+        steps.append(step)
+        return rk4_reference(system, step)
+
+    monkeypatch.setattr(ivim.cli, "rk4_reference", counting)
+    path = _write_problem(tmp_path, _PENDULUM)
+    code = _run("converge", "--problem", str(path), *sweep, "--out-dir", str(tmp_path / "out"))
+    assert code == 0
+    assert steps == [2.0 / (100 * (n_max - 1))]
+
+
+def test_converge_rejects_bad_point_before_the_reference(tmp_path, capsys):
+    # n = 1 would size the RK4 step by zero cells; every point is checked first
+    path = _write_problem(tmp_path, _PENDULUM)
+    code = _run("converge", "--problem", str(path), "--m", "3", "--n-list", "1,3",
+                "--out-dir", str(tmp_path / "out"))
+    assert code == 1
+    assert "n=1" in capsys.readouterr().err
+
+
+def test_converge_m_sweep_scores_against_one_reference(tmp_path):
+    path = _write_problem(tmp_path, _PENDULUM)
+    out = tmp_path / "out"
+    assert _run("converge", "--problem", str(path), "--n", "33", "--m-list", "1,4,16",
+                "--out-dir", str(out)) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    system, _ = get_problem(str(path))
+    ref = rk4_reference(system, 2.0 / (100 * 32))
+    expected = [
+        error_metrics(solve(system, SolveConfig(n=33, m_max=m)), ref).max_abs
+        for m in (1, 4, 16)
+    ]
+    assert summary["max_abs"] == expected
 
 
 def test_converge_sweep_with_orders(tmp_path):

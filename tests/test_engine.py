@@ -10,6 +10,7 @@ from ivim import (
     exp_multiplier,
     get_problem,
     ivim_step,
+    problem_from_dict,
     make_grid,
     solve,
     successive_diff_norm,
@@ -247,6 +248,13 @@ def test_system_interval_validation():
                   rhs=(lambda t, U: U[0],))
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_system_rejects_nonfinite_initial_value(bad):
+    with pytest.raises(ValueError, match="initial value of equation 2 must be finite"):
+        IvpSystem(alphas=(0.0, 0.0), a=0.0, T=1.0, initial=(0.0, bad),
+                  rhs=(lambda t, U: U[1], lambda t, U: U[0]))
+
+
 def test_solve_divergence_cap():
     sys_ = IvpSystem(
         alphas=(0.0,), a=0.0, T=1.0, initial=(2.0,),
@@ -265,6 +273,31 @@ def test_step_divergence_reports_node():
     grid = make_grid(0.0, 1.0, 11)
     with pytest.raises(DivergenceError, match="node"):
         ivim_step(_zero_state(grid, 1), sys_, grid, [exp_multiplier(0.0)], "paper")
+
+
+def _domain_error_problem(**fields):
+    doc = {
+        "name": "domain",
+        "interval": {"a": 0.0, "T": 1.0},
+        "equations": [{"alpha": 0.0, "rhs": "1"}],
+        "initial": [0.0],
+    }
+    doc.update(fields)
+    return problem_from_dict(doc)
+
+
+def test_domain_errors_reach_the_finite_checks_without_warnings():
+    # compiled expressions leave numpy's error state to the caller; the
+    # sweep, the guess projection and the exact evaluation each suppress it,
+    # so a RuntimeWarning (an error under this suite's settings) never leaks
+    cfg = SolveConfig(n=33, m_max=3)
+    bad_rhs = _domain_error_problem(equations=[{"alpha": 0.0, "rhs": "log(u - 1)"}])
+    with pytest.raises(DivergenceError, match="non-finite update"):
+        solve(bad_rhs, cfg)
+    with pytest.raises(ValueError, match="non-finite value"):
+        solve(_domain_error_problem(guess=["log(t - 2)"]), cfg)
+    report = solve(_domain_error_problem(exact=["log(t - 2)"]), cfg)
+    assert np.isnan(report.errors).all()
 
 
 def test_step_overflow_guard():

@@ -347,3 +347,29 @@ def test_compile_array_matches_scalar_eval():
     for i in range(t.size):
         scalar = eval_expr(tree, {"t": float(t[i]), "u": float(u[i])})
         assert vec[i] == pytest.approx(scalar, rel=1e-13, abs=1e-13)
+
+
+def test_compiled_division_by_zero_is_ieee():
+    # two Python floats: '/' would raise ZeroDivisionError
+    with np.errstate(all="ignore"):
+        assert compile_array(parse("1/t"))({"t": 0.0}) == math.inf
+        assert compile_array(parse("-1/t"))({"t": 0.0}) == -math.inf
+        assert math.isnan(compile_array(parse("t/0"))({"t": 0.0}))
+        assert compile_array(parse("u + 1/0"))({"u": np.zeros(3)}).tolist() == [math.inf] * 3
+
+
+def test_compiled_division_keeps_the_quotient():
+    rng = random.Random(97531)
+    fn = compile_array(parse("x/y"))
+    for _ in range(200):
+        x = rng.uniform(-1e3, 1e3)
+        y = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300, 300)
+        assert fn({"x": x, "y": y}) == x / y
+
+
+def test_compile_array_leaves_error_state_to_the_caller():
+    fn = compile_array(parse("log(t - 1)"))
+    with pytest.warns(RuntimeWarning):
+        fn({"t": 0.0})
+    with np.errstate(all="ignore"):
+        assert math.isnan(fn({"t": 0.0}))

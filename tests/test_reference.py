@@ -17,6 +17,8 @@ from ivim import (
     rk4_reference,
 )
 
+from _oracles import rk4_march
+
 
 def _scalar_system(rhs, a, T, u0):
     return IvpSystem(alphas=(0.0,), a=a, T=T, initial=(u0,), rhs=(rhs,))
@@ -64,12 +66,43 @@ def test_rk4_step_must_divide_interval():
         rk4_reference(sys_, -0.1)
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 def test_rk4_divergence_reports_time():
     # u' = u^2, u(0) = 1 blows up at t = 1
     sys_ = _scalar_system(lambda t, U: U[0] ** 2, 0.0, 2.0, 1.0)
     with pytest.raises(DivergenceError, match="t="):
         rk4_reference(sys_, 2.0 / 1000)
+
+
+def _damped_pendulum():
+    return IvpSystem(
+        alphas=(0.0, 0.25), a=0.0, T=2.0, initial=(0.5, 0.0),
+        rhs=(lambda t, U: U[1], lambda t, U: -0.25 * U[1] - 1.0 * np.sin(U[0])),
+    )
+
+
+def _three_equations():
+    # a forced rotation coupled to a decaying third component
+    return IvpSystem(
+        alphas=(0.0, 0.0, 1.0), a=0.5, T=2.0, initial=(1.0, -0.5, 2.0),
+        rhs=(
+            lambda t, U: U[1] + 0.1 * U[2],
+            lambda t, U: -U[0] + np.cos(t),
+            lambda t, U: -U[2] + U[0] * U[1],
+        ),
+    )
+
+
+@pytest.mark.parametrize("case", ["ex1", "ex3", "pendulum", "three"])
+def test_rk4_matches_array_march_bitwise(case):
+    if case == "pendulum":
+        sys_ = _damped_pendulum()
+    elif case == "three":
+        sys_ = _three_equations()
+    else:
+        sys_, _ = get_problem(case)
+    nsteps = 1500
+    ref = rk4_reference(sys_, (sys_.T - sys_.a) / nsteps)
+    assert np.array_equal(ref.values, rk4_march(sys_, nsteps))
 
 
 def test_rk4_system_trajectory():
