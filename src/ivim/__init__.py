@@ -30,13 +30,9 @@ from .engine import (
 )
 from .expr import (
     ExprError,
-    Token,
     compile_array,
     eval_expr,
     parse,
-    parse_expression,
-    pretty,
-    tokenize,
     validate_vars,
 )
 from .reference import (
@@ -75,11 +71,7 @@ __all__ = [
     "successive_diff_norm",
     "eval_solution",
     "ExprError",
-    "Token",
-    "tokenize",
     "parse",
-    "parse_expression",
-    "pretty",
     "eval_expr",
     "validate_vars",
     "compile_array",

@@ -102,8 +102,9 @@ class IvpSystem:
     ``rhs`` is synthesized from the split.
 
     ``exact`` (optional) maps a node array to exact values, shape (k, n).
-    ``guess`` (optional) holds per-equation callables ``t -> value`` used as
-    the default initial iterate after subtracting the initial values.
+    ``guess`` (optional) holds per-equation vectorized callables
+    ``t -> values``, each called once on the grid nodes; minus the initial
+    values they are the default initial iterate.
     """
 
     alphas: tuple
@@ -268,6 +269,28 @@ def _update(alpha: float, C: np.ndarray, t: np.ndarray, h: float, mode: str) -> 
     return out
 
 
+def _reject_nan_coefficient(
+    sys: IvpSystem, j: int, c: np.ndarray, W: np.ndarray, t: np.ndarray, first: int, last: int
+) -> None:
+    """Raise ``ValueError`` if ``c[first..last]`` holds a NaN at a finite state.
+
+    Called only once an update has turned non-finite at node ``last``, with
+    the coefficients that fed it.  A NaN that ``f`` returns at a finite state
+    means ``f`` left its domain: an input error, not divergence.  An infinite
+    coefficient, or one at a non-finite state, is left to the caller.
+    """
+    U = W[:, first:last + 1] + np.asarray(sys.initial)[:, None]
+    nan = np.isnan(c[first:last + 1]) & np.isfinite(U).all(axis=0)
+    if nan.any():
+        i = int(np.flatnonzero(nan)[0])
+        state = [float(x) for x in U[:, i]]
+        i += first
+        raise ValueError(
+            f"right-hand side of equation {j + 1} is nan at node {i + 1} "
+            f"(t={t[i]}, u={state}): outside its domain"
+        )
+
+
 def ivim_step(
     state: Sequence[PiecewiseLinear],
     sys: IvpSystem,
@@ -308,6 +331,8 @@ def ivim_step(
         vals = _update(alpha, C[j], t, h, mode)
         if not np.isfinite(vals).all():
             bad = int(np.flatnonzero(~np.isfinite(vals))[0])
+            first = 0 if mode == "full_trapezoid" else 1  # paper mode never reads c(t_1)
+            _reject_nan_coefficient(sys, j, C[j], W, t, first, bad)
             raise DivergenceError(
                 f"non-finite update in equation {j + 1} at node {bad + 1} "
                 f"(t={t[bad]})"

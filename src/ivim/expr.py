@@ -10,6 +10,7 @@ Grammar (precedence from loosest to tightest):
 
 so ``-u^2`` is ``-(u^2)`` and ``u^2^3`` is ``u^(2^3)``.  Implicit
 multiplication is rejected.  ``pi`` and ``e`` are predefined constants.
+An expression may nest at most ``MAX_DEPTH`` (100) levels deep.
 ``nthroot(x, k)`` is the real k-th root: ``sign(x) * |x|^(1/k)`` for odd k,
 defined only for ``x >= 0`` when k is even.  It is the sanctioned spelling of
 fractional powers of possibly negative quantities, e.g. ``nthroot(u^2, 5)``
@@ -159,6 +160,17 @@ class Call:
 
 Expr = Union[Const, Var, Neg, BinOp, Call]
 
+
+def _children(e: Expr) -> tuple:
+    if isinstance(e, Neg):
+        return (e.operand,)
+    if isinstance(e, BinOp):
+        return (e.left, e.right)
+    if isinstance(e, Call):
+        return e.args
+    return ()
+
+
 FUNCTIONS = {
     "sin": 1,
     "cos": 1,
@@ -176,20 +188,41 @@ CONSTANTS = {"pi": math.pi, "e": math.e}
 
 # --- parser -----------------------------------------------------------------
 
+# Deepest nesting an expression may have, both in the parser (every '(',
+# call, unary minus and exponent opens a level) and in its syntax tree (every
+# operator or call on top of a subexpression adds one, so does each further
+# term of a chain such as a + b + c).  The parser spends up to six frames a
+# level (nested calls), the tree walkers one to three; 100 levels keep the
+# deepest case near 650 frames under Python's default limit of 1000.
+MAX_DEPTH = 100
+
+
+def _too_deep(pos: int) -> ExprError:
+    return ExprError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+
+
 class _Cursor:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
         self.paren_depth = 0
+        self.depth = 0
 
     def peek(self) -> Optional[Token]:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
 
+    def offset(self) -> int:
+        """Position of the next token, or the end of the input."""
+        tok = self.peek()
+        if tok is not None:
+            return tok.position
+        last = self.tokens[-1] if self.tokens else None
+        return last.position + len(last.lexeme) if last else 0
+
     def next(self) -> Token:
         tok = self.peek()
         if tok is None:
-            last = self.tokens[-1] if self.tokens else None
-            pos = last.position + len(last.lexeme) if last else 0
+            pos = self.offset()
             if self.paren_depth > 0:
                 raise ExprError("unbalanced parenthesis", pos)
             raise ExprError("unexpected end of input", pos)
@@ -206,6 +239,14 @@ def parse_expression(tokens: list[Token]) -> Expr:
     tok = cur.peek()
     if tok is not None:
         raise ExprError(f"trailing input {tok.lexeme!r}", tok.position)
+    # the tree's depth, walked without recursion: a long chain such as
+    # u + u + ... never nests in the parser but is as deep as it is long
+    stack = [(tree, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise _too_deep(node.pos)
+        stack.extend((child, depth + 1) for child in _children(node))
     return tree
 
 
@@ -238,11 +279,18 @@ def _parse_term(cur: _Cursor) -> Expr:
 
 
 def _parse_unary(cur: _Cursor) -> Expr:
+    # every nested construct passes through here, so this bounds the recursion
+    cur.depth += 1
+    if cur.depth > MAX_DEPTH:
+        raise _too_deep(cur.offset())
     tok = cur.peek()
     if tok is not None and tok.kind == "operator" and tok.lexeme == "-":
         cur.next()
-        return Neg(_parse_unary(cur), pos=tok.position)
-    return _parse_power(cur)
+        node = Neg(_parse_unary(cur), pos=tok.position)
+    else:
+        node = _parse_power(cur)
+    cur.depth -= 1
+    return node
 
 
 def _parse_power(cur: _Cursor) -> Expr:
@@ -453,14 +501,8 @@ def free_variables(e: Expr) -> dict[str, int]:
         if isinstance(node, Var):
             if node.name not in CONSTANTS and node.name not in found:
                 found[node.name] = node.pos
-        elif isinstance(node, Neg):
-            walk(node.operand)
-        elif isinstance(node, BinOp):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Call):
-            for a in node.args:
-                walk(a)
+        for child in _children(node):
+            walk(child)
 
     walk(e)
     return found
@@ -540,7 +582,13 @@ def _compile(e: Expr):
             inv = 1.0 / k
             if k % 2 == 0:
                 return lambda env: np.power(xf(env), inv)
-            return lambda env: np.copysign(np.power(np.abs(xf(env)), inv), xf(env))
+
+            def odd_root(env):
+                # evaluate the argument once; twice would double the cost per nesting level
+                x = xf(env)
+                return np.copysign(np.power(np.abs(x), inv), x)
+
+            return odd_root
         xf = _compile(e.args[0])
         fn = _NP_FUNCS[e.fn]
         return lambda env: fn(xf(env))

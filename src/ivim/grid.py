@@ -112,19 +112,23 @@ def interp_eval(pl: PiecewiseLinear, t: float) -> float:
     return float(np.interp(t, grid.nodes, pl.values))
 
 
-def project_samples(grid: Grid, sampler: Callable[[float], float]) -> PiecewiseLinear:
+def project_samples(grid: Grid, sampler: Callable[[np.ndarray], np.ndarray]) -> PiecewiseLinear:
     """Sample a function at the grid nodes and wrap it as a basis element.
 
-    The value at the first node is pinned to 0 regardless of ``sampler(a)``,
-    since every element of the space vanishes there.
+    ``sampler`` is called once, with the array ``grid.nodes[1:]``, and must
+    return one value per node or a scalar that holds at every node (a
+    vectorized function of ``t``, such as a compiled expression).  The value
+    at the first node is pinned to 0, since every element of the space
+    vanishes there.  A non-finite sample raises ``ValueError`` naming the
+    first such node and its ``t``.
     """
     values = np.zeros(grid.n)
-    for idx in range(1, grid.n):
-        v = float(sampler(float(grid.nodes[idx])))
-        if not np.isfinite(v):
-            raise ValueError(
-                f"sampler returned non-finite value {v!r} at node {idx + 1} "
-                f"(t={grid.nodes[idx]})"
-            )
-        values[idx] = v
+    values[1:] = sampler(grid.nodes[1:])
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        idx = int(bad[0])
+        raise ValueError(
+            f"sampler returned non-finite value {float(values[idx])!r} at node {idx + 1} "
+            f"(t={grid.nodes[idx]})"
+        )
     return PiecewiseLinear(grid=grid, values=values)

@@ -73,8 +73,10 @@ def rk4_reference(sys: IvpSystem, step: float) -> ReferenceSolution:
     with ``state`` a list of those scalars, so a right-hand side may only
     index it.  Per component the arithmetic is that of
     ``y + h/6 (k1 + 2 k2 + 2 k3 + k4)``, in that order.  Numpy's floating-point
-    warnings are off for the whole run; a state that turns non-finite raises
-    ``DivergenceError`` naming ``t``.
+    warnings are off for the whole run.  A step that turns the state
+    non-finite raises ``ValueError`` naming the equation and ``t`` if a stage
+    of it returned NaN at a finite state (``f`` outside its domain), and
+    ``DivergenceError`` naming ``t`` otherwise.
     """
     step = float(step)
     if step <= 0.0:
@@ -107,17 +109,40 @@ def rk4_reference(sys: IvpSystem, step: float) -> ReferenceSolution:
             k3 = [f(t + half, s) for f in rhs]
             s = [yj + h * kj for yj, kj in zip(y, k3)]
             k4 = [f(t + h, s) for f in rhs]
-            y = [
+            y_next = [
                 yj + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
                 for yj, a1, a2, a3, a4 in zip(y, k1, k2, k3, k4)
             ]
+            if not all(map(math.isfinite, y_next)):
+                _reject_nan_stage(rhs, t, y, h)
+                raise DivergenceError(f"RK4 state became non-finite at t={sys.a + (i + 1) * h}")
+            y = y_next
             t = sys.a + (i + 1) * h
-            if not all(map(math.isfinite, y)):
-                raise DivergenceError(f"RK4 state became non-finite at t={t}")
             for j, yj in enumerate(y):
                 values[j, i + 1] = yj
     nodes = np.linspace(sys.a, sys.T, nsteps + 1)
     return ReferenceSolution(nodes=nodes, values=values, source=("rk4", step))
+
+
+def _reject_nan_stage(rhs, t: float, y: list, h: float) -> None:
+    """Re-run the RK4 step from ``(t, y)`` and raise ``ValueError`` at the
+    first stage where a right-hand side returns NaN at a finite state.
+
+    Called only once a step has turned non-finite.  From the first stage at
+    a non-finite state on, the step is left to the caller's divergence report.
+    """
+    k = None
+    for dt in (0.0, 0.5 * h, 0.5 * h, h):
+        state = y if k is None else [yj + dt * kj for yj, kj in zip(y, k)]
+        if not all(map(math.isfinite, state)):
+            return
+        k = [f(t + dt, state) for f in rhs]
+        for j, kj in enumerate(k):
+            if math.isnan(kj):
+                raise ValueError(
+                    f"right-hand side of equation {j + 1} is nan at t={t + dt} "
+                    f"(RK4 stage, u={[float(x) for x in state]}): outside its domain"
+                )
 
 
 def exact_builtin_eval(name: str, t: float) -> np.ndarray:

@@ -116,6 +116,43 @@ def test_solve_zero_error_serializes_minus_inf(tmp_path):
     assert first_row[-1] == "-inf"
 
 
+def test_solution_csv_matches_per_cell_spelling(tmp_path):
+    # several write blocks, the last one partial; cells spelled one at a time
+    n = 2 * ivim.cli._BLOCK_ROWS + 3
+    out = tmp_path / "run"
+    assert _run("solve", "--problem", "ex1", "--n", str(n), "--m", "3",
+                "--out-dir", str(out)) == 0
+    system, _ = get_problem("ex1")
+    report = solve(system, SolveConfig(n=n, m_max=3))
+    nodes = report.grid.nodes
+    expected = ["t,u1,exact1,abs_err1,log10_err\n"]
+    for t, u, x in zip(nodes, report.nodal_values()[0], system.exact(nodes)[0]):
+        err = abs(u - x)
+        log10 = f"{np.log10(err):.17g}" if err > 0.0 else "-inf"
+        expected.append(f"{t:.17g},{u:.17g},{x:.17g},{err:.17g},{log10}\n")
+    assert expected[1].endswith(",-inf\n")  # u(0) equals the closed form exactly
+    # lists of lines: pytest reports the first differing row instead of diffing the text
+    assert (out / "solution.csv").read_text(encoding="utf-8").splitlines(True) == expected
+
+
+def test_compare_csv_matches_per_cell_spelling(tmp_path):
+    n = ivim.cli._BLOCK_ROWS + 5
+    out = tmp_path / "run"
+    assert _run("compare", "--problem", "ex3", "--n", str(n), "--m", "4",
+                "--rk4-step", "0.001", "--out-dir", str(out)) == 0
+    system, _ = get_problem("ex3")
+    report = solve(system, SolveConfig(n=n, m_max=4))
+    nodes = report.grid.nodes
+    ivim_vals = report.nodal_values()
+    ref = rk4_reference(system, 0.001)
+    rk_vals = np.vstack([np.interp(nodes, ref.nodes, ref.values[j]) for j in range(2)])
+    gaps = np.abs(ivim_vals - rk_vals)
+    expected = ["t,ivim1,ivim2,rk4_1,rk4_2,gap1,gap2\n"]
+    for row in np.vstack([nodes, ivim_vals, rk_vals, gaps]).T:
+        expected.append(",".join(f"{x:.17g}" for x in row) + "\n")
+    assert (out / "compare.csv").read_text(encoding="utf-8").splitlines(True) == expected
+
+
 def test_malformed_problem_exits_1_without_outputs(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops", encoding="utf-8")
@@ -241,6 +278,67 @@ def test_division_by_zero_exits_2_without_traceback(tmp_path, rhs, argv, message
     assert code == 2
     assert "Traceback" not in err
     assert "divergence" in err and message in err
+
+
+@pytest.mark.parametrize(
+    "rhs, argv, code, message",
+    [
+        ("log(u - 1)", ("solve", "--n", "33", "--m", "3"), 1,
+         "right-hand side of equation 1 is nan at node 2 (t=0.03125, u=[0.0])"),
+        ("log(u - 1)", ("compare", "--n", "33", "--m", "3", "--rk4-step", "0.01"), 1,
+         "right-hand side of equation 1 is nan at node 2 (t=0.03125, u=[0.0])"),
+        ("log(u - 1)", ("converge", "--n", "33", "--m-list", "1,2"), 1,
+         "right-hand side of equation 1 is nan at t=0.0 (RK4 stage, u=[0.0])"),
+        ("t/t", ("solve", "--n", "33", "--m", "3", "--mode", "full_trapezoid"), 1,
+         "right-hand side of equation 1 is nan at node 1 (t=0.0, u=[0.0])"),
+        ("t/t", ("solve", "--n", "33", "--m", "3", "--mode", "paper"), 0, ""),
+    ],
+)
+def test_nan_from_rhs_exits_1_and_names_where(tmp_path, rhs, argv, code, message):
+    # NaN at a finite state is f outside its domain; paper mode never reads c(t_1)
+    doc = {
+        "name": "domain",
+        "interval": {"a": 0.0, "T": 1.0},
+        "equations": [{"alpha": 0.0, "rhs": rhs}],
+        "initial": [0.0],
+    }
+    path = _write_problem(tmp_path, doc)
+    got, err = _run_process(argv[0], "--problem", str(path), *argv[1:],
+                            "--out-dir", str(tmp_path / "out"))
+    assert got == code
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("ivim: error: ") and message in err
+        assert not (tmp_path / "out").exists()
+    else:
+        assert err == ""
+
+
+@pytest.mark.parametrize(
+    "rhs, offset",
+    [
+        ("(" * 200 + "u" + ")" * 200, 100),
+        ("(" * 3000 + "u" + ")" * 3000, 100),
+        ("-" * 3000 + "u", 100),
+        ("u^" * 3000 + "u", 200),
+        ("sin(" * 3000 + "u" + ")" * 3000, 400),
+        ("u" + " + u" * 3000, 11604),  # the first term found 101 levels deep
+    ],
+    ids=["parens200", "parens3000", "unary3000", "power3000", "sin3000", "sum3000"],
+)
+def test_deep_expression_exits_1_without_traceback(tmp_path, rhs, offset):
+    doc = {
+        "name": "deep",
+        "interval": {"a": 0.0, "T": 1.0},
+        "equations": [{"alpha": 0.0, "rhs": rhs}],
+        "initial": [0.0],
+    }
+    path = _write_problem(tmp_path, doc)
+    code, err = _run_process("solve", "--problem", str(path), "--n", "9", "--m", "2",
+                             "--out-dir", str(tmp_path / "out"))
+    assert code == 1
+    assert "Traceback" not in err
+    assert f"expression nested deeper than 100 levels (at offset {offset})" in err
 
 
 @pytest.mark.parametrize(

@@ -266,13 +266,44 @@ def test_solve_divergence_cap():
 
 def test_step_divergence_reports_node():
     def rhs(t, U):
-        with np.errstate(invalid="ignore"):
-            return np.sqrt(1.0 - 2.0 * np.asarray(t, dtype=float))  # nan past t=0.5
+        return np.divide(1.0, 0.5 - np.asarray(t, dtype=float))  # inf at t=0.5
 
     sys_ = IvpSystem(alphas=(0.0,), a=0.0, T=1.0, initial=(0.0,), rhs=(rhs,))
     grid = make_grid(0.0, 1.0, 11)
-    with pytest.raises(DivergenceError, match="node"):
+    with pytest.raises(DivergenceError, match="node 6"):
         ivim_step(_zero_state(grid, 1), sys_, grid, [exp_multiplier(0.0)], "paper")
+
+
+def test_step_nan_coefficient_is_an_input_error():
+    # a NaN from f at a finite state is f outside its domain, not divergence
+    def rhs(t, U):
+        return np.sqrt(1.0 - 2.0 * np.asarray(t, dtype=float))  # nan past t=0.5
+
+    sys_ = IvpSystem(alphas=(0.0,), a=0.0, T=1.0, initial=(0.0,), rhs=(rhs,))
+    grid = make_grid(0.0, 1.0, 11)
+    with pytest.raises(ValueError, match=r"equation 1 is nan at node 7 \(t=0\.6"):
+        ivim_step(_zero_state(grid, 1), sys_, grid, [exp_multiplier(0.0)], "paper")
+
+
+def test_nan_coefficient_names_the_equation_and_the_state():
+    # equation 2 reads log(u1 - 1); u1 = 0.5 + t passes 1 at t = 0.5
+    sys_ = _domain_error_problem(
+        equations=[{"alpha": 0.0, "rhs": "1"}, {"alpha": 0.0, "rhs": "log(u1 - 1)"}],
+        initial=[0.5, 2.0],
+        guess=["0.5 + t", "2"],
+    )
+    message = r"equation 2 is nan at node 2 \(t=0\.03125, u=\[0\.53125, 2\.0\]\)"
+    with pytest.raises(ValueError, match=message):
+        solve(sys_, SolveConfig(n=33, m_max=3))
+
+
+def test_nan_at_t1_is_read_only_in_full_trapezoid_mode():
+    # t/t is nan only at t = a; paper mode never reads c(t_1)
+    sys_ = _domain_error_problem(equations=[{"alpha": 0.0, "rhs": "t/t"}])
+    report = solve(sys_, SolveConfig(n=33, m_max=3, mode="paper"))
+    assert np.isfinite(report.nodal_values()).all()
+    with pytest.raises(ValueError, match=r"equation 1 is nan at node 1 \(t=0\.0"):
+        solve(sys_, SolveConfig(n=33, m_max=3, mode="full_trapezoid"))
 
 
 def _domain_error_problem(**fields):
@@ -292,7 +323,7 @@ def test_domain_errors_reach_the_finite_checks_without_warnings():
     # so a RuntimeWarning (an error under this suite's settings) never leaks
     cfg = SolveConfig(n=33, m_max=3)
     bad_rhs = _domain_error_problem(equations=[{"alpha": 0.0, "rhs": "log(u - 1)"}])
-    with pytest.raises(DivergenceError, match="non-finite update"):
+    with pytest.raises(ValueError, match="equation 1 is nan at node 2"):
         solve(bad_rhs, cfg)
     with pytest.raises(ValueError, match="non-finite value"):
         solve(_domain_error_problem(guess=["log(t - 2)"]), cfg)

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from ivim.expr import (
+    MAX_DEPTH,
     BinOp,
     Call,
     Const,
@@ -373,3 +374,40 @@ def test_compile_array_leaves_error_state_to_the_caller():
         fn({"t": 0.0})
     with np.errstate(all="ignore"):
         assert math.isnan(fn({"t": 0.0}))
+
+
+# --- nesting limit ------------------------------------------------------------
+
+# family -> (source nested k levels below the top, offset reported at k = MAX_DEPTH)
+_NESTED = {
+    "parens": (lambda k: "(" * k + "u" + ")" * k, MAX_DEPTH),
+    "unary": (lambda k: "-" * k + "u", MAX_DEPTH),
+    "power": (lambda k: "u^" * k + "u", 2 * MAX_DEPTH),
+    "calls": (lambda k: "sin(" * k + "u" + ")" * k, 4 * MAX_DEPTH),
+    "sum": (lambda k: "u" + "+u" * k, 2),
+    "nthroot": (lambda k: "nthroot(" * k + "u" + ", 3)" * k, 8 * MAX_DEPTH),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_NESTED))
+def test_nesting_limit_boundary(family):
+    make, offset = _NESTED[family]
+    # the deepest accepted expression goes through every recursive walker
+    tree = parse(make(MAX_DEPTH - 1))
+    validate_vars(tree, ["u"])
+    with np.errstate(all="ignore"):
+        assert np.isfinite(compile_array(tree)({"u": np.full(3, 0.5)})).all()
+    assert math.isfinite(eval_expr(tree, {"u": 0.5}))
+    assert parse(pretty(tree)) == tree
+    with pytest.raises(ExprError, match=rf"nested deeper than {MAX_DEPTH} levels") as info:
+        parse(make(MAX_DEPTH))
+    assert info.value.position == offset
+
+
+def test_nesting_limit_counts_the_tree_below_parentheses():
+    # each group holds a short chain: 61 parser levels, a tree 121 deep
+    src = "u"
+    for _ in range(60):
+        src = f"({src}+u+u)"
+    with pytest.raises(ExprError, match="nested deeper"):
+        parse(src)

@@ -128,7 +128,21 @@ def test_project_samples_zero_and_pinning():
 def test_project_samples_nonfinite_names_node():
     g = make_grid(0, 1, 4)
     with pytest.raises(ValueError, match="node 3"):
-        project_samples(g, lambda t: np.inf if t == g.nodes[2] else 1.0)
+        project_samples(g, lambda t: np.where(t == g.nodes[2], np.inf, 1.0))
+
+
+def test_project_samples_calls_sampler_once_with_the_nodes():
+    g = make_grid(0.5, 2.5, 9)
+    calls = []
+
+    def sampler(t):
+        calls.append(np.array(t))
+        return 3.0 * t
+
+    pl = project_samples(g, sampler)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], g.nodes[1:])
+    assert np.array_equal(pl.values[1:], 3.0 * g.nodes[1:]) and pl.values[0] == 0.0
 
 
 def test_interp_reproduces_affine_through_a():

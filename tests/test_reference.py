@@ -73,6 +73,20 @@ def test_rk4_divergence_reports_time():
         rk4_reference(sys_, 2.0 / 1000)
 
 
+def test_rk4_nan_slope_is_an_input_error():
+    # log(u - 1) at u = 0 is f outside its domain, not divergence
+    sys_ = _scalar_system(lambda t, U: np.log(U[0] - 1.0), 0.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match=r"equation 1 is nan at t=0\.0 \(RK4 stage, u=\[0\.0\]\)"):
+        rk4_reference(sys_, 0.01)
+
+
+def test_rk4_nan_in_a_later_stage_names_its_time():
+    # sqrt(0.25 - t) turns nan at the midpoint stage of the step from t = 0.25
+    sys_ = _scalar_system(lambda t, U: np.sqrt(0.25 - t), 0.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match=r"equation 1 is nan at t=0\.2505"):
+        rk4_reference(sys_, 0.001)
+
+
 def _damped_pendulum():
     return IvpSystem(
         alphas=(0.0, 0.25), a=0.0, T=2.0, initial=(0.5, 0.0),
