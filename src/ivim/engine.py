@@ -124,20 +124,19 @@ class IvpSystem:
         if k == 0:
             raise ValueError("system needs at least one equation")
         if len(initial) != k:
-            raise ValueError(
-                f"initial has {len(initial)} entries for {k} equation(s)"
-            )
-        for j, value in enumerate(initial):
+            raise ValueError(f"initial has {len(initial)} entries for {k} equation(s)")
+        a, T = float(self.a), float(self.T)
+        named = [(f"alpha of equation {j + 1}", x) for j, x in enumerate(alphas)]
+        named += [(f"initial value of equation {j + 1}", x) for j, x in enumerate(initial)]
+        for what, value in named + [("interval endpoint a", a), ("interval endpoint T", T)]:
             if not np.isfinite(value):
-                raise ValueError(
-                    f"initial value of equation {j + 1} must be finite, got {value!r}"
-                )
-        if float(self.T) <= float(self.a):
-            raise ValueError(f"invalid interval: T={self.T} must exceed a={self.a}")
+                raise ValueError(f"{what} must be finite, got {value!r}")
+        if T <= a:
+            raise ValueError(f"invalid interval: T={T} must exceed a={a}")
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "T", float(self.T))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "T", T)
         forcing = self.forcing
         if forcing is not None:
             forcing = tuple(forcing)
@@ -205,7 +204,7 @@ class SolveReport:
     iterations_run: int
     wall_time: float
     errors: Optional[np.ndarray] = None  # per-node max-abs error vs exact
-    history: Optional[list] = None  # per-iteration (k, n) snapshots
+    history: Optional[list] = None  # per-iteration read-only (k, n) iterates
 
     @property
     def k(self) -> int:
@@ -291,6 +290,52 @@ def _reject_nan_coefficient(
         )
 
 
+def _sweep(W: np.ndarray, sys: IvpSystem, grid: Grid, mode: str) -> np.ndarray:
+    """One interpolated iteration sweep over all equations, as a read-only (k, n) array.
+
+    ``W`` is the previous iterate ``u - u_a`` on ``grid``, shape (k, n) and
+    zero in its first column.  Equation ``j`` weighs its coefficients with
+    ``sys.alphas[j]``.  The offset ``u_a = sys.initial`` is applied where the
+    coefficients are evaluated: the coupled right-hand sides see the full
+    state vector ``u`` at each node.
+    """
+    t = grid.nodes
+    C = _coefficients(sys, t, W)
+    rows = []
+    for j, alpha in enumerate(sys.alphas):
+        growth = -alpha * (grid.T - grid.a)
+        if growth > _GROWTH_EXPONENT_LIMIT:
+            raise ValueError(
+                f"equation {j + 1}: -alpha*(T-a) = {growth} exceeds "
+                f"{_GROWTH_EXPONENT_LIMIT}; the exponential weights overflow"
+            )
+        vals = _update(alpha, C[j], t, grid.h, mode)
+        if not np.isfinite(vals).all():
+            bad = int(np.flatnonzero(~np.isfinite(vals))[0])
+            first = 0 if mode == "full_trapezoid" else 1  # paper mode never reads c(t_1)
+            _reject_nan_coefficient(sys, j, C[j], W, t, first, bad)
+            raise DivergenceError(
+                f"non-finite update in equation {j + 1} at node {bad + 1} "
+                f"(t={t[bad]})"
+            )
+        rows.append(vals)
+    new = np.vstack(rows)
+    new.flags.writeable = False
+    return new
+
+
+def _nodal_array(
+    state: Sequence[PiecewiseLinear], sys: IvpSystem, grid: Grid, what: str
+) -> np.ndarray:
+    """Stack ``state``, one element per equation on ``grid``, into a (k, n) array."""
+    if len(state) != sys.k:
+        raise ValueError(f"{what} must have one element per equation")
+    for pl in state:
+        if pl.grid.n != grid.n or pl.grid.a != grid.a or pl.grid.T != grid.T:
+            raise ValueError(f"{what} grids do not match the solve grid")
+    return np.vstack([pl.values for pl in state])
+
+
 def ivim_step(
     state: Sequence[PiecewiseLinear],
     sys: IvpSystem,
@@ -301,44 +346,17 @@ def ivim_step(
     """One interpolated iteration sweep over all equations.
 
     ``state`` holds the previous iterate ``u - u_a`` (k elements on
-    ``grid``, vanishing at ``a``); ``mults`` must be the per-equation
-    exponential multipliers.  The offset ``u_a = sys.initial`` is applied
-    where the coefficients are evaluated: the coupled right-hand sides see
-    the full state vector ``u`` at each node.
+    ``grid``, vanishing at ``a``); ``mults`` must be
+    ``exp_multiplier(alpha)`` for each of ``sys.alphas``.  Returns the next
+    iterate as k read-only elements, the sweep that ``solve`` runs.
     """
     if mode not in MODES:
         raise ValueError(f"mode={mode!r}, choose from {MODES}")
-    if len(state) != sys.k or len(mults) != sys.k:
-        raise ValueError("state and mults must have one entry per equation")
-    for pl in state:
-        if pl.grid.n != grid.n or pl.grid.a != grid.a or pl.grid.T != grid.T:
-            raise ValueError("state grids do not match the solve grid")
-
-    t = grid.nodes
-    h = grid.h
-    W = np.vstack([pl.values for pl in state])
-    C = _coefficients(sys, t, W)
-
-    out = []
-    for j in range(sys.k):
-        alpha = mults[j].alpha
-        growth = -alpha * (grid.T - grid.a)
-        if growth > _GROWTH_EXPONENT_LIMIT:
-            raise ValueError(
-                f"equation {j + 1}: -alpha*(T-a) = {growth} exceeds "
-                f"{_GROWTH_EXPONENT_LIMIT}; the exponential weights overflow"
-            )
-        vals = _update(alpha, C[j], t, h, mode)
-        if not np.isfinite(vals).all():
-            bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-            first = 0 if mode == "full_trapezoid" else 1  # paper mode never reads c(t_1)
-            _reject_nan_coefficient(sys, j, C[j], W, t, first, bad)
-            raise DivergenceError(
-                f"non-finite update in equation {j + 1} at node {bad + 1} "
-                f"(t={t[bad]})"
-            )
-        out.append(PiecewiseLinear(grid=grid, values=vals))
-    return out
+    W = _nodal_array(state, sys, grid, "state")
+    alphas = [mult.alpha for mult in mults]
+    if alphas != list(sys.alphas):
+        raise ValueError(f"mults carry alphas {alphas}, the equations {list(sys.alphas)}")
+    return [PiecewiseLinear(grid, row) for row in _sweep(W, sys, grid, mode)]
 
 
 def successive_diff_norm(s1: Sequence[PiecewiseLinear], s2: Sequence[PiecewiseLinear]) -> float:
@@ -361,52 +379,38 @@ def solve(
     """Run the interpolated iteration up to ``cfg.m_max`` sweeps.
 
     The iterates are ``u - u_a`` (the offset is applied where the
-    coefficients are evaluated), per-equation exponential multipliers are
-    built from the linear coefficients, and iteration starts from ``u0``,
-    given as ``u - u_a`` (default: the system's guess minus ``u_a``, else
-    zero).  With ``cfg.stop_tol > 0`` the loop exits early once the
-    successive-difference max norm drops to the tolerance.  Identical inputs
-    produce bit-identical reports.
+    coefficients are evaluated), carried as one (k, n) array, and iteration
+    starts from ``u0``, given as ``u - u_a`` (default: the system's guess
+    minus ``u_a``, else zero).  With ``cfg.stop_tol > 0`` the loop exits
+    early once the successive-difference max norm drops to the tolerance.
+    Identical inputs produce bit-identical reports.
     """
     start = time.perf_counter()
     grid = make_grid(sys.a, sys.T, cfg.n)
-    mults = [exp_multiplier(alpha) for alpha in sys.alphas]
-
     if u0 is not None:
-        if len(u0) != sys.k:
-            raise ValueError("u0 must have one element per equation")
-        for pl in u0:
-            if pl.grid.n != grid.n or pl.grid.a != grid.a or pl.grid.T != grid.T:
-                raise ValueError("u0 grids do not match the solve grid")
-        state = list(u0)
-    elif sys.guess is not None:
-        with np.errstate(all="ignore"):  # project_samples names a non-finite sample
-            state = [
-                project_samples(grid, _shifted_guess(sys.guess[j], sys.initial[j]))
-                if sys.guess[j] is not None
-                else PiecewiseLinear(grid, np.zeros(grid.n))
-                for j in range(sys.k)
-            ]
+        W = _nodal_array(u0, sys, grid, "u0")
     else:
-        state = [PiecewiseLinear(grid, np.zeros(grid.n)) for _ in range(sys.k)]
+        W = np.zeros((sys.k, grid.n))
+        for j, g in enumerate(sys.guess or ()):
+            if g is not None:
+                with np.errstate(all="ignore"):  # project_samples names a non-finite sample
+                    W[j] = project_samples(grid, lambda t: g(t) - sys.initial[j]).values
 
     diffs: list[float] = []
     history: Optional[list] = [] if cfg.keep_history else None
-    iterations_run = 0
     for _ in range(cfg.m_max):
-        new_state = ivim_step(state, sys, grid, mults, cfg.mode)
-        diff = successive_diff_norm(new_state, state)
+        new = _sweep(W, sys, grid, cfg.mode)
+        diff = float(np.max(np.abs(new - W)))
         diffs.append(diff)
-        iterations_run += 1
-        biggest = max(float(np.max(np.abs(pl.values))) for pl in new_state)
+        biggest = float(np.max(np.abs(new)))
         if biggest > _DIVERGENCE_CAP:
             raise DivergenceError(
                 f"nodal max norm {biggest} exceeded divergence cap "
-                f"{_DIVERGENCE_CAP} at iteration {iterations_run}"
+                f"{_DIVERGENCE_CAP} at iteration {len(diffs)}"
             )
         if history is not None:
-            history.append(np.vstack([pl.values for pl in new_state]))
-        state = new_state
+            history.append(new)
+        W = new
         if cfg.stop_tol > 0.0 and diff <= cfg.stop_tol:
             break
 
@@ -414,24 +418,19 @@ def solve(
     if sys.exact is not None:
         with np.errstate(all="ignore"):
             exact_vals = np.atleast_2d(sys.exact(grid.nodes)) - np.asarray(sys.initial)[:, None]
-        U = np.vstack([pl.values for pl in state])
-        errors = np.max(np.abs(U - exact_vals), axis=0)
+        errors = np.max(np.abs(W - exact_vals), axis=0)
 
     return SolveReport(
-        final=state,
+        final=[PiecewiseLinear(grid, row) for row in W],
         u_a=sys.initial,
         grid=grid,
         mode=cfg.mode,
         diffs=diffs,
-        iterations_run=iterations_run,
+        iterations_run=len(diffs),
         wall_time=time.perf_counter() - start,
         errors=errors,
         history=history,
     )
-
-
-def _shifted_guess(g: Callable[[float], float], ua_j: float) -> Callable[[float], float]:
-    return lambda t: g(t) - ua_j
 
 
 def eval_solution(report: SolveReport, t: float) -> np.ndarray:

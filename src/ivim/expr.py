@@ -51,6 +51,7 @@ class ExprError(ValueError):
     """Lex/parse/evaluation error with a byte offset into the source."""
 
     def __init__(self, message: str, position: Optional[int] = None):
+        self.reason = message  # the message without the offset
         self.position = position
         if position is not None:
             message = f"{message} (at offset {position})"
@@ -513,10 +514,9 @@ def validate_vars(e: Expr, allowed: Iterable[str]) -> None:
     allowed = set(allowed)
     unknown = {n: p for n, p in free_variables(e).items() if n not in allowed}
     if unknown:
-        listing = ", ".join(f"{n!r} at offset {p}" for n, p in sorted(unknown.items()))
-        raise ExprError(
-            f"unknown variable(s): {listing}", min(unknown.values())
-        )
+        names = sorted(unknown, key=unknown.get)  # the first one's offset is reported
+        listing = ", ".join(repr(n) for n in names)
+        raise ExprError(f"unknown variable(s): {listing}", unknown[names[0]])
 
 
 # --- vectorized compilation ---------------------------------------------------

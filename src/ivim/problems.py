@@ -26,7 +26,7 @@ import json
 import numpy as np
 
 from .engine import IvpSystem
-from .expr import compile_array, parse, validate_vars
+from .expr import ExprError, compile_array, parse, validate_vars
 
 __all__ = [
     "BUILTIN_PROBLEMS",
@@ -97,11 +97,19 @@ def _state_names(k: int) -> list:
     return names
 
 
-def _compile_rhs(src: str, k: int):
-    tree = parse(src)
+def _compile(src: str, names: list, what: str):
+    """Parse, validate and compile one expression; an error names ``what``."""
+    try:
+        tree = parse(src)
+        validate_vars(tree, names)
+        return compile_array(tree)
+    except ExprError as exc:
+        raise ExprError(f"{what}: {exc.reason}", exc.position) from None
+
+
+def _compile_rhs(src: str, k: int, what: str):
     names = _state_names(k)
-    validate_vars(tree, ["t"] + names)
-    fn = compile_array(tree)
+    fn = _compile(src, ["t"] + names, what)
     # the state index behind each name; the alias u (k == 1 only) reads u1
     components = tuple(zip(names, [*range(k), 0]))
 
@@ -114,10 +122,8 @@ def _compile_rhs(src: str, k: int):
     return rhs
 
 
-def _compile_t_fn(src: str):
-    tree = parse(src)
-    validate_vars(tree, ["t"])
-    fn = compile_array(tree)
+def _compile_t_fn(src: str, what: str):
+    fn = _compile(src, ["t"], what)
     return lambda t: fn({"t": t})
 
 
@@ -145,14 +151,14 @@ def problem_from_dict(doc: dict) -> IvpSystem:
         if not isinstance(eq, dict) or "alpha" not in eq or "rhs" not in eq:
             raise ValueError(f"equation {idx + 1} must carry 'alpha' and 'rhs'")
         alphas.append(float(eq["alpha"]))
-        rhs.append(_compile_rhs(str(eq["rhs"]), k))
+        rhs.append(_compile_rhs(str(eq["rhs"]), k, f"rhs of equation {idx + 1}"))
 
     exact = None
     if doc.get("exact") is not None:
         texts = doc["exact"]
         if not isinstance(texts, list) or len(texts) != k:
             raise ValueError(f"exact must list exactly {k} expression(s)")
-        fns = [_compile_t_fn(str(s)) for s in texts]
+        fns = [_compile_t_fn(str(s), f"exact {j + 1}") for j, s in enumerate(texts)]
 
         def exact(t):
             t = np.asarray(t, dtype=float)
@@ -163,7 +169,7 @@ def problem_from_dict(doc: dict) -> IvpSystem:
         texts = doc["guess"]
         if not isinstance(texts, list) or len(texts) != k:
             raise ValueError(f"guess must list exactly {k} expression(s)")
-        guess = tuple(_compile_t_fn(str(s)) for s in texts)
+        guess = tuple(_compile_t_fn(str(s), f"guess {j + 1}") for j, s in enumerate(texts))
 
     return IvpSystem(
         alphas=tuple(alphas),

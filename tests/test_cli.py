@@ -256,6 +256,53 @@ def test_nonfinite_initial_value_exits_1_without_outputs(tmp_path, capsys, bad):
 
 
 @pytest.mark.parametrize(
+    "command, where, bad, message",
+    [
+        ("export", "alpha", "NaN", "alpha of equation 2 must be finite, got nan"),
+        ("export", "a", "NaN", "interval endpoint a must be finite, got nan"),
+        ("export", "T", "1e400", "interval endpoint T must be finite, got inf"),
+        ("converge", "alpha", "1e400", "alpha of equation 2 must be finite, got inf"),
+        ("converge", "a", "-Infinity", "interval endpoint a must be finite, got -inf"),
+    ],
+)
+def test_nonfinite_alpha_or_endpoint_exits_1_without_outputs(tmp_path, command, where, bad,
+                                                            message):
+    # a file with a bare NaN parses, but the problem is rejected before any
+    # work or output; the pendulum has no closed form, so converge would
+    # otherwise start on RK4
+    doc = json.loads(json.dumps(_PENDULUM))
+    if where == "alpha":
+        doc["equations"][1]["alpha"] = "@"
+    else:
+        doc["interval"][where] = "@"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc).replace('"@"', bad), encoding="utf-8")
+    out = tmp_path / "out"
+    if command == "export":
+        argv = ("export", "--problem", str(path), "--out", str(out / "problem.json"))
+    else:
+        argv = ("converge", "--problem", str(path), "--n", "33", "--m-list", "1,2",
+                "--out-dir", str(out))
+    code, err = _run_process(*argv)
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.startswith("ivim: error: ") and message in err
+    assert not out.exists()
+
+
+def test_expression_error_names_the_expression(tmp_path, capsys):
+    doc = json.loads(json.dumps(_PENDULUM))
+    doc["equations"][1]["rhs"] = "u1 + )"
+    path = _write_problem(tmp_path, doc)
+    code = _run("solve", "--problem", str(path), "--n", "9", "--m", "2",
+                "--out-dir", str(tmp_path / "out"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "ivim: error: rhs of equation 2: unexpected token ')' (at offset 5)\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "rhs, argv, message",
     [
         ("1/t", ("converge", "--n", "33", "--m-list", "1,2"),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -255,6 +257,38 @@ def test_system_rejects_nonfinite_initial_value(bad):
                   rhs=(lambda t, U: U[1], lambda t, U: U[0]))
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"alphas": (0.0, float("nan"))}, "alpha of equation 2 must be finite, got nan"),
+        ({"alphas": (float("-inf"), 0.0)}, "alpha of equation 1 must be finite, got -inf"),
+        ({"a": float("nan")}, "interval endpoint a must be finite, got nan"),
+        ({"T": float("inf")}, "interval endpoint T must be finite, got inf"),
+    ],
+)
+def test_system_rejects_nonfinite_alpha_and_endpoints(fields, message):
+    args = dict(alphas=(0.0, 0.0), a=0.0, T=1.0, initial=(0.0, 0.0),
+                rhs=(lambda t, U: U[1], lambda t, U: U[0]))
+    args.update(fields)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        IvpSystem(**args)
+
+
+def test_step_rejects_multipliers_of_other_alphas():
+    # the weights and the coefficient must share alpha, or the sweep would
+    # iterate towards another fixed point
+    sys_ = IvpSystem(alphas=(0.5, -0.25), a=0.0, T=1.0, initial=(0.0, 0.0),
+                     rhs=(lambda t, U: U[1], lambda t, U: U[0]))
+    grid = make_grid(0.0, 1.0, 9)
+    state = _zero_state(grid, 2)
+    with pytest.raises(ValueError, match="mults carry alphas"):
+        ivim_step(state, sys_, grid, [exp_multiplier(0.5), exp_multiplier(0.25)])
+    with pytest.raises(ValueError, match="mults carry alphas"):
+        ivim_step(state, sys_, grid, [exp_multiplier(0.5)])
+    out = ivim_step(state, sys_, grid, [exp_multiplier(0.5), exp_multiplier(-0.25)])
+    assert len(out) == 2
+
+
 def test_solve_divergence_cap():
     sys_ = IvpSystem(
         alphas=(0.0,), a=0.0, T=1.0, initial=(2.0,),
@@ -433,3 +467,13 @@ def test_history_snapshots():
     assert np.array_equal(rep.history[-1], np.vstack([pl.values for pl in rep.final]))
     rep2 = solve(sys_, SolveConfig(n=33, m_max=4))
     assert rep2.history is None
+
+
+def test_history_snapshots_are_the_carried_iterates():
+    # solve keeps each sweep's (k, n) array as it is: read-only, and the
+    # last one is the storage behind final
+    sys_, _ = get_problem("ex3")
+    rep = solve(sys_, SolveConfig(n=33, m_max=3, keep_history=True))
+    assert not any(snap.flags.writeable for snap in rep.history)
+    assert all(np.shares_memory(rep.history[-1], pl.values) for pl in rep.final)
+    assert rep.iterations_run == len(rep.diffs) == 3

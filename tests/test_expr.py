@@ -197,6 +197,13 @@ def test_validate_vars_reports_unknown_with_position():
     assert err.value.position == 0
 
 
+def test_validate_vars_lists_unknowns_in_source_order_with_one_offset():
+    with pytest.raises(ExprError) as err:
+        validate_vars(parse("t + y * x"), {"t"})
+    assert str(err.value) == "unknown variable(s): 'y', 'x' (at offset 4)"
+    assert err.value.position == 4
+
+
 def test_validate_vars_system_components():
     validate_vars(parse("u2"), {"t", "u1", "u2"})
 

@@ -13,6 +13,7 @@ from ivim import (
     problem_from_dict,
     solve,
 )
+from ivim.expr import ExprError
 
 
 def test_builtin_names():
@@ -136,3 +137,31 @@ def test_loaded_problem_solves_identically_to_builtin(tmp_path):
     ra = solve(sys_a, cfg)
     rb = solve(sys_b, cfg)
     assert np.array_equal(ra.final[0].values, rb.final[0].values)
+
+
+_TWO_EQUATIONS = {
+    "name": "named",
+    "interval": {"a": 0.0, "T": 1.0},
+    "equations": [{"alpha": 0.0, "rhs": "u2"}, {"alpha": 0.0, "rhs": "-u1"}],
+    "initial": [0.0, 1.0],
+}
+
+
+@pytest.mark.parametrize(
+    "field, texts, message, offset",
+    [
+        ("equations", None, "rhs of equation 2: unexpected token ')' (at offset 5)", 5),
+        ("exact", ["sin(t)", "cos(t"], "exact 2: unbalanced parenthesis (at offset 3)", 3),
+        ("guess", ["t + x", "1"], "guess 1: unknown variable(s): 'x' (at offset 4)", 4),
+    ],
+)
+def test_expression_errors_name_their_expression(field, texts, message, offset):
+    doc = json.loads(json.dumps(_TWO_EQUATIONS))
+    if texts is None:
+        doc["equations"][1]["rhs"] = "u1 + )"
+    else:
+        doc[field] = texts
+    with pytest.raises(ExprError) as err:
+        problem_from_dict(doc)
+    assert str(err.value) == message  # the offset is spelled once
+    assert err.value.position == offset
