@@ -312,6 +312,8 @@ def _parse_atom(cur: _Cursor) -> Expr:
             value = float(tok.lexeme)
         except ValueError:
             raise ExprError(f"malformed number {tok.lexeme!r}", tok.position)
+        if math.isinf(value):  # pretty would print inf, which reparses as a variable
+            raise ExprError(f"number {tok.lexeme!r} overflows float64", tok.position)
         return Const(value, pos=tok.position)
     if tok.kind == "identifier":
         nxt = cur.peek()
@@ -519,7 +521,7 @@ def validate_vars(e: Expr, allowed: Iterable[str]) -> None:
         raise ExprError(f"unknown variable(s): {listing}", unknown[names[0]])
 
 
-# --- vectorized compilation ---------------------------------------------------
+# --- code generation --------------------------------------------------------
 
 _NP_FUNCS = {
     "sin": np.sin,
@@ -532,10 +534,25 @@ _NP_FUNCS = {
     "abs": np.abs,
 }
 
+# the globals of a generated function: the callables its source names
+_NAMESPACE = {**_NP_FUNCS, "divide": np.divide, "power": np.power, "copysign": np.copysign}
+
+# np.divide, not '/', so 1/0 on two Python floats is inf
+_BINOPS = {
+    "+": "{} + {}",
+    "-": "{} - {}",
+    "*": "{} * {}",
+    "/": "divide({}, {})",
+    "^": "power({}, {})",
+}
+
 
 def compile_array(e: Expr) -> Callable[[dict], np.ndarray]:
     """Compile a tree into a numpy-vectorized ``fn(env) -> ndarray``.
 
+    ``fn`` is one generated function that reads each variable as
+    ``env[name]`` (``pi`` and ``e`` only where ``env`` binds them) and
+    applies one numpy operation per operator or call, in the tree's order.
     Every operator follows IEEE arithmetic, so domain violations and division
     by zero produce nan/inf rather than raising; callers are expected to
     check finiteness of whatever they derive from the result.  ``fn`` does
@@ -545,51 +562,88 @@ def compile_array(e: Expr) -> Callable[[dict], np.ndarray]:
     evaluations and the RK4 reference each do once per call.  The scalar
     :func:`eval_expr` is the strict evaluator.
     """
-    return _compile(e)
+    return _generate(e, ("env",), _read_env, "expression")
 
 
-def _compile(e: Expr):
-    if isinstance(e, Const):
-        v = e.value
-        return lambda env: v
-    if isinstance(e, Var):
-        name = e.name
-        if name in CONSTANTS:
-            c = CONSTANTS[name]
-            return lambda env: env[name] if name in env else c
-        return lambda env: env[name]
-    if isinstance(e, Neg):
-        inner = _compile(e.operand)
-        return lambda env: -inner(env)
-    if isinstance(e, BinOp):
-        lf = _compile(e.left)
-        rf = _compile(e.right)
-        op = e.op
-        if op == "+":
-            return lambda env: lf(env) + rf(env)
-        if op == "-":
-            return lambda env: lf(env) - rf(env)
-        if op == "*":
-            return lambda env: lf(env) * rf(env)
-        if op == "/":
-            # np.divide, not '/', so 1/0 on two Python floats is inf
-            return lambda env: np.divide(lf(env), rf(env))
-        return lambda env: np.power(lf(env), rf(env))
-    if isinstance(e, Call):
-        if e.fn == "nthroot":
-            xf = _compile(e.args[0])
-            k = e.k
-            inv = 1.0 / k
-            if k % 2 == 0:
-                return lambda env: np.power(xf(env), inv)
+def _read_env(name: str, const: Optional[str]) -> str:
+    return f"env[{name!r}]" if const is None else f"env.get({name!r}, {const})"
 
-            def odd_root(env):
-                # evaluate the argument once; twice would double the cost per nesting level
-                x = xf(env)
-                return np.copysign(np.power(np.abs(x), inv), x)
 
-            return odd_root
-        xf = _compile(e.args[0])
-        fn = _NP_FUNCS[e.fn]
-        return lambda env: fn(xf(env))
-    raise TypeError(f"not an expression node: {e!r}")
+def _generate(e: Expr, params: tuple, read: Callable, label: str) -> Callable:
+    """Compile a validated tree into one Python function ``f(*params)``.
+
+    ``read(name, const)`` gives the source that loads variable ``name``;
+    ``const`` names the bound value of ``pi`` or ``e``, else it is ``None``.
+    The body holds one statement per operator or call, in the tree's
+    evaluation order, so every intermediate rounds as in a tree walk.  A
+    node's value goes to the slot ``v{depth}`` and its right operand to the
+    next one, which is cleared after use, so an intermediate array lives no
+    longer than in a walk.  Constants are bound as names: the only tree text
+    in the source is a variable name, inside a ``repr``.  ``label`` names the
+    function and its file for tracebacks and profiles.  A node that is not
+    an expression raises ``TypeError``.
+    """
+    body = _Body(read)
+    body.emit(e, 0, "return ")
+    src = f"def f({', '.join(params)}):\n" + "".join(f"    {line}\n" for line in body.lines)
+    namespace = {**_NAMESPACE, **body.consts}
+    exec(compile(src, f"<{label}>", "exec"), namespace)
+    fn = namespace.pop("f")  # no cycle through its own globals: freed by refcount
+    fn.__qualname__ = label
+    return fn
+
+
+class _Body:
+    """The statements of one generated function and the constants they name."""
+
+    def __init__(self, read: Callable):
+        self.read = read
+        self.lines: list = []
+        self.consts: dict = {}
+
+    def bind(self, value) -> str:
+        name = f"c{len(self.consts)}"
+        self.consts[name] = value
+        return name
+
+    def operand(self, node, d: int) -> str:
+        """Source of ``node``'s value; an operator's is computed into ``v{d}`` first."""
+        if isinstance(node, Const):
+            return self.bind(node.value)
+        if isinstance(node, Var):
+            if type(node.name) is not str:
+                raise TypeError(f"variable name must be a str: {node!r}")
+            const = self.bind(CONSTANTS[node.name]) if node.name in CONSTANTS else None
+            return self.read(node.name, const)
+        self.emit(node, d, f"v{d} = ")
+        return f"v{d}"
+
+    def emit(self, node, d: int, target: str) -> None:
+        """Append the statement that computes ``node`` after those of its operands."""
+        lines = self.lines
+        if isinstance(node, Neg):
+            lines.append(f"{target}-{self.operand(node.operand, d)}")
+        elif isinstance(node, BinOp):
+            template = _BINOPS.get(node.op)
+            if template is None:
+                raise TypeError(f"not an operator: {node.op!r}")
+            left = self.operand(node.left, d)
+            right = self.operand(node.right, d + 1)
+            lines.append(target + template.format(left, right))
+            if right == f"v{d + 1}" and target != "return ":
+                lines.append(f"v{d + 1} = None")
+        elif isinstance(node, Call) and node.fn == "nthroot":
+            x = self.operand(node.args[0], d)
+            inv = self.bind(1.0 / node.k)
+            if node.k % 2 == 0:
+                lines.append(f"{target}power({x}, {inv})")
+            else:
+                lines.append(f"{target}copysign(power(abs({x}), {inv}), {x})")
+        elif isinstance(node, Call):
+            if type(node.fn) is not str or node.fn not in _NP_FUNCS:
+                raise TypeError(f"not a function: {node.fn!r}")
+            lines.append(f"{target}{node.fn}({self.operand(node.args[0], d)})")
+        elif isinstance(node, (Const, Var)):
+            lines.append(target + self.operand(node, d))
+        else:
+            raise TypeError(f"not an expression node: {node!r}")

@@ -26,7 +26,7 @@ import json
 import numpy as np
 
 from .engine import IvpSystem
-from .expr import ExprError, compile_array, parse, validate_vars
+from .expr import ExprError, _generate, parse, validate_vars
 
 __all__ = [
     "BUILTIN_PROBLEMS",
@@ -90,41 +90,21 @@ def builtin_problem_dict(name: str) -> dict:
     return copy.deepcopy(BUILTIN_PROBLEMS[name])
 
 
-def _state_names(k: int) -> list:
-    names = [f"u{j + 1}" for j in range(k)]
+def _compile(src: str, what: str, k: int = 0):
+    """Parse, validate and compile one expression; an error names ``what``.
+
+    A right-hand side (``k`` components) compiles to ``f(t, s)`` reading
+    ``u_j`` as ``s[j-1]``; ``exact`` and ``guess`` (``k = 0``) to ``f(t)``.
+    """
+    slots = {"t": "t", **{f"u{j + 1}": f"s[{j}]" for j in range(k)}}
     if k == 1:
-        names.append("u")
-    return names
-
-
-def _compile(src: str, names: list, what: str):
-    """Parse, validate and compile one expression; an error names ``what``."""
+        slots["u"] = "s[0]"  # the alias of a single equation
     try:
         tree = parse(src)
-        validate_vars(tree, names)
-        return compile_array(tree)
+        validate_vars(tree, slots)
+        return _generate(tree, ("t", "s") if k else ("t",), slots.get, what)
     except ExprError as exc:
         raise ExprError(f"{what}: {exc.reason}", exc.position) from None
-
-
-def _compile_rhs(src: str, k: int, what: str):
-    names = _state_names(k)
-    fn = _compile(src, ["t"] + names, what)
-    # the state index behind each name; the alias u (k == 1 only) reads u1
-    components = tuple(zip(names, [*range(k), 0]))
-
-    def rhs(t, state):
-        env = {"t": t}
-        for name, j in components:
-            env[name] = state[j]
-        return fn(env)
-
-    return rhs
-
-
-def _compile_t_fn(src: str, what: str):
-    fn = _compile(src, ["t"], what)
-    return lambda t: fn({"t": t})
 
 
 def problem_from_dict(doc: dict) -> IvpSystem:
@@ -151,14 +131,14 @@ def problem_from_dict(doc: dict) -> IvpSystem:
         if not isinstance(eq, dict) or "alpha" not in eq or "rhs" not in eq:
             raise ValueError(f"equation {idx + 1} must carry 'alpha' and 'rhs'")
         alphas.append(float(eq["alpha"]))
-        rhs.append(_compile_rhs(str(eq["rhs"]), k, f"rhs of equation {idx + 1}"))
+        rhs.append(_compile(str(eq["rhs"]), f"rhs of equation {idx + 1}", k))
 
     exact = None
     if doc.get("exact") is not None:
         texts = doc["exact"]
         if not isinstance(texts, list) or len(texts) != k:
             raise ValueError(f"exact must list exactly {k} expression(s)")
-        fns = [_compile_t_fn(str(s), f"exact {j + 1}") for j, s in enumerate(texts)]
+        fns = [_compile(str(s), f"exact {j + 1}") for j, s in enumerate(texts)]
 
         def exact(t):
             t = np.asarray(t, dtype=float)
@@ -169,7 +149,7 @@ def problem_from_dict(doc: dict) -> IvpSystem:
         texts = doc["guess"]
         if not isinstance(texts, list) or len(texts) != k:
             raise ValueError(f"guess must list exactly {k} expression(s)")
-        guess = tuple(_compile_t_fn(str(s), f"guess {j + 1}") for j, s in enumerate(texts))
+        guess = tuple(_compile(str(s), f"guess {j + 1}") for j, s in enumerate(texts))
 
     return IvpSystem(
         alphas=tuple(alphas),

@@ -5,12 +5,15 @@ is a literal double loop over math.exp calls, the quadrature check is a
 plain composite trapezoid sum, the trapezoid march solves one node at a time
 with scalar fixed-point iterations, the RK4 march steps one whole state
 array at a time, and the hat functions are evaluated piece by piece from
-their definition.
+their definition.  ``closure_compile`` evaluates an expression as a tree of
+closures, one per node, with no generated code.
 """
 
 import math
 
 import numpy as np
+
+from ivim.expr import _NP_FUNCS, CONSTANTS, BinOp, Call, Const, Neg, Var
 
 
 def naive_step(alphas, rhs_list, t, h, U, mode):
@@ -143,3 +146,55 @@ def hat_eval(grid, i, t):
     if t >= right:
         return 0.0
     return (right - t) / grid.h
+
+
+def closure_compile(e):
+    """Compile a tree into ``fn(env)``: one Python closure per tree node.
+
+    Each closure calls its children's closures and applies one numpy
+    operation, so the values round exactly as a walk of the tree does.
+    """
+    if isinstance(e, Const):
+        v = e.value
+        return lambda env: v
+    if isinstance(e, Var):
+        name = e.name
+        if name in CONSTANTS:
+            c = CONSTANTS[name]
+            return lambda env: env[name] if name in env else c
+        return lambda env: env[name]
+    if isinstance(e, Neg):
+        inner = closure_compile(e.operand)
+        return lambda env: -inner(env)
+    if isinstance(e, BinOp):
+        lf = closure_compile(e.left)
+        rf = closure_compile(e.right)
+        op = e.op
+        if op == "+":
+            return lambda env: lf(env) + rf(env)
+        if op == "-":
+            return lambda env: lf(env) - rf(env)
+        if op == "*":
+            return lambda env: lf(env) * rf(env)
+        if op == "/":
+            # np.divide, not '/', so 1/0 on two Python floats is inf
+            return lambda env: np.divide(lf(env), rf(env))
+        return lambda env: np.power(lf(env), rf(env))
+    if isinstance(e, Call):
+        if e.fn == "nthroot":
+            xf = closure_compile(e.args[0])
+            k = e.k
+            inv = 1.0 / k
+            if k % 2 == 0:
+                return lambda env: np.power(xf(env), inv)
+
+            def odd_root(env):
+                # evaluate the argument once; twice would double the cost per nesting level
+                x = xf(env)
+                return np.copysign(np.power(np.abs(x), inv), x)
+
+            return odd_root
+        xf = closure_compile(e.args[0])
+        fn = _NP_FUNCS[e.fn]
+        return lambda env: fn(xf(env))
+    raise TypeError(f"not an expression node: {e!r}")

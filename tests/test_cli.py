@@ -303,6 +303,32 @@ def test_expression_error_names_the_expression(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "field, text, message",
+    [
+        ("rhs", "1e400*0 + u", "rhs of equation 1: number '1e400' overflows float64 (at offset 0)"),
+        ("exact", "t + 1e400", "exact 1: number '1e400' overflows float64 (at offset 4)"),
+    ],
+)
+def test_overflowing_number_literal_exits_1_without_traceback(tmp_path, field, text, message):
+    doc = {
+        "name": "overflow",
+        "interval": {"a": 0.0, "T": 1.0},
+        "equations": [{"alpha": 0.0, "rhs": text if field == "rhs" else "u"}],
+        "initial": [0.0],
+    }
+    if field == "exact":
+        doc["exact"] = [text]
+    path = _write_problem(tmp_path, doc)
+    out = tmp_path / "out"
+    code, err = _run_process("converge", "--problem", str(path), "--n-list", "9,17",
+                             "--m", "2", "--out-dir", str(out))
+    assert code == 1
+    assert "Traceback" not in err
+    assert err == f"ivim: error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "rhs, argv, message",
     [
         ("1/t", ("converge", "--n", "33", "--m-list", "1,2"),

@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 
 import pytest
 
@@ -131,6 +133,21 @@ def test_nthroot_degree_must_be_positive_integer_literal():
             parse(bad)
     tree = parse("nthroot(u, 5.0)")  # an integral-valued literal is fine
     assert isinstance(tree, Call) and tree.k == 5
+
+
+@pytest.mark.parametrize("src, offset", [("1e400", 0), ("2*1E+309 + u", 2), ("nthroot(u, 1e999)", 11)])
+def test_overflowing_number_literal_is_rejected(src, offset):
+    lexeme = src[offset:].split()[0].rstrip(")")
+    with pytest.raises(ExprError) as err:
+        parse(src)
+    assert err.value.reason == f"number {lexeme!r} overflows float64"
+    assert err.value.position == offset
+
+
+def test_underflowing_and_largest_finite_literals_parse():
+    assert parse("1e-400") == Const(0.0)
+    biggest = parse("1.7976931348623157e308")  # the largest finite literal reparses
+    assert parse(pretty(biggest)) == biggest
 
 
 # --- evaluation ---------------------------------------------------------------
@@ -373,6 +390,53 @@ def test_compiled_division_keeps_the_quotient():
         x = rng.uniform(-1e3, 1e3)
         y = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300, 300)
         assert fn({"x": x, "y": y}) == x / y
+
+
+def test_compile_array_reads_variable_names_only_as_env_keys():
+    # a name that is a builtin or not an identifier is one env lookup, nothing else
+    reads = []
+
+    class Env(dict):
+        def __getitem__(self, name):
+            reads.append(name)
+            return super().__getitem__(name)
+
+    fn = compile_array(parse("__import__ + é"))
+    assert fn.__code__.co_names == ()  # the source names no global at all
+    assert fn(Env({"__import__": 1.5, "é": 2.0})) == 3.5
+    assert reads == ["__import__", "é"]
+
+
+def test_compile_array_lets_env_shadow_the_constants():
+    fn = compile_array(parse("pi + e"))
+    assert fn({}) == math.pi + math.e
+    assert fn({"pi": 1.0}) == 1.0 + math.e
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        BinOp("+", Var("u"), "__import__('os')"),
+        Neg(3.0),
+        Var(Const(1.0)),
+        BinOp("+-", Var("u"), Var("u")),
+        Call("__import__", (Var("u"),)),
+        Call(("sin",), (Var("u"),)),
+    ],
+)
+def test_compile_array_rejects_a_node_that_is_not_an_expression(tree):
+    with pytest.raises(TypeError):
+        compile_array(tree)
+
+
+def test_compiled_function_is_freed_without_the_cycle_collector():
+    # a CLI call compiles its problem afresh; cycles would linger until a collection
+    gc.disable()
+    try:
+        ref = weakref.ref(compile_array(parse("sin(u) * pi + nthroot(u, 3)")))
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_compile_array_leaves_error_state_to_the_caller():

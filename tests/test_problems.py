@@ -1,4 +1,7 @@
+import cProfile
 import json
+import pstats
+import traceback
 
 import numpy as np
 import pytest
@@ -11,6 +14,8 @@ from ivim import (
     get_problem,
     load_problem_file,
     problem_from_dict,
+    problems,
+    rk4_reference,
     solve,
 )
 from ivim.expr import ExprError
@@ -165,3 +170,39 @@ def test_expression_errors_name_their_expression(field, texts, message, offset):
         problem_from_dict(doc)
     assert str(err.value) == message  # the offset is spelled once
     assert err.value.position == offset
+
+
+@pytest.mark.parametrize("name", ["__import__", "os", "x"])
+def test_unknown_names_never_reach_the_code_generator(monkeypatch, name):
+    generated = []
+    real = problems._generate
+    monkeypatch.setattr(problems, "_generate", lambda *a: generated.append(a) or real(*a))
+    doc = json.loads(json.dumps(_TWO_EQUATIONS))
+    doc["equations"][1]["rhs"] = f"u1 + {name}"
+    with pytest.raises(ExprError) as err:
+        problem_from_dict(doc)
+    assert str(err.value) == f"rhs of equation 2: unknown variable(s): {name!r} (at offset 5)"
+    assert len(generated) == 1  # only the first equation's rhs was compiled
+
+
+def test_compiled_functions_are_named_after_their_expression():
+    doc = json.loads(json.dumps(_TWO_EQUATIONS))
+    doc["guess"] = ["t", "1 - t"]
+    sys_ = problem_from_dict(doc)
+    for j, (f, g) in enumerate(zip(sys_.rhs, sys_.guess)):
+        assert f.__qualname__ == f"rhs of equation {j + 1}"
+        assert f.__code__.co_filename == f"<rhs of equation {j + 1}>"
+        assert g.__code__.co_filename == f"<guess {j + 1}>"
+    with pytest.raises(IndexError) as err:
+        sys_.rhs[1](0.0, [])  # reads s[0]
+    assert traceback.extract_tb(err.value.__traceback__)[-1].filename == "<rhs of equation 2>"
+
+
+def test_profile_counts_each_expression_apart():
+    sys_, _ = get_problem("ex3")
+    profile = cProfile.Profile()
+    profile.runcall(rk4_reference, sys_, 0.1)  # 15 steps of 4 stages
+    profile.runcall(sys_.exact, np.linspace(0.0, 1.5, 5))
+    calls = {file: ncalls for (file, _, _), (_, ncalls, *_) in pstats.Stats(profile).stats.items()}
+    assert calls["<rhs of equation 1>"] == calls["<rhs of equation 2>"] == 60
+    assert calls["<exact 1>"] == calls["<exact 2>"] == 1

@@ -1,8 +1,11 @@
-"""Property tests of the sweep over random systems, grids and modes.
+"""Property tests of the sweep over random systems, grids and modes, and of
+the expression compiler over random trees.
 
 Hypothesis runs derandomized with a fixed example budget and no deadline,
 so the suite draws the same examples on every run and host.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -19,8 +22,9 @@ from ivim import (
     solve,
     successive_diff_norm,
 )
+from ivim.expr import BinOp, Call, Const, ExprError, Neg, Var, compile_array, eval_expr
 
-from _oracles import naive_step
+from _oracles import closure_compile, naive_step
 
 _CAP = 1e12  # the nodal max norm past which solve reports divergence
 
@@ -92,3 +96,101 @@ def test_solve_history_is_ivim_step_chained(problem, m):
     assert [snap.tobytes() for snap in rep.history] == [snap.tobytes() for snap in chain]
     assert rep.diffs == diffs
     assert rep.iterations_run == m
+
+
+# --- the expression compiler ---------------------------------------------------
+
+_UNARY = ("sin", "cos", "tan", "tanh", "exp", "log", "sqrt", "abs")
+
+
+def _trees(leaves, extend, depth):
+    """Trees at most ``depth`` deep: a leaf, or ``extend`` applied to shallower trees."""
+    trees = leaves
+    for _ in range(depth - 1):
+        trees = st.one_of(leaves, extend(trees))
+    return trees
+
+
+def _any_node(sub):
+    return st.one_of(
+        st.builds(Neg, sub),
+        st.builds(BinOp, st.sampled_from("+-*/^"), sub, sub),
+        st.builds(lambda fn, x: Call(fn, (x,)), st.sampled_from(_UNARY), sub),
+        # odd and even degrees
+        st.builds(lambda k, x: Call("nthroot", (x,), k=k), st.integers(1, 6), sub),
+    )
+
+
+_any_tree = _trees(
+    st.one_of(
+        st.builds(Const, st.floats(-4.0, 4.0)),
+        st.builds(Const, st.sampled_from([0.0, -0.0, 1.0, 2.0, 0.5, math.inf, math.nan])),
+        st.builds(Var, st.sampled_from(["t", "u", "pi", "e"])),
+    ),
+    _any_node,
+    12,
+)
+
+
+def _same_bits(got, want):
+    # equal values, NaN where NaN, and the same sign on every zero
+    return (
+        type(got) is type(want)
+        and np.array_equal(got, want, equal_nan=True)
+        and np.array_equal(np.signbit(got), np.signbit(want))
+    )
+
+
+@_settings(300)
+@given(_any_tree, st.integers(0, 2**32 - 1), st.booleans())
+def test_compiled_expression_equals_the_closure_tree_bit_for_bit(tree, seed, shadow):
+    rng = np.random.default_rng(seed)
+    special = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]
+    values = np.concatenate([rng.normal(scale=3.0, size=13), special])
+    env = {"t": rng.permutation(values), "u": rng.permutation(values)}
+    if shadow:  # pi and e are read from env where it binds them
+        env["pi"] = rng.permutation(values)
+    got, want = compile_array(tree), closure_compile(tree)
+    with np.errstate(all="ignore"):
+        assert _same_bits(got(env), want(env))
+        for i in range(values.size):
+            scalars = {name: np.float64(v[i]) for name, v in env.items()}
+            assert _same_bits(got(scalars), want(scalars))
+
+
+def _positive_node(sub):
+    # every value stays positive and each operation is well conditioned, so
+    # the one-ulp gaps between numpy's exp/tanh and libm's cannot grow
+    # through cancellation past the tolerance
+    return st.one_of(
+        st.builds(BinOp, st.sampled_from("+*/"), sub, sub),
+        st.builds(BinOp, st.just("^"), sub, st.builds(Const, st.floats(-3.0, 3.0))),
+        st.builds(lambda fn, x: Call(fn, (x,)), st.sampled_from(["tanh", "exp", "sqrt", "abs"]), sub),
+        st.builds(lambda k, x: Call("nthroot", (x,), k=k), st.integers(1, 6), sub),
+    )
+
+
+_positive_tree = _trees(
+    st.one_of(
+        st.builds(Const, st.floats(0.5, 2.0)),
+        st.builds(Var, st.sampled_from(["t", "u", "pi", "e"])),
+    ),
+    _positive_node,
+    12,
+)
+
+
+@_settings(200)
+@given(_positive_tree, st.integers(0, 2**32 - 1))
+def test_compiled_expression_agrees_with_eval_expr_where_both_are_finite(tree, seed):
+    rng = np.random.default_rng(seed)
+    t, u = rng.uniform(0.5, 2.0, size=(2, 8))
+    with np.errstate(all="ignore"):
+        got = np.broadcast_to(compile_array(tree)({"t": t, "u": u}), t.shape)
+    for i in range(t.size):
+        try:
+            want = eval_expr(tree, {"t": float(t[i]), "u": float(u[i])})
+        except ExprError:  # a non-finite result
+            continue
+        if math.isfinite(got[i]):
+            assert abs(got[i] - want) <= 1e-13 * abs(want)
