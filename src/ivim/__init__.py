@@ -19,7 +19,6 @@ from .grid import (
 from .engine import (
     DivergenceError,
     IvpSystem,
-    Multiplier,
     SolveConfig,
     SolveReport,
     eval_solution,
@@ -60,7 +59,6 @@ __all__ = [
     "make_grid",
     "interp_eval",
     "project_samples",
-    "Multiplier",
     "exp_multiplier",
     "DivergenceError",
     "IvpSystem",

@@ -44,7 +44,6 @@ from .grid import Grid, PiecewiseLinear, interp_eval, make_grid, project_samples
 __all__ = [
     "DivergenceError",
     "IvpSystem",
-    "Multiplier",
     "exp_multiplier",
     "SolveConfig",
     "SolveReport",
@@ -69,19 +68,12 @@ class DivergenceError(RuntimeError):
     """Iteration produced a non-finite or unboundedly large value."""
 
 
-@dataclass(frozen=True)
-class Multiplier:
-    """Lagrange multiplier ``lambda(s, t) = -exp(alpha (s - t))``."""
-
-    alpha: float
-
-
-def exp_multiplier(alpha: float) -> Multiplier:
-    """Multiplier for the linear part ``u' + alpha*u``; ``alpha`` must be finite."""
+def exp_multiplier(alpha: float) -> float:
+    """The multiplier ``-exp(alpha (s - t))`` of ``u' + alpha*u``, as its finite ``alpha``."""
     alpha = float(alpha)
     if not np.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
-    return Multiplier(alpha=alpha)
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -340,7 +332,7 @@ def ivim_step(
     state: Sequence[PiecewiseLinear],
     sys: IvpSystem,
     grid: Grid,
-    mults: Sequence[Multiplier],
+    mults: Sequence[float],
     mode: str = "paper",
 ) -> list:
     """One interpolated iteration sweep over all equations.
@@ -353,7 +345,7 @@ def ivim_step(
     if mode not in MODES:
         raise ValueError(f"mode={mode!r}, choose from {MODES}")
     W = _nodal_array(state, sys, grid, "state")
-    alphas = [mult.alpha for mult in mults]
+    alphas = [float(m) for m in mults]
     if alphas != list(sys.alphas):
         raise ValueError(f"mults carry alphas {alphas}, the equations {list(sys.alphas)}")
     return [PiecewiseLinear(grid, row) for row in _sweep(W, sys, grid, mode)]

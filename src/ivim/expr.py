@@ -194,7 +194,9 @@ CONSTANTS = {"pi": math.pi, "e": math.e}
 # operator or call on top of a subexpression adds one, so does each further
 # term of a chain such as a + b + c).  The parser spends up to six frames a
 # level (nested calls), the tree walkers one to three; 100 levels keep the
-# deepest case near 650 frames under Python's default limit of 1000.
+# deepest case near 650 frames under Python's default limit of 1000.  The
+# generated source nests one bracket level per tree level, and CPython
+# rejects more than 200 nested parentheses, so this must stay well below 200.
 MAX_DEPTH = 100
 
 
@@ -534,14 +536,20 @@ _NP_FUNCS = {
     "abs": np.abs,
 }
 
+
+def _odd_root(x, inv):
+    """Real odd root ``sign(x) * |x|^inv``: a call, so ``x`` is evaluated once."""
+    return np.copysign(np.power(np.abs(x), inv), x)
+
+
 # the globals of a generated function: the callables its source names
-_NAMESPACE = {**_NP_FUNCS, "divide": np.divide, "power": np.power, "copysign": np.copysign}
+_NAMESPACE = {**_NP_FUNCS, "divide": np.divide, "power": np.power, "_odd_root": _odd_root}
 
 # np.divide, not '/', so 1/0 on two Python floats is inf
 _BINOPS = {
-    "+": "{} + {}",
-    "-": "{} - {}",
-    "*": "{} * {}",
+    "+": "({} + {})",
+    "-": "({} - {})",
+    "*": "({} * {})",
     "/": "divide({}, {})",
     "^": "power({}, {})",
 }
@@ -552,15 +560,15 @@ def compile_array(e: Expr) -> Callable[[dict], np.ndarray]:
 
     ``fn`` is one generated function that reads each variable as
     ``env[name]`` (``pi`` and ``e`` only where ``env`` binds them) and
-    applies one numpy operation per operator or call, in the tree's order.
-    Every operator follows IEEE arithmetic, so domain violations and division
-    by zero produce nan/inf rather than raising; callers are expected to
-    check finiteness of whatever they derive from the result.  ``fn`` does
-    not touch numpy's error state: numpy reports those nan/inf as
-    ``RuntimeWarning`` unless the caller evaluates under
-    ``np.errstate(all="ignore")``, as the solver sweep, the guess and exact
-    evaluations and the RK4 reference each do once per call.  The scalar
-    :func:`eval_expr` is the strict evaluator.
+    returns one nested expression that applies one numpy operation per
+    operator or call, in the tree's order.  Every operator follows IEEE
+    arithmetic, so domain violations and division by zero produce nan/inf
+    rather than raising; callers are expected to check finiteness of
+    whatever they derive from the result.  ``fn`` does not touch numpy's
+    error state: numpy reports those nan/inf as ``RuntimeWarning`` unless the
+    caller evaluates under ``np.errstate(all="ignore")``, as the solver
+    sweep, the guess and exact evaluations and the RK4 reference each do
+    once per call.  The scalar :func:`eval_expr` is the strict evaluator.
     """
     return _generate(e, ("env",), _read_env, "expression")
 
@@ -570,80 +578,52 @@ def _read_env(name: str, const: Optional[str]) -> str:
 
 
 def _generate(e: Expr, params: tuple, read: Callable, label: str) -> Callable:
-    """Compile a validated tree into one Python function ``f(*params)``.
+    """Compile a validated tree into ``def f(*params): return <expression>``.
 
     ``read(name, const)`` gives the source that loads variable ``name``;
     ``const`` names the bound value of ``pi`` or ``e``, else it is ``None``.
-    The body holds one statement per operator or call, in the tree's
-    evaluation order, so every intermediate rounds as in a tree walk.  A
-    node's value goes to the slot ``v{depth}`` and its right operand to the
-    next one, which is cleared after use, so an intermediate array lives no
-    longer than in a walk.  Constants are bound as names: the only tree text
-    in the source is a variable name, inside a ``repr``.  ``label`` names the
-    function and its file for tracebacks and profiles.  A node that is not
-    an expression raises ``TypeError``.
+    The returned expression nests one level per tree level and applies one
+    numpy operation per operator or call, in the tree's evaluation order, so
+    every intermediate rounds as in a tree walk.  The function has no locals
+    beyond its parameters, so numpy may reuse an intermediate array in place.
+    Constants are bound as names: the only tree text in the source is a
+    variable name, inside a ``repr``.  ``label`` names the function and its
+    file for tracebacks and profiles.  A node that is not an expression
+    raises ``TypeError``.
     """
-    body = _Body(read)
-    body.emit(e, 0, "return ")
-    src = f"def f({', '.join(params)}):\n" + "".join(f"    {line}\n" for line in body.lines)
-    namespace = {**_NAMESPACE, **body.consts}
+    consts: dict = {}
+
+    def bind(value) -> str:
+        name = f"c{len(consts)}"
+        consts[name] = value
+        return name
+
+    def source(node) -> str:
+        if isinstance(node, Const):
+            return bind(node.value)
+        if isinstance(node, Var):
+            if type(node.name) is not str:
+                raise TypeError(f"variable name must be a str: {node!r}")
+            return read(node.name, bind(CONSTANTS[node.name]) if node.name in CONSTANTS else None)
+        if isinstance(node, Neg):
+            return f"(-{source(node.operand)})"
+        if isinstance(node, BinOp):
+            template = _BINOPS.get(node.op)
+            if template is None:
+                raise TypeError(f"not an operator: {node.op!r}")
+            return template.format(source(node.left), source(node.right))
+        if isinstance(node, Call) and node.fn == "nthroot":
+            root = "power" if node.k % 2 == 0 else "_odd_root"
+            return f"{root}({source(node.args[0])}, {bind(1.0 / node.k)})"
+        if isinstance(node, Call):
+            if type(node.fn) is not str or node.fn not in _NP_FUNCS:
+                raise TypeError(f"not a function: {node.fn!r}")
+            return f"{node.fn}({source(node.args[0])})"
+        raise TypeError(f"not an expression node: {node!r}")
+
+    src = f"def f({', '.join(params)}):\n    return {source(e)}\n"
+    namespace = {**_NAMESPACE, **consts}
     exec(compile(src, f"<{label}>", "exec"), namespace)
     fn = namespace.pop("f")  # no cycle through its own globals: freed by refcount
     fn.__qualname__ = label
     return fn
-
-
-class _Body:
-    """The statements of one generated function and the constants they name."""
-
-    def __init__(self, read: Callable):
-        self.read = read
-        self.lines: list = []
-        self.consts: dict = {}
-
-    def bind(self, value) -> str:
-        name = f"c{len(self.consts)}"
-        self.consts[name] = value
-        return name
-
-    def operand(self, node, d: int) -> str:
-        """Source of ``node``'s value; an operator's is computed into ``v{d}`` first."""
-        if isinstance(node, Const):
-            return self.bind(node.value)
-        if isinstance(node, Var):
-            if type(node.name) is not str:
-                raise TypeError(f"variable name must be a str: {node!r}")
-            const = self.bind(CONSTANTS[node.name]) if node.name in CONSTANTS else None
-            return self.read(node.name, const)
-        self.emit(node, d, f"v{d} = ")
-        return f"v{d}"
-
-    def emit(self, node, d: int, target: str) -> None:
-        """Append the statement that computes ``node`` after those of its operands."""
-        lines = self.lines
-        if isinstance(node, Neg):
-            lines.append(f"{target}-{self.operand(node.operand, d)}")
-        elif isinstance(node, BinOp):
-            template = _BINOPS.get(node.op)
-            if template is None:
-                raise TypeError(f"not an operator: {node.op!r}")
-            left = self.operand(node.left, d)
-            right = self.operand(node.right, d + 1)
-            lines.append(target + template.format(left, right))
-            if right == f"v{d + 1}" and target != "return ":
-                lines.append(f"v{d + 1} = None")
-        elif isinstance(node, Call) and node.fn == "nthroot":
-            x = self.operand(node.args[0], d)
-            inv = self.bind(1.0 / node.k)
-            if node.k % 2 == 0:
-                lines.append(f"{target}power({x}, {inv})")
-            else:
-                lines.append(f"{target}copysign(power(abs({x}), {inv}), {x})")
-        elif isinstance(node, Call):
-            if type(node.fn) is not str or node.fn not in _NP_FUNCS:
-                raise TypeError(f"not a function: {node.fn!r}")
-            lines.append(f"{target}{node.fn}({self.operand(node.args[0], d)})")
-        elif isinstance(node, (Const, Var)):
-            lines.append(target + self.operand(node, d))
-        else:
-            raise TypeError(f"not an expression node: {node!r}")

@@ -96,9 +96,6 @@ class PiecewiseLinear:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
-    def __call__(self, t: float) -> float:
-        return interp_eval(self, t)
-
 
 def interp_eval(pl: PiecewiseLinear, t: float) -> float:
     """Evaluate a piecewise-linear element at ``t`` in ``[a, T]``.

@@ -107,6 +107,16 @@ def _compile(src: str, what: str, k: int = 0):
         raise ExprError(f"{what}: {exc.reason}", exc.position) from None
 
 
+def _number(value, what: str) -> float:
+    """A JSON number (not a boolean) as a float; anything else names ``what``."""
+    if type(value) is bool or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {json.dumps(value, default=repr)}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal past float64
+        raise ValueError(f"{what} is too large for float64") from None
+
+
 def problem_from_dict(doc: dict) -> IvpSystem:
     """Validate a problem document and compile it into a system."""
     if not isinstance(doc, dict):
@@ -124,13 +134,16 @@ def problem_from_dict(doc: dict) -> IvpSystem:
     initial = doc["initial"]
     if not isinstance(initial, list) or len(initial) != k:
         raise ValueError(f"initial must list exactly {k} number(s)")
+    a = _number(interval["a"], "interval endpoint a")
+    T = _number(interval["T"], "interval endpoint T")
+    initial = tuple(_number(v, f"initial value of equation {j + 1}") for j, v in enumerate(initial))
 
     alphas = []
     rhs = []
     for idx, eq in enumerate(equations):
         if not isinstance(eq, dict) or "alpha" not in eq or "rhs" not in eq:
             raise ValueError(f"equation {idx + 1} must carry 'alpha' and 'rhs'")
-        alphas.append(float(eq["alpha"]))
+        alphas.append(_number(eq["alpha"], f"alpha of equation {idx + 1}"))
         rhs.append(_compile(str(eq["rhs"]), f"rhs of equation {idx + 1}", k))
 
     exact = None
@@ -153,9 +166,9 @@ def problem_from_dict(doc: dict) -> IvpSystem:
 
     return IvpSystem(
         alphas=tuple(alphas),
-        a=float(interval["a"]),
-        T=float(interval["T"]),
-        initial=tuple(float(v) for v in initial),
+        a=a,
+        T=T,
+        initial=initial,
         rhs=tuple(rhs),
         exact=exact,
         guess=guess,

@@ -290,6 +290,31 @@ def test_nonfinite_alpha_or_endpoint_exits_1_without_outputs(tmp_path, command, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        ("alpha", "null", "alpha of equation 2 must be a number, got null"),
+        ("initial", "[0.5, true]", "initial value of equation 2 must be a number, got true"),
+    ],
+)
+def test_non_number_field_exits_1_naming_it(tmp_path, where, value, message):
+    # null used to exit with a bare float() message, true to be read as 1.0
+    doc = json.loads(json.dumps(_PENDULUM))
+    if where == "alpha":
+        doc["equations"][1]["alpha"] = "@"
+    else:
+        doc["initial"] = "@"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc).replace('"@"', value), encoding="utf-8")
+    out = tmp_path / "out"
+    code, err = _run_process("solve", "--problem", str(path), "--n", "9", "--m", "2",
+                             "--out-dir", str(out))
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.startswith("ivim: error: ") and message in err
+    assert not out.exists()
+
+
 def test_expression_error_names_the_expression(tmp_path, capsys):
     doc = json.loads(json.dumps(_PENDULUM))
     doc["equations"][1]["rhs"] = "u1 + )"

@@ -457,6 +457,13 @@ _NESTED = {
     "calls": (lambda k: "sin(" * k + "u" + ")" * k, 4 * MAX_DEPTH),
     "sum": (lambda k: "u" + "+u" * k, 2),
     "nthroot": (lambda k: "nthroot(" * k + "u" + ", 3)" * k, 8 * MAX_DEPTH),
+    "quotient": (lambda k: "u/(" * k + "u" + ")" * k, 3 * MAX_DEPTH),
+    # an odd root of a negation at every other level: the generated source
+    # nests a call of _odd_root and a minus in turn
+    "odd_root_of_negation": (
+        lambda k: "-" * (k % 2) + "nthroot(-" * (k // 2) + "u" + ", 3)" * (k // 2),
+        9 * MAX_DEPTH // 2,
+    ),
 }
 
 

@@ -18,7 +18,7 @@ from ivim import (
     rk4_reference,
     solve,
 )
-from ivim.expr import ExprError
+from ivim.expr import ExprError, compile_array, parse
 
 
 def test_builtin_names():
@@ -114,6 +114,25 @@ def test_schema_validation_errors():
     bad_exact = dict(base, exact=["u + 1"])
     with pytest.raises(ValueError, match="'u'"):
         problem_from_dict(bad_exact)
+    # every number field takes a JSON number only, and an error names the field
+    for field, value, message in [
+        ("alpha", None, "alpha of equation 1 must be a number, got null"),
+        ("alpha", [1], "alpha of equation 1 must be a number, got [1]"),
+        ("alpha", "2", 'alpha of equation 1 must be a number, got "2"'),
+        ("alpha", True, "alpha of equation 1 must be a number, got true"),
+        ("initial", [None], "initial value of equation 1 must be a number, got null"),
+        ("initial", ["0.5"], 'initial value of equation 1 must be a number, got "0.5"'),
+        ("interval", {"a": None, "T": 1.0}, "interval endpoint a must be a number, got null"),
+        ("interval", {"a": 0, "T": False}, "interval endpoint T must be a number, got false"),
+        ("interval", {"a": 0, "T": 10**400}, "interval endpoint T is too large for float64"),
+    ]:
+        if field == "alpha":
+            field, value = "equations", [{"alpha": value, "rhs": "u"}]
+        with pytest.raises(ValueError) as err:
+            problem_from_dict(dict(base, **{field: value}))
+        assert str(err.value) == message
+    sys_ = problem_from_dict(dict(base, interval={"a": 0, "T": 2}, initial=[1]))
+    assert (sys_.a, sys_.T, sys_.initial) == (0.0, 2.0, (1.0,))  # integers are numbers
 
 
 def test_load_problem_file_roundtrip(tmp_path):
@@ -196,6 +215,23 @@ def test_compiled_functions_are_named_after_their_expression():
     with pytest.raises(IndexError) as err:
         sys_.rhs[1](0.0, [])  # reads s[0]
     assert traceback.extract_tb(err.value.__traceback__)[-1].filename == "<rhs of equation 2>"
+
+
+def test_generated_functions_hold_no_named_temporaries():
+    # one returned expression, so numpy may reuse an intermediate in place
+    src = "-(u1 - t)/(2 + sin(u1*t))^pi + nthroot(-(u1 + u2), 3) * nthroot(t*t + 1, 2)"
+    doc = json.loads(json.dumps(_TWO_EQUATIONS))
+    doc["equations"][0]["rhs"] = src
+    doc["guess"] = [src.replace("u1", "t").replace("u2", "t")] * 2
+    sys_ = problem_from_dict(doc)
+    exact = problems._compile(doc["guess"][0], "exact 1")
+    for fn, params in [
+        (compile_array(parse(src)), ("env",)),
+        (sys_.rhs[0], ("t", "s")),
+        (exact, ("t",)),
+        (sys_.guess[0], ("t",)),
+    ]:
+        assert fn.__code__.co_varnames == params
 
 
 def test_profile_counts_each_expression_apart():
