@@ -9,81 +9,21 @@ reference oracles (closed forms and fixed-step RK4), convergence analytics
 and a CLI.
 """
 
-from .grid import (
-    Grid,
-    PiecewiseLinear,
-    interp_eval,
-    make_grid,
-    project_samples,
-)
-from .engine import (
-    DivergenceError,
-    IvpSystem,
-    SolveConfig,
-    SolveReport,
-    eval_solution,
-    exp_multiplier,
-    ivim_step,
-    solve,
-    successive_diff_norm,
-)
-from .expr import (
-    ExprError,
-    compile_array,
-    eval_expr,
-    parse,
-    validate_vars,
-)
-from .reference import (
-    ErrorMetrics,
-    ReferenceSolution,
-    empirical_order,
-    error_metrics,
-    exact_builtin_eval,
-    rk4_reference,
-)
-from .problems import (
-    BUILTIN_PROBLEMS,
-    builtin_names,
-    builtin_problem_dict,
-    get_problem,
-    load_problem_file,
-    problem_from_dict,
-)
+from . import engine, expr, grid, problems, reference
+from .grid import *
+from .engine import *
+from .expr import *
+from .reference import *
+from .problems import *
 
 __version__ = "0.1.0"
 
+# each module's __all__ is its public API; the package exports their union
 __all__ = [
-    "Grid",
-    "PiecewiseLinear",
-    "make_grid",
-    "interp_eval",
-    "project_samples",
-    "exp_multiplier",
-    "DivergenceError",
-    "IvpSystem",
-    "SolveConfig",
-    "SolveReport",
-    "ivim_step",
-    "solve",
-    "successive_diff_norm",
-    "eval_solution",
-    "ExprError",
-    "parse",
-    "eval_expr",
-    "validate_vars",
-    "compile_array",
-    "ReferenceSolution",
-    "ErrorMetrics",
-    "rk4_reference",
-    "exact_builtin_eval",
-    "error_metrics",
-    "empirical_order",
-    "BUILTIN_PROBLEMS",
-    "builtin_names",
-    "builtin_problem_dict",
-    "problem_from_dict",
-    "load_problem_file",
-    "get_problem",
+    *grid.__all__,
+    *engine.__all__,
+    *expr.__all__,
+    *reference.__all__,
+    *problems.__all__,
     "__version__",
 ]

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .engine import DivergenceError, SolveConfig, solve
+from .engine import MODES, DivergenceError, SolveConfig, solve
 from .problems import builtin_names, get_problem
 from .reference import ReferenceSolution, empirical_order, error_metrics, rk4_reference
 
@@ -249,39 +249,36 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    builtin_help = f"built-in problem ({', '.join(builtin_names())}) or JSON file path"
+    problem = argparse.ArgumentParser(add_help=False)
+    problem.add_argument(
+        "--problem", required=True,
+        help=f"built-in problem ({', '.join(builtin_names())}) or JSON file path",
+    )
+    run = argparse.ArgumentParser(add_help=False, parents=[problem])
+    run.add_argument("--mode", choices=MODES, default="paper",
+                     help="quadrature mode (default: paper)")
+    run.add_argument("--out-dir", required=True, help="output directory")
 
-    p = sub.add_parser("solve", help="run one solve and write solution.csv")
-    p.add_argument("--problem", required=True, help=builtin_help)
+    p = sub.add_parser("solve", parents=[run], help="run one solve and write solution.csv")
     p.add_argument("--n", type=int, required=True, help="grid node count (>= 2)")
     p.add_argument("--m", type=int, required=True, help="iteration count (>= 1)")
-    p.add_argument("--mode", choices=["paper", "full_trapezoid"], default="paper",
-                   help="quadrature mode (default: paper)")
-    p.add_argument("--out-dir", required=True, help="output directory")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("converge", help="error sweep over n or m")
-    p.add_argument("--problem", required=True, help=builtin_help)
+    p = sub.add_parser("converge", parents=[run], help="error sweep over n or m")
     p.add_argument("--n-list", help="comma-separated ascending node counts")
     p.add_argument("--m-list", help="comma-separated ascending iteration counts")
     p.add_argument("--n", type=int, help="fixed n (with --m-list)")
     p.add_argument("--m", type=int, help="fixed m (with --n-list)")
-    p.add_argument("--mode", choices=["paper", "full_trapezoid"], default="paper")
-    p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_converge)
 
-    p = sub.add_parser("compare", help="side-by-side with a fixed-step RK4 run")
-    p.add_argument("--problem", required=True, help=builtin_help)
+    p = sub.add_parser("compare", parents=[run], help="side-by-side with a fixed-step RK4 run")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--rk4-step", type=float, required=True,
                    help="RK4 step; must divide T - a")
-    p.add_argument("--mode", choices=["paper", "full_trapezoid"], default="paper")
-    p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("export", help="write a problem definition as JSON")
-    p.add_argument("--problem", required=True, help=builtin_help)
+    p = sub.add_parser("export", parents=[problem], help="write a problem definition as JSON")
     p.add_argument("--out", required=True, help="output JSON path")
     p.set_defaults(func=_cmd_export)
 

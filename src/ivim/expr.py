@@ -27,23 +27,10 @@ import numpy as np
 
 __all__ = [
     "ExprError",
-    "Token",
-    "Expr",
-    "Const",
-    "Var",
-    "Neg",
-    "BinOp",
-    "Call",
-    "tokenize",
-    "parse_expression",
     "parse",
-    "pretty",
     "eval_expr",
     "validate_vars",
-    "free_variables",
     "compile_array",
-    "FUNCTIONS",
-    "CONSTANTS",
 ]
 
 

@@ -90,12 +90,19 @@ def builtin_problem_dict(name: str) -> dict:
     return copy.deepcopy(BUILTIN_PROBLEMS[name])
 
 
-def _compile(src: str, what: str, k: int = 0):
-    """Parse, validate and compile one expression; an error names ``what``.
+def _must_be(what: str, kind: str, value) -> ValueError:
+    """The error for a field of the wrong JSON type, spelling the value as JSON."""
+    return ValueError(f"{what} must be {kind}, got {json.dumps(value, default=repr)}")
+
+
+def _compile(src, what: str, k: int = 0):
+    """Parse, validate and compile one JSON string; an error names ``what``.
 
     A right-hand side (``k`` components) compiles to ``f(t, s)`` reading
     ``u_j`` as ``s[j-1]``; ``exact`` and ``guess`` (``k = 0``) to ``f(t)``.
     """
+    if not isinstance(src, str):
+        raise _must_be(what, "a string", src)
     slots = {"t": "t", **{f"u{j + 1}": f"s[{j}]" for j in range(k)}}
     if k == 1:
         slots["u"] = "s[0]"  # the alias of a single equation
@@ -110,7 +117,7 @@ def _compile(src: str, what: str, k: int = 0):
 def _number(value, what: str) -> float:
     """A JSON number (not a boolean) as a float; anything else names ``what``."""
     if type(value) is bool or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, got {json.dumps(value, default=repr)}")
+        raise _must_be(what, "a number", value)
     try:
         return float(value)
     except OverflowError:  # an integer literal past float64
@@ -144,14 +151,14 @@ def problem_from_dict(doc: dict) -> IvpSystem:
         if not isinstance(eq, dict) or "alpha" not in eq or "rhs" not in eq:
             raise ValueError(f"equation {idx + 1} must carry 'alpha' and 'rhs'")
         alphas.append(_number(eq["alpha"], f"alpha of equation {idx + 1}"))
-        rhs.append(_compile(str(eq["rhs"]), f"rhs of equation {idx + 1}", k))
+        rhs.append(_compile(eq["rhs"], f"rhs of equation {idx + 1}", k))
 
     exact = None
     if doc.get("exact") is not None:
         texts = doc["exact"]
         if not isinstance(texts, list) or len(texts) != k:
             raise ValueError(f"exact must list exactly {k} expression(s)")
-        fns = [_compile(str(s), f"exact {j + 1}") for j, s in enumerate(texts)]
+        fns = [_compile(s, f"exact {j + 1}") for j, s in enumerate(texts)]
 
         def exact(t):
             t = np.asarray(t, dtype=float)
@@ -162,7 +169,7 @@ def problem_from_dict(doc: dict) -> IvpSystem:
         texts = doc["guess"]
         if not isinstance(texts, list) or len(texts) != k:
             raise ValueError(f"guess must list exactly {k} expression(s)")
-        guess = tuple(_compile(str(s), f"guess {j + 1}") for j, s in enumerate(texts))
+        guess = tuple(_compile(s, f"guess {j + 1}") for j, s in enumerate(texts))
 
     return IvpSystem(
         alphas=tuple(alphas),

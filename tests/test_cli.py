@@ -295,15 +295,19 @@ def test_nonfinite_alpha_or_endpoint_exits_1_without_outputs(tmp_path, command, 
     [
         ("alpha", "null", "alpha of equation 2 must be a number, got null"),
         ("initial", "[0.5, true]", "initial value of equation 2 must be a number, got true"),
+        ("rhs", "null", "rhs of equation 2 must be a string, got null"),
+        ("rhs", '["u1"]', 'rhs of equation 2 must be a string, got ["u1"]'),
+        ("rhs", "5", "rhs of equation 2 must be a string, got 5"),
     ],
 )
 def test_non_number_field_exits_1_naming_it(tmp_path, where, value, message):
-    # null used to exit with a bare float() message, true to be read as 1.0
+    # null used to exit with a bare float() message, true to be read as 1.0;
+    # a non-string rhs went through str(), so null read as the variable None
     doc = json.loads(json.dumps(_PENDULUM))
-    if where == "alpha":
-        doc["equations"][1]["alpha"] = "@"
-    else:
+    if where == "initial":
         doc["initial"] = "@"
+    else:
+        doc["equations"][1][where] = "@"
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc).replace('"@"', value), encoding="utf-8")
     out = tmp_path / "out"
@@ -638,6 +642,24 @@ def test_unknown_problem_exits_1(tmp_path, capsys):
 def test_bad_flags_exit_1(capsys):
     assert _run("solve", "--problem", "ex1") == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--n", "5", "--m", "1"),
+        ("converge", "--n-list", "5,9", "--m", "1"),
+        ("compare", "--n", "5", "--m", "1", "--rk4-step", "0.25"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unknown_mode_exits_1_listing_the_modes(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert _run(*argv, "--problem", "ex1", "--mode", "trapezoid", "--out-dir", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "invalid choice: 'trapezoid'" in err
+    assert all(repr(mode) in err for mode in ivim.engine.MODES)
+    assert not out.exists()
 
 
 def test_help_exits_0(capsys):

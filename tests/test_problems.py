@@ -133,6 +133,20 @@ def test_schema_validation_errors():
         assert str(err.value) == message
     sys_ = problem_from_dict(dict(base, interval={"a": 0, "T": 2}, initial=[1]))
     assert (sys_.a, sys_.T, sys_.initial) == (0.0, 2.0, (1.0,))  # integers are numbers
+    # every expression field takes a JSON string only (it used to go through str())
+    for field, value, message in [
+        ("rhs", None, "rhs of equation 1 must be a string, got null"),
+        ("rhs", True, "rhs of equation 1 must be a string, got true"),
+        ("rhs", 5, "rhs of equation 1 must be a string, got 5"),
+        ("rhs", ["u"], 'rhs of equation 1 must be a string, got ["u"]'),
+        ("exact", [0.5], "exact 1 must be a string, got 0.5"),
+        ("guess", [None], "guess 1 must be a string, got null"),
+    ]:
+        if field == "rhs":
+            field, value = "equations", [{"alpha": 0.0, "rhs": value}]
+        with pytest.raises(ValueError) as err:
+            problem_from_dict(dict(base, **{field: value}))
+        assert str(err.value) == message
 
 
 def test_load_problem_file_roundtrip(tmp_path):

@@ -72,6 +72,35 @@ def test_step_matches_naive_on_the_hand_shifted_rhs(problem):
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), 1.0))
 
 
+@_settings(30)
+@given(_problems())
+def test_modes_differ_by_the_weighted_endpoint_term(problem):
+    # full_trapezoid adds the s = a endpoint h/2 e^{alpha(t_1 - t_i)} c(t_1),
+    # with c(t_1) = f(a, u(a)) since W vanishes at a; paper mode drops it
+    sys_, _, n, _, seed = problem
+    grid = make_grid(sys_.a, sys_.T, n)
+    W = np.random.default_rng(seed).normal(size=(sys_.k, n))
+    W[:, 0] = 0.0
+    state = [PiecewiseLinear(grid, row) for row in W]
+    mults = [exp_multiplier(alpha) for alpha in sys_.alphas]
+    full, paper = (
+        np.vstack([pl.values for pl in ivim_step(state, sys_, grid, mults, mode)])
+        for mode in ("full_trapezoid", "paper")
+    )
+    assert np.all(full[:, 0] == 0.0) and np.all(paper[:, 0] == 0.0)
+    t = grid.nodes[1:]
+    ua = np.asarray(sys_.initial)
+    c1 = np.array([f(grid.a, ua) for f in sys_.rhs])[:, None]
+    alphas = np.array(sys_.alphas)[:, None]
+    want = 0.5 * grid.h * np.exp(alphas * (grid.a - t)) * c1
+    got = full[:, 1:] - paper[:, 1:]
+    # the difference cancels when the endpoint weight has decayed, so the
+    # tolerance scales with the values subtracted; 1.1e-13 is the worst seen
+    # over 500 examples (alpha up to +-50, n up to 300)
+    scale = np.maximum.reduce([np.abs(want), np.abs(full[:, 1:]), np.abs(paper[:, 1:])])
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
 @_settings(40)
 @given(_problems(), st.integers(1, 6))
 def test_solve_history_is_ivim_step_chained(problem, m):
