@@ -141,6 +141,9 @@ def problem_from_dict(doc: dict) -> IvpSystem:
     initial = doc["initial"]
     if not isinstance(initial, list) or len(initial) != k:
         raise ValueError(f"initial must list exactly {k} number(s)")
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise _must_be("name", "a string", name)
     a = _number(interval["a"], "interval endpoint a")
     T = _number(interval["T"], "interval endpoint T")
     initial = tuple(_number(v, f"initial value of equation {j + 1}") for j, v in enumerate(initial))
@@ -179,7 +182,7 @@ def problem_from_dict(doc: dict) -> IvpSystem:
         rhs=tuple(rhs),
         exact=exact,
         guess=guess,
-        name=str(doc.get("name", "")),
+        name=name,
     )
 
 

@@ -6,13 +6,17 @@ plain composite trapezoid sum, the trapezoid march solves one node at a time
 with scalar fixed-point iterations, the RK4 march steps one whole state
 array at a time, and the hat functions are evaluated piece by piece from
 their definition.  ``closure_compile`` evaluates an expression as a tree of
-closures, one per node, with no generated code.
+closures, one per node, with no generated code.  ``blocked_scan`` is the
+solver's nodal update as it was before its weights were planned once per
+solve: it derives every weight afresh on each call, allocates its own
+temporaries, and the solver must match it bit for bit.
 """
 
 import math
 
 import numpy as np
 
+from ivim.engine import _BLOCK_EXPONENT
 from ivim.expr import _NP_FUNCS, CONSTANTS, BinOp, Call, Const, Neg, Var
 
 
@@ -42,6 +46,39 @@ def naive_step(alphas, rhs_list, t, h, U, mode):
                 lam_a = -math.exp(al * (t[0] - t[i]))
                 val -= 0.5 * h * (al * lam_a * U[j, 0] + lam_a * F[j][0])
             out[j, i] = val
+    return out
+
+
+def blocked_scan(alpha: float, C: np.ndarray, t: np.ndarray, h: float, mode: str) -> np.ndarray:
+    """Nodal sums ``h sum_{r<i} e^{alpha(t_r - t_i)} c_r + h/2 c_i`` as a blocked scan.
+
+    Within a block starting at node s the sum is ``e^{-alpha(t_i - t_s)}``
+    times a cumulative sum of ``e^{alpha(t_r - t_s)} c_r``, seeded with the
+    carry ``sum_{r<s} e^{alpha(t_r - t_s)} c_r``.  A single block performs the
+    plain O(n) prefix-sum update.
+    """
+    n = t.size
+    if abs(alpha) * (t[-1] - t[0]) <= _BLOCK_EXPONENT:
+        size = n
+    else:
+        size = int(_BLOCK_EXPONENT / (abs(alpha) * h)) + 1
+    out = np.empty(n)
+    carry = 0.0
+    for s in range(0, n, size):
+        e = min(s + size, n)
+        d = t[s:e] - t[s]
+        q = np.exp(alpha * d) * C[s:e]
+        if s == 0:
+            q[0] = 0.0
+        prefix = np.cumsum(np.concatenate(([carry], q)))  # sums over r < i
+        winv = np.exp(-alpha * d)
+        out[s:e] = h * winv * prefix[:-1] + 0.5 * h * C[s:e]
+        if s == 0 and mode == "full_trapezoid":
+            out[:e] += 0.5 * h * winv * C[0]  # the s = a endpoint,
+            prefix[-1] += 0.5 * C[0]  # and through the carry for later blocks
+        if e < n:
+            carry = np.exp(-alpha * (t[e] - t[s])) * prefix[-1]
+    out[0] = 0.0
     return out
 
 

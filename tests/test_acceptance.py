@@ -11,6 +11,7 @@ next to it.  Run with::
 to see one PASS/FAIL line per criterion.
 """
 
+import json
 import math
 import random
 import time
@@ -34,6 +35,7 @@ from ivim import (
 )
 from ivim.expr import ExprError, eval_expr, parse
 
+import _artifacts
 from _oracles import composite_trapezoid, naive_step, trapezoid_march
 
 from ivim.cli import main as cli_main
@@ -394,3 +396,20 @@ def test_c10_cli_determinism(tmp_path):
     assert cli_main(["export", "--problem", "ex2", "--out", str(p2)]) == 0
     ok = ok and p1.read_bytes() == p2.read_bytes()
     _verdict("C10 CLI determinism", ok, "; ".join(details) or "all artifacts identical")
+
+
+def test_c10_artifacts_match_recorded_digests(tmp_path):
+    """The artifacts of solve, converge and compare on every built-in, both
+    modes, hash to the digests recorded in ``c10_digests.json`` (wall_time
+    lines masked): the same bytes before and after a refactor."""
+    table = json.loads(_artifacts.TABLE.read_text(encoding="utf-8"))
+    here = _artifacts.environment()
+    recorded = {key: table[key] for key in here}
+    if here != recorded:
+        pytest.skip(f"digests were recorded with {recorded}, this host has {here}")
+    got = _artifacts.artifact_digests(tmp_path)
+    differ = sorted(key for key in table["digests"] if got.get(key) != table["digests"][key])
+    ok = not differ and got.keys() == table["digests"].keys()
+    _verdict("C10 recorded digests", ok,
+             f"{len(differ)} differ: {', '.join(differ[:4])}" if differ
+             else f"{len(got)} artifacts match")

@@ -199,7 +199,10 @@ def test_growth_past_limit_exits_1(tmp_path, capsys):
                 "--out-dir", str(tmp_path / "out"))
     assert code == 1
     err = capsys.readouterr().err
-    assert "error" in err and "700" in err
+    assert err == (
+        "ivim: error: equation 1: -alpha*(T-a) = 800.0 exceeds 700.0; "
+        "the exponential weights overflow\n"
+    )
     assert not (tmp_path / "out").exists()
 
 
@@ -298,14 +301,18 @@ def test_nonfinite_alpha_or_endpoint_exits_1_without_outputs(tmp_path, command, 
         ("rhs", "null", "rhs of equation 2 must be a string, got null"),
         ("rhs", '["u1"]', 'rhs of equation 2 must be a string, got ["u1"]'),
         ("rhs", "5", "rhs of equation 2 must be a string, got 5"),
+        ("name", "null", "name must be a string, got null"),
+        ("name", "7", "name must be a string, got 7"),
+        ("name", '["p"]', 'name must be a string, got ["p"]'),
     ],
 )
 def test_non_number_field_exits_1_naming_it(tmp_path, where, value, message):
     # null used to exit with a bare float() message, true to be read as 1.0;
-    # a non-string rhs went through str(), so null read as the variable None
+    # a non-string rhs or name went through str(), so a null rhs read as the
+    # variable None and a null name was reported as the problem "None"
     doc = json.loads(json.dumps(_PENDULUM))
-    if where == "initial":
-        doc["initial"] = "@"
+    if where in ("initial", "name"):
+        doc[where] = "@"
     else:
         doc["equations"][1][where] = "@"
     path = tmp_path / "bad.json"
@@ -317,6 +324,15 @@ def test_non_number_field_exits_1_naming_it(tmp_path, where, value, message):
     assert "Traceback" not in err
     assert err.startswith("ivim: error: ") and message in err
     assert not out.exists()
+
+
+def test_problem_without_a_name_is_reported_by_its_path(tmp_path):
+    doc = json.loads(json.dumps(_PENDULUM))
+    del doc["name"]
+    path = _write_problem(tmp_path, doc)
+    out = tmp_path / "out"
+    assert _run("solve", "--problem", str(path), "--n", "9", "--m", "2", "--out-dir", str(out)) == 0
+    assert json.loads((out / "summary.json").read_text())["problem"] == str(path)
 
 
 def test_expression_error_names_the_expression(tmp_path, capsys):

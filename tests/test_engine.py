@@ -376,6 +376,35 @@ def test_step_overflow_guard():
         ivim_step(_zero_state(grid, 1), sys_, grid, [exp_multiplier(-800.0)], "paper")
 
 
+def test_growth_limit_is_checked_before_any_rhs_call():
+    # the limit depends only on alpha and the interval, so it is checked when
+    # the scan is planned, before the first sweep evaluates a coefficient
+    calls = []
+
+    def rhs(t, U):
+        calls.append(t)
+        return 800.0 * U[0] + 1.0
+
+    sys_ = IvpSystem(alphas=(-800.0,), a=0.0, T=1.0, initial=(0.0,), rhs=(rhs,))
+    with pytest.raises(ValueError, match="equation 1.*800.*700"):
+        solve(sys_, SolveConfig(n=64, m_max=2))
+    grid = make_grid(0.0, 1.0, 64)
+    with pytest.raises(ValueError, match="equation 1.*800.*700"):
+        ivim_step(_zero_state(grid, 1), sys_, grid, [exp_multiplier(-800.0)], "paper")
+    assert calls == []
+
+
+def test_growth_limit_is_reported_before_a_non_finite_update():
+    # equation 1 turns infinite at t = 0.5 and equation 2 exceeds the limit:
+    # the growth error comes first, since it is raised before any sweep
+    sys_ = IvpSystem(
+        alphas=(0.0, -800.0), a=0.0, T=1.0, initial=(0.0, 0.0),
+        rhs=(lambda t, U: 1.0 / (0.5 - t), lambda t, U: 800.0 * U[1]),
+    )
+    with pytest.raises(ValueError, match="equation 2.*800.*700"):
+        solve(sys_, SolveConfig(n=11, m_max=2))
+
+
 def test_positive_alpha_has_no_overflow_limit():
     # for alpha > 0 every weight is at most 1, so a large span still solves
     def rhs(t, U):

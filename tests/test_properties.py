@@ -24,7 +24,7 @@ from ivim import (
 )
 from ivim.expr import BinOp, Call, Const, ExprError, Neg, Var, compile_array, eval_expr
 
-from _oracles import closure_compile, naive_step
+from _oracles import blocked_scan, closure_compile, naive_step
 
 _CAP = 1e12  # the nodal max norm past which solve reports divergence
 
@@ -34,13 +34,19 @@ def _settings(examples):
 
 
 _alphas = st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=2)
+# on [0, 1] the scan is one block while |alpha| <= 30; negative alphas grow
+# the weights up to the limit e^700
+_scan_alphas = st.lists(
+    st.just(0.0) | st.floats(-1.0, 1.0) | st.floats(31.0, 2000.0) | st.floats(-700.0, -31.0),
+    min_size=1, max_size=2,
+)
 _nonzero = st.floats(0.1, 2.0) | st.floats(-2.0, -0.1)
 
 
 @st.composite
-def _problems(draw):
+def _problems(draw, alphas=_alphas, max_n=300):
     """A coupled k = 1 or 2 system with u(a) != 0, a grid size, a mode and a seed."""
-    alphas = tuple(draw(_alphas))
+    alphas = tuple(draw(alphas))
     k = len(alphas)
     ua = np.array([draw(_nonzero) for _ in range(k)])
     coefs = [draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)) for _ in range(k)]
@@ -52,7 +58,7 @@ def _problems(draw):
     rhs = tuple(make_rhs(j, *coefs[j]) for j in range(k))
     sys_ = IvpSystem(alphas=alphas, a=0.0, T=1.0, initial=tuple(ua), rhs=rhs)
     shifted = tuple(lambda t, W, f=f: f(t, W + ua[:, None]) for f in rhs)
-    n = draw(st.integers(2, 300))
+    n = draw(st.integers(2, max_n))
     mode = draw(st.sampled_from(["paper", "full_trapezoid"]))
     seed = draw(st.integers(0, 2**32 - 1))
     return sys_, shifted, n, mode, seed
@@ -125,6 +131,62 @@ def test_solve_history_is_ivim_step_chained(problem, m):
     assert [snap.tobytes() for snap in rep.history] == [snap.tobytes() for snap in chain]
     assert rep.diffs == diffs
     assert rep.iterations_run == m
+
+
+def _oracle_sweep(sys_, grid, W, mode):
+    """The sweep with the coefficients formed as the engine forms them and
+    each equation's sums from the scan that re-derives its weights per block."""
+    t = grid.nodes
+    U = W + np.asarray(sys_.initial)[:, None]
+    with np.errstate(all="ignore"):
+        return np.vstack([
+            blocked_scan(alpha, alpha * W[j] + sys_.rhs[j](t, U), t, grid.h, mode)
+            for j, alpha in enumerate(sys_.alphas)
+        ])
+
+
+@_settings(80)
+@given(_problems(_scan_alphas, 600))
+def test_step_equals_the_blocked_scan_oracle_bit_for_bit(problem):
+    sys_, _, n, mode, seed = problem
+    grid = make_grid(sys_.a, sys_.T, n)
+    W = np.random.default_rng(seed).normal(size=(sys_.k, n))
+    W[:, 0] = 0.0
+    state = [PiecewiseLinear(grid, row) for row in W]
+    mults = [exp_multiplier(alpha) for alpha in sys_.alphas]
+    want = _oracle_sweep(sys_, grid, W, mode)
+    if not np.isfinite(want).all():  # the growing weights overflowed
+        with pytest.raises(DivergenceError):
+            ivim_step(state, sys_, grid, mults, mode)
+        return
+    got = np.vstack([pl.values for pl in ivim_step(state, sys_, grid, mults, mode)])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@_settings(40)
+@given(_problems(_scan_alphas, 600), st.integers(1, 6))
+def test_solve_history_is_the_blocked_scan_oracle_chained(problem, m):
+    sys_, _, n, mode, _ = problem
+    grid = make_grid(sys_.a, sys_.T, n)
+    cfg = SolveConfig(n=n, m_max=m, mode=mode, keep_history=True)
+    W = np.zeros((sys_.k, n))
+    chain, diffs = [], []
+    while len(chain) < m and not (chain and np.max(np.abs(chain[-1])) > _CAP):
+        new = _oracle_sweep(sys_, grid, W, mode)
+        if not np.isfinite(new).all():
+            with pytest.raises(DivergenceError, match="non-finite update"):
+                solve(sys_, cfg)
+            return
+        diffs.append(float(np.max(np.abs(new - W))))
+        chain.append(new)
+        W = new
+    if np.max(np.abs(chain[-1])) > _CAP:
+        with pytest.raises(DivergenceError, match=f"at iteration {len(chain)}$"):
+            solve(sys_, cfg)
+        return
+    rep = solve(sys_, cfg)
+    assert [snap.tobytes() for snap in rep.history] == [snap.tobytes() for snap in chain]
+    assert rep.diffs == diffs
 
 
 # --- the expression compiler ---------------------------------------------------
