@@ -7,7 +7,8 @@ Subcommands:
     compare   solve and integrate with RK4, write compare.csv + summary.json
     export    write a problem (built-in or file) as a JSON problem file
 
-Exit codes: 0 success, 1 input error, 2 divergence, 3 I/O failure.
+Exit codes: 0 success, 1 input error (a size too large for memory
+included), 2 divergence, 3 I/O failure.
 All numeric output uses 17 significant digits, so values round-trip exactly;
 outputs are written atomically and repeated runs are byte-identical apart
 from the informational wall_time fields in summary.json.
@@ -95,12 +96,6 @@ def _parse_int_list(text: str, what: str) -> list:
     return values
 
 
-def _closed_form_reference(system, nodes) -> ReferenceSolution:
-    with np.errstate(all="ignore"):  # ReferenceSolution names a non-finite value
-        values = np.atleast_2d(system.exact(nodes))
-    return ReferenceSolution(nodes=nodes, values=values, source=("closed_form", system.name))
-
-
 def _cmd_solve(args) -> int:
     system, _ = get_problem(args.problem)
     cfg = SolveConfig(n=args.n, m_max=args.m, mode=args.mode)
@@ -113,16 +108,16 @@ def _cmd_solve(args) -> int:
     header = ["t"] + [f"u{j + 1}" for j in range(k)]
     columns = [nodes, values]
     max_abs = None
-    if system.exact is not None:
-        exact_vals = _closed_form_reference(system, nodes).values
+    if report.exact is not None:
+        exact_vals = ReferenceSolution(nodes, report.exact, ("closed_form", system.name)).values
         errs = np.abs(values - exact_vals)
         with np.errstate(divide="ignore"):  # an exact zero is -inf
-            log_err = np.log10(np.max(errs, axis=0))
+            log_err = np.log10(report.errors)
         header += [f"exact{j + 1}" for j in range(k)]
         header += [f"abs_err{j + 1}" for j in range(k)]
         header += ["log10_err"]
         columns += [exact_vals, errs, log_err]
-        max_abs = float(np.max(errs))
+        max_abs = float(np.max(report.errors))
     _write_csv(out_dir / "solution.csv", header, _float_rows(np.vstack(columns)))
 
     _write_json(
@@ -148,11 +143,15 @@ def _cmd_converge(args) -> int:
     if args.n_list is not None:
         if args.m is None:
             raise ValueError("--n-list requires a fixed --m")
+        if args.n is not None:
+            raise ValueError("--n cannot be combined with --n-list, which gives every n")
         n_values = _parse_int_list(args.n_list, "--n-list")
         points = [(n, args.m) for n in n_values]
     else:
         if args.n is None:
             raise ValueError("--m-list requires a fixed --n")
+        if args.m is not None:
+            raise ValueError("--m cannot be combined with --m-list, which gives every m")
         m_values = _parse_int_list(args.m_list, "--m-list")
         points = [(args.n, m) for m in m_values]
 
@@ -170,7 +169,8 @@ def _cmd_converge(args) -> int:
     prev = None  # (cells, max_abs)
     for (n, m), cfg in zip(points, configs):
         report = solve(system, cfg)
-        ref = rk4 if rk4 is not None else _closed_form_reference(system, report.grid.nodes)
+        ref = rk4 or ReferenceSolution(
+            report.grid.nodes, report.exact, ("closed_form", system.name))
         max_abs = error_metrics(report, ref).max_abs
         order = ""
         if prev is not None and prev[0] * 2 == n - 1 and max_abs > 0.0 and prev[1] > 0.0:
@@ -298,6 +298,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         print(f"ivim: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's message names the size and shape
+        print(f"ivim: error: {exc or 'out of memory'}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"ivim: i/o error: {exc}", file=sys.stderr)

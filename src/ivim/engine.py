@@ -202,7 +202,12 @@ class SolveConfig:
 
 @dataclass
 class SolveReport:
-    """Solve outcome: final iterate, convergence trace, optional errors."""
+    """Solve outcome: final iterate, convergence trace, optional errors.
+
+    ``exact`` is the closed form, evaluated once per solve on the nodes
+    (read-only, unshifted, (k, n)), and ``errors`` the per-node maximum over
+    components of ``|nodal_values() - exact|``; both are None without one.
+    """
 
     final: list  # k PiecewiseLinear in the shifted space (vanish at a)
     u_a: tuple
@@ -211,6 +216,7 @@ class SolveReport:
     diffs: list  # successive max-norm differences, one per iteration run
     iterations_run: int
     wall_time: float
+    exact: Optional[np.ndarray] = None  # closed form at the nodes, (k, n)
     errors: Optional[np.ndarray] = None  # per-node max-abs error vs exact
     history: Optional[list] = None  # per-iteration read-only (k, n) iterates
 
@@ -470,11 +476,12 @@ def solve(
         if cfg.stop_tol > 0.0 and diff <= cfg.stop_tol:
             break
 
-    errors = None
+    exact = errors = None
     if sys.exact is not None:
-        with np.errstate(all="ignore"):
-            exact_vals = np.atleast_2d(sys.exact(grid.nodes)) - np.asarray(sys.initial)[:, None]
-        errors = np.max(np.abs(W - exact_vals), axis=0)
+        with np.errstate(all="ignore"):  # a non-finite closed form gives non-finite errors
+            exact = np.atleast_2d(sys.exact(grid.nodes))
+            errors = np.max(np.abs((W + np.asarray(sys.initial)[:, None]) - exact), axis=0)
+        exact.flags.writeable = False
 
     return SolveReport(
         final=[PiecewiseLinear(grid, row) for row in W],
@@ -484,6 +491,7 @@ def solve(
         diffs=diffs,
         iterations_run=len(diffs),
         wall_time=time.perf_counter() - start,
+        exact=exact,
         errors=errors,
         history=history,
     )

@@ -11,6 +11,9 @@ A problem file is a JSON document:
       "guess": ["..."]           # optional initial iterate, expressions in t
     }
 
+Any other key, at the top level, in ``interval`` or in an equation, is an
+input error that names it: a misspelt ``"exacts"`` is not silently ignored.
+
 Right-hand sides may reference ``t`` and the components ``u1 .. uk`` (plus
 the alias ``u`` for single equations); ``exact`` and ``guess`` are functions
 of ``t`` alone.  Built-ins are defined through the same expressions and the
@@ -124,16 +127,27 @@ def _number(value, what: str) -> float:
         raise ValueError(f"{what} is too large for float64") from None
 
 
+def _reject_unknown_keys(obj: dict, allowed: tuple, where: str) -> None:
+    """Raise ``ValueError`` naming the first key of ``obj`` outside ``allowed``."""
+    for key in obj:
+        if key not in allowed:
+            raise ValueError(f"unknown key {key!r} in {where}; allowed: {', '.join(allowed)}")
+
+
 def problem_from_dict(doc: dict) -> IvpSystem:
     """Validate a problem document and compile it into a system."""
     if not isinstance(doc, dict):
         raise ValueError("problem document must be a JSON object")
+    _reject_unknown_keys(
+        doc, ("name", "interval", "equations", "initial", "exact", "guess"), "the problem document"
+    )
     for key in ("interval", "equations", "initial"):
         if key not in doc:
             raise ValueError(f"problem document missing required key {key!r}")
     interval = doc["interval"]
     if not isinstance(interval, dict) or "a" not in interval or "T" not in interval:
         raise ValueError("interval must be an object with keys 'a' and 'T'")
+    _reject_unknown_keys(interval, ("a", "T"), "interval")
     equations = doc["equations"]
     if not isinstance(equations, list) or not equations:
         raise ValueError("equations must be a non-empty list")
@@ -153,6 +167,7 @@ def problem_from_dict(doc: dict) -> IvpSystem:
     for idx, eq in enumerate(equations):
         if not isinstance(eq, dict) or "alpha" not in eq or "rhs" not in eq:
             raise ValueError(f"equation {idx + 1} must carry 'alpha' and 'rhs'")
+        _reject_unknown_keys(eq, ("alpha", "rhs"), f"equation {idx + 1}")
         alphas.append(_number(eq["alpha"], f"alpha of equation {idx + 1}"))
         rhs.append(_compile(eq["rhs"], f"rhs of equation {idx + 1}", k))
 

@@ -3,7 +3,8 @@ that a refactor leaves every output byte where it was.
 
 The table ``c10_digests.json`` beside this file holds one digest per artifact
 of ``solve``, ``converge`` (an n-list and an m-list) and ``compare`` on
-ex1..ex3 in both modes, at fixed small sizes.  Lines that contain
+ex1..ex3 and on ``rotation.json`` (a closed form with ``u(a) != 0`` and a
+nonzero alpha) in both modes, at fixed small sizes.  Lines that contain
 ``wall_time`` are masked out before hashing.  The table also records the
 numpy version and ``platform.machine()`` it was made with, since a different
 numpy or CPU may round a ufunc differently.  To record it afresh, from the
@@ -25,7 +26,13 @@ from ivim.cli import main as cli_main
 
 TABLE = Path(__file__).with_name("c10_digests.json")
 
-PROBLEMS = ("ex1", "ex2", "ex3")
+# label -> the --problem argument
+PROBLEMS = {
+    "ex1": "ex1",
+    "ex2": "ex2",
+    "ex3": "ex3",
+    "rotation": str(Path(__file__).with_name("rotation.json")),
+}
 MODES = ("paper", "full_trapezoid")
 COMMANDS = {
     "solve": (["solve", "--n", "33", "--m", "6"], ["solution.csv", "summary.json"]),
@@ -45,13 +52,13 @@ def masked_digest(path: Path) -> str:
 
 
 def artifact_digests(root: Path) -> dict:
-    """Run every command on every built-in and mode under ``root``; key -> digest."""
+    """Run every command on every problem and mode under ``root``; key -> digest."""
     digests = {}
-    for problem in PROBLEMS:
+    for problem, source in PROBLEMS.items():
         for mode in MODES:
             for label, (argv, files) in COMMANDS.items():
                 out = root / f"{label}-{problem}-{mode}"
-                code = cli_main(argv + ["--problem", problem, "--mode", mode, "--out-dir", str(out)])
+                code = cli_main(argv + ["--problem", source, "--mode", mode, "--out-dir", str(out)])
                 if code != 0:
                     raise RuntimeError(f"{label} {problem} {mode} exited {code}")
                 for name in files:

@@ -399,9 +399,10 @@ def test_c10_cli_determinism(tmp_path):
 
 
 def test_c10_artifacts_match_recorded_digests(tmp_path):
-    """The artifacts of solve, converge and compare on every built-in, both
-    modes, hash to the digests recorded in ``c10_digests.json`` (wall_time
-    lines masked): the same bytes before and after a refactor."""
+    """The artifacts of solve, converge and compare on every built-in and on
+    ``rotation.json`` (``u(a) != 0``), both modes, hash to the digests
+    recorded in ``c10_digests.json`` (wall_time lines masked): the same bytes
+    before and after a refactor."""
     table = json.loads(_artifacts.TABLE.read_text(encoding="utf-8"))
     here = _artifacts.environment()
     recorded = {key: table[key] for key in here}

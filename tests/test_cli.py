@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -21,15 +22,32 @@ def _run(*argv):
     return main(list(argv))
 
 
-def _run_process(*argv):
-    """Run the CLI in a fresh interpreter; returns (exit code, stderr)."""
+# The CLI behind a cap on its own address space (argv[1], bytes), set
+# before numpy is imported.
+_CAPPED_CLI = """\
+import resource, sys
+cap = int(sys.argv.pop(1))
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
+from ivim.cli import main
+sys.exit(main())
+"""
+
+
+def _run_process(*argv, address_space=None):
+    """Run the CLI in a fresh interpreter; returns (exit code, stderr).
+
+    ``address_space`` (bytes) caps the child's virtual memory through
+    ``RLIMIT_AS``, so that no large allocation can succeed.
+    """
     env = dict(os.environ)
     package_root = str(Path(ivim.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ivim.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    cmd = [sys.executable, "-m", "ivim.cli", *argv]
+    if address_space is not None:
+        env["OPENBLAS_NUM_THREADS"] = "1"  # per-thread buffers count against the cap
+        cmd = [sys.executable, "-c", _CAPPED_CLI, str(address_space), *argv]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
     return proc.returncode, proc.stderr
 
 
@@ -207,8 +225,8 @@ def test_growth_past_limit_exits_1(tmp_path, capsys):
 
 
 def test_solve_nonfinite_exact_exits_1_without_outputs(tmp_path, capsys):
-    # log(t - 2) is NaN on [0, 1]; solve takes its reference from the same
-    # finite-checked closed form as converge
+    # log(t - 2) is NaN on [0, 1]; solve and converge both check the closed
+    # form that the solve evaluated
     doc = {
         "name": "badexact",
         "interval": {"a": 0.0, "T": 1.0},
@@ -218,13 +236,29 @@ def test_solve_nonfinite_exact_exits_1_without_outputs(tmp_path, capsys):
     }
     path = tmp_path / "badexact.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    out = tmp_path / "out"
-    code = _run("solve", "--problem", str(path), "--n", "33", "--m", "2",
-                "--out-dir", str(out))
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "error" in err and "reference values must be finite" in err
-    assert not (out / "solution.csv").exists()
+    for argv in (["solve", "--n", "33", "--m", "2"], ["converge", "--n-list", "9,17", "--m", "2"]):
+        out = tmp_path / argv[0]
+        assert _run(*argv, "--problem", str(path), "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "ivim: error: reference values must be finite: closed_form component 1 "
+            "is nan at t=0.0\n"
+        )
+        assert not out.exists()
+
+
+def test_each_closed_form_is_evaluated_once_per_solve(tmp_path, monkeypatch):
+    calls = []
+    system, doc = get_problem("ex3")
+    counted = dataclasses.replace(system, exact=lambda t: calls.append(t.size) or system.exact(t))
+    monkeypatch.setattr(ivim.cli, "get_problem", lambda source: (counted, doc))
+    for argv, sizes in [
+        (["solve", "--n", "17", "--m", "2"], [17]),
+        (["converge", "--n-list", "9,17,33", "--m", "2"], [9, 17, 33]),
+        (["converge", "--m-list", "1,2", "--n", "9"], [9, 9]),
+    ]:
+        calls.clear()
+        assert _run(*argv, "--problem", "ex3", "--out-dir", str(tmp_path / argv[0])) == 0
+        assert calls == sizes
 
 
 def test_huge_integer_alpha_exits_1(tmp_path, capsys):
@@ -323,6 +357,19 @@ def test_non_number_field_exits_1_naming_it(tmp_path, where, value, message):
     assert code == 1
     assert "Traceback" not in err
     assert err.startswith("ivim: error: ") and message in err
+    assert not out.exists()
+
+
+def test_unknown_key_exits_1_naming_it(tmp_path):
+    doc = json.loads(json.dumps(_PENDULUM))
+    doc["exacts"] = ["cos(t)", "-sin(t)"]
+    path = _write_problem(tmp_path, doc)
+    out = tmp_path / "out"
+    code, err = _run_process("solve", "--problem", str(path), "--n", "9", "--m", "2",
+                             "--out-dir", str(out))
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.startswith("ivim: error: unknown key 'exacts' in the problem document")
     assert not out.exists()
 
 
@@ -562,14 +609,22 @@ def test_converge_non_doubling_points_leave_order_blank(tmp_path):
 
 
 def test_converge_requires_one_sweep(tmp_path, capsys):
-    code = _run("converge", "--problem", "ex1", "--m", "5",
-                "--out-dir", str(tmp_path / "x"))
-    assert code == 1
-    code = _run("converge", "--problem", "ex1", "--m", "5", "--n", "10",
-                "--n-list", "3,5", "--m-list", "1,2",
-                "--out-dir", str(tmp_path / "y"))
-    assert code == 1
-    capsys.readouterr()
+    for argv, message in [
+        (["--m", "5"], "provide exactly one of --n-list or --m-list"),
+        (["--m", "5", "--n", "10", "--n-list", "3,5", "--m-list", "1,2"],
+         "provide exactly one of --n-list or --m-list"),
+        (["--n-list", "3,5"], "--n-list requires a fixed --m"),
+        (["--m-list", "1,2"], "--m-list requires a fixed --n"),
+        # a fixed value the sweep would ignore
+        (["--n", "5", "--m-list", "1,2", "--m", "3"],
+         "--m cannot be combined with --m-list, which gives every m"),
+        (["--n-list", "3,5", "--m", "2", "--n", "9"],
+         "--n cannot be combined with --n-list, which gives every n"),
+    ]:
+        out = tmp_path / "x"
+        assert _run("converge", "--problem", "ex1", *argv, "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err == f"ivim: error: {message}\n"
+        assert not out.exists()
 
 
 def test_converge_rejects_unsorted_list(tmp_path, capsys):
@@ -577,6 +632,21 @@ def test_converge_rejects_unsorted_list(tmp_path, capsys):
                 "--n-list", "65,33", "--out-dir", str(tmp_path / "x"))
     assert code == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("5,x", "--n-list must be a comma-separated list of integers"),
+        (",", "--n-list must not be empty"),
+    ],
+)
+def test_converge_rejects_a_malformed_list(tmp_path, capsys, text, message):
+    out = tmp_path / "x"
+    assert _run("converge", "--problem", "ex1", "--m", "5",
+                "--n-list", text, "--out-dir", str(out)) == 1
+    assert capsys.readouterr().err == f"ivim: error: {message}\n"
+    assert not out.exists()
 
 
 def test_compare_constant_problem_gaps_zero(tmp_path):
@@ -614,6 +684,41 @@ def test_compare_subnormal_step_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error" in err and "step 1e-320" in err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, shape",
+    [
+        (("solve", "--n", "1000000000000", "--m", "1"), "(1000000000000,)"),
+        (("compare", "--n", "5", "--m", "1", "--rk4-step", "1e-12"), "(1, 1000000000001)"),
+    ],
+    ids=["solve", "compare"],
+)
+def test_size_too_large_for_memory_exits_1(tmp_path, argv, shape):
+    # 7.28 TiB of float64; under a 3 GiB address-space cap no allocation
+    # that size can succeed, whatever the host's overcommit policy
+    out = tmp_path / "out"
+    code, err = _run_process(*argv, "--problem", "ex1", "--out-dir", str(out),
+                             address_space=3 << 30)
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.startswith(
+        f"ivim: error: Unable to allocate 7.28 TiB for an array with shape {shape}")
+    assert not out.exists()
+
+
+def test_atomic_write_keeps_the_old_file_when_a_chunk_fails(tmp_path):
+    target = tmp_path / "solution.csv"
+    target.write_text("old\n", encoding="utf-8")
+
+    def chunks():
+        yield "new\n"
+        raise RuntimeError("formatting failed")
+
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        ivim.cli._write_text_atomic(target, chunks())
+    assert target.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["solution.csv"]  # no .tmp left
 
 
 def test_compare_tracks_reference(tmp_path):

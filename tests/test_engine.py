@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -7,7 +8,9 @@ from ivim import (
     DivergenceError,
     IvpSystem,
     PiecewiseLinear,
+    ReferenceSolution,
     SolveConfig,
+    error_metrics,
     eval_solution,
     exp_multiplier,
     get_problem,
@@ -69,8 +72,34 @@ def test_forcing_with_nonzero_initial_value():
     t = rep.grid.nodes
     vals = rep.nodal_values()[0]
     assert np.max(np.abs(vals - np.exp(t))) < 5e-5
-    # the report's errors compare like with like: u - u_a against exact - u_a
-    assert np.allclose(rep.errors, np.abs(vals - np.exp(t)), rtol=0, atol=1e-15)
+    assert np.array_equal(rep.errors, np.abs(vals - np.exp(t)))
+
+
+_ROTATION = IvpSystem(  # u(a) != 0 and a nonzero alpha
+    alphas=(0.0, 0.5), a=0.0, T=1.0, initial=(1.0, 0.0),
+    rhs=(lambda t, U: U[1], lambda t, U: -U[0]),
+    exact=lambda t: np.vstack([np.cos(t), -np.sin(t)]),
+)
+
+
+@pytest.mark.parametrize("mode", ["paper", "full_trapezoid"])
+def test_errors_are_error_metrics_against_the_kept_closed_form(mode):
+    # the closed form is evaluated once, kept unshifted, and the error is
+    # |u - exact| with u = w + u_a, as error_metrics computes it
+    calls = []
+    counted = dataclasses.replace(
+        _ROTATION, exact=lambda t: calls.append(t.size) or _ROTATION.exact(t)
+    )
+    rep = solve(counted, SolveConfig(n=257, m_max=5, mode=mode))
+    assert calls == [257]
+    nodes = rep.grid.nodes
+    assert np.array_equal(rep.exact, np.atleast_2d(_ROTATION.exact(nodes)))
+    assert not rep.exact.flags.writeable
+    ref = ReferenceSolution(nodes, rep.exact, ("closed_form", "rotation"))
+    assert np.array_equal(rep.errors, error_metrics(rep, ref).per_node_abs)
+    no_closed_form = dataclasses.replace(_ROTATION, exact=None)
+    rep = solve(no_closed_form, SolveConfig(n=9, m_max=1, mode=mode))
+    assert rep.exact is None and rep.errors is None
 
 
 # --- one-step exactness -----------------------------------------------------------
@@ -272,6 +301,36 @@ def test_system_rejects_nonfinite_alpha_and_endpoints(fields, message):
     args.update(fields)
     with pytest.raises(ValueError, match=re.escape(message)):
         IvpSystem(**args)
+
+
+_TWO = dict(alphas=(0.0, 0.0), a=0.0, T=1.0, initial=(0.0, 0.0),
+            rhs=(lambda t, U: U[1], lambda t, U: U[0]))
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"alphas": (), "initial": (), "rhs": ()}, "system needs at least one equation"),
+        ({"initial": (0.0,)}, "initial has 1 entries for 2 equation(s)"),
+        ({"rhs": _TWO["rhs"][:1]}, "rhs has 1 entries for 2 equation(s)"),
+        ({"forcing": (None,)}, "forcing must have one entry per equation"),
+        ({"guess": (None, None, None)}, "guess must have one entry per equation"),
+        ({"rhs": None}, "each equation needs rhs or forcing"),
+    ],
+)
+def test_system_rejects_miscounted_fields(fields, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        IvpSystem(**dict(_TWO, **fields))
+
+
+def test_step_rejects_unknown_mode_and_wrong_state_length():
+    sys_ = IvpSystem(**_TWO)
+    grid = make_grid(0.0, 1.0, 9)
+    mults = [exp_multiplier(0.0)] * 2
+    with pytest.raises(ValueError, match=re.escape("mode='trapezoid', choose from")):
+        ivim_step(_zero_state(grid, 2), sys_, grid, mults, "trapezoid")
+    with pytest.raises(ValueError, match="state must have one element per equation"):
+        ivim_step(_zero_state(grid, 1), sys_, grid, mults)
 
 
 def test_step_rejects_multipliers_of_other_alphas():

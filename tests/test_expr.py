@@ -144,6 +144,14 @@ def test_overflowing_number_literal_is_rejected(src, offset):
     assert err.value.position == offset
 
 
+def test_superscript_digit_is_a_malformed_number():
+    # str.isdigit accepts U+00B2 but float() does not
+    with pytest.raises(ExprError) as err:
+        parse("\u00b2")
+    assert err.value.reason == "malformed number '\u00b2'"
+    assert err.value.position == 0
+
+
 def test_underflowing_and_largest_finite_literals_parse():
     assert parse("1e-400") == Const(0.0)
     biggest = parse("1.7976931348623157e308")  # the largest finite literal reparses
@@ -199,6 +207,10 @@ def test_eval_log_domain_error():
 def test_eval_nonfinite_result():
     with pytest.raises(ExprError):
         eval_expr(parse("exp(u)"), {"u": 1e6})
+    with pytest.raises(ExprError) as err:
+        eval_expr(parse("10^400"), {})
+    assert err.value.reason == "overflow in '10^400': pow(10.0, 400.0)"
+    assert err.value.position == 2
 
 
 # --- validate_vars --------------------------------------------------------------

@@ -41,6 +41,12 @@ def test_make_grid_invalid_interval(a, T, n):
         make_grid(a, T, n)
 
 
+@pytest.mark.parametrize("a,T", [(float("nan"), 1.0), (0.0, float("inf")), (float("-inf"), 0.0)])
+def test_make_grid_nonfinite_endpoints(a, T):
+    with pytest.raises(ValueError, match="grid endpoints must be finite"):
+        make_grid(a, T, 5)
+
+
 def test_make_grid_too_few_nodes():
     with pytest.raises(ValueError, match="too few nodes"):
         make_grid(0, 1, 1)

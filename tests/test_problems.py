@@ -114,6 +114,19 @@ def test_schema_validation_errors():
     bad_exact = dict(base, exact=["u + 1"])
     with pytest.raises(ValueError, match="'u'"):
         problem_from_dict(bad_exact)
+    # a key outside the schema is an error naming it and where it sits
+    for doc, message in [
+        (dict(base, exacts=["t"]),
+         "unknown key 'exacts' in the problem document; "
+         "allowed: name, interval, equations, initial, exact, guess"),
+        (dict(base, equations=[{"alpha": 0.0, "alhpa": 1.0, "rhs": "u"}]),
+         "unknown key 'alhpa' in equation 1; allowed: alpha, rhs"),
+        (dict(base, interval={"a": 0.0, "T": 1.0, "b": 2.0}),
+         "unknown key 'b' in interval; allowed: a, T"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            problem_from_dict(doc)
+        assert str(err.value) == message
     # every number field takes a JSON number only, and an error names the field
     for field, value, message in [
         ("alpha", None, "alpha of equation 1 must be a number, got null"),

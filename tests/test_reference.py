@@ -221,6 +221,29 @@ def test_error_metrics_rejects_sparser_reference():
         error_metrics(rep, ref)
 
 
+def test_error_metrics_rejects_a_mismatched_reference():
+    rep = _report_from_values(make_grid(0, 1, 5), [np.zeros(5)])
+    two = ReferenceSolution(np.linspace(0, 1, 5), np.zeros((2, 5)), ("closed_form", "x"))
+    with pytest.raises(ValueError, match="component mismatch: reference has 2, solution 1"):
+        error_metrics(rep, two)
+    short = ReferenceSolution(np.linspace(0, 0.5, 9), np.zeros((1, 9)), ("rk4", 0.0625))
+    with pytest.raises(ValueError, match="reference does not cover the solution interval"):
+        error_metrics(rep, short)
+
+
+@pytest.mark.parametrize(
+    "nodes, values, message",
+    [
+        ([0.0, 0.5, 1.0], np.zeros((1, 2)), "values and nodes do not line up"),
+        ([0.0, 0.5, 0.5], np.zeros((1, 3)), "nodes must be strictly increasing"),
+        ([0.0, 1.0, 0.5], np.zeros((1, 3)), "nodes must be strictly increasing"),
+    ],
+)
+def test_reference_solution_rejects_misaligned_or_unordered_nodes(nodes, values, message):
+    with pytest.raises(ValueError, match=message):
+        ReferenceSolution(np.array(nodes), values, ("rk4", 0.5))
+
+
 def test_error_metrics_symmetric_in_values():
     grid = make_grid(0, 1, 4)
     a = np.array([[0.0, 0.5, 1.0, 0.25]])
