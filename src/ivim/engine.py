@@ -141,6 +141,8 @@ class IvpSystem:
                 raise ValueError(f"{what} must be finite, got {value!r}")
         if T <= a:
             raise ValueError(f"invalid interval: T={T} must exceed a={a}")
+        if not np.isfinite(T - a):
+            raise ValueError(f"interval length T - a must be finite, got {T - a!r}")
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "a", a)

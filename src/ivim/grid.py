@@ -58,7 +58,8 @@ def make_grid(a: float, T: float, n: int) -> Grid:
     Raises
     ------
     ValueError
-        If ``T <= a`` (invalid interval) or ``n < 2`` (too few nodes).
+        If an endpoint or ``T - a`` is not finite, ``T <= a`` (invalid
+        interval) or ``n < 2`` (too few nodes).
     """
     a = float(a)
     T = float(T)
@@ -66,6 +67,8 @@ def make_grid(a: float, T: float, n: int) -> Grid:
         raise ValueError("grid endpoints must be finite")
     if T <= a:
         raise ValueError(f"invalid interval: T={T} must exceed a={a}")
+    if not np.isfinite(T - a):
+        raise ValueError(f"interval length T - a must be finite, got {T - a!r}")
     n = int(n)
     if n < 2:
         raise ValueError(f"too few nodes: n={n}, need at least 2")

@@ -208,6 +208,9 @@ def load_problem_file(path) -> tuple:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed JSON in {path}: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            # not UTF-8, an integer too long to convert, or nested too deep
+            raise ValueError(f"cannot read {path} as JSON: {exc}") from exc
     return problem_from_dict(doc), doc
 
 

@@ -56,6 +56,10 @@ class ReferenceSolution:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
 
+    def at(self, nodes) -> np.ndarray:
+        """Each component interpolated linearly onto ``nodes``: (k, len(nodes))."""
+        return np.vstack([np.interp(nodes, self.nodes, row) for row in self.values])
+
 
 @dataclass(frozen=True)
 class ErrorMetrics:
@@ -174,8 +178,9 @@ def error_metrics(sol: SolveReport, ref: ReferenceSolution) -> ErrorMetrics:
     """Per-node absolute error (max over components) and its log10.
 
     The reference must cover the solution nodes and be at least as dense;
-    it is interpolated linearly onto the solution grid when finer.  A log10
-    of an exact zero is reported as -inf.
+    ``ref.at`` puts it on the solution grid.  The log10 of an exact zero is
+    -inf and of a NaN error NaN.  ``ivim converge`` reads a closed form's
+    error from ``report.errors``, which has the bits of ``per_node_abs``.
     """
     nodes = sol.grid.nodes
     if ref.values.shape[0] != sol.k:
@@ -190,14 +195,9 @@ def error_metrics(sol: SolveReport, ref: ReferenceSolution) -> ErrorMetrics:
     pad = 1e-12 * (sol.grid.T - sol.grid.a)
     if ref.nodes[0] > sol.grid.a + pad or ref.nodes[-1] < sol.grid.T - pad:
         raise ValueError("reference does not cover the solution interval")
-    sol_vals = sol.nodal_values()
-    ref_vals = np.vstack(
-        [np.interp(nodes, ref.nodes, ref.values[j]) for j in range(sol.k)]
-    )
-    per_node = np.max(np.abs(sol_vals - ref_vals), axis=0)
-    per_log = np.full_like(per_node, -np.inf)
-    positive = per_node > 0.0
-    per_log[positive] = np.log10(per_node[positive])
+    per_node = np.max(np.abs(sol.nodal_values() - ref.at(nodes)), axis=0)
+    with np.errstate(divide="ignore"):  # an exact zero is -inf
+        per_log = np.log10(per_node)
     return ErrorMetrics(
         max_abs=float(np.max(per_node)),
         per_node_abs=per_node,

@@ -10,7 +10,14 @@ import pytest
 
 import ivim
 import ivim.cli
-from ivim import SolveConfig, error_metrics, get_problem, rk4_reference, solve
+from ivim import (
+    ReferenceSolution,
+    SolveConfig,
+    error_metrics,
+    get_problem,
+    rk4_reference,
+    solve,
+)
 from ivim.cli import main
 
 
@@ -327,6 +334,52 @@ def test_nonfinite_alpha_or_endpoint_exits_1_without_outputs(tmp_path, command, 
     assert not out.exists()
 
 
+def test_overflowing_interval_length_exits_1_without_warnings(tmp_path):
+    # both endpoints are finite and their distance is not; the problem is
+    # rejected by that length before numpy sees the interval
+    doc = {
+        "name": "huge",
+        "interval": {"a": -1e308, "T": 1e308},
+        "equations": [{"alpha": 0.0, "rhs": "1"}],
+        "initial": [0.0],
+    }
+    path = _write_problem(tmp_path, doc)
+    out = tmp_path / "out"
+    code, err = _run_process("solve", "--problem", str(path), "--n", "5", "--m", "2",
+                             "--out-dir", str(out))
+    assert code == 1
+    assert err == "ivim: error: interval length T - a must be finite, got inf\n"
+    assert "Warning" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "content, cause",
+    [
+        (b"[" * 100_000 + b"]" * 100_000,
+         "maximum recursion depth exceeded while decoding a JSON array"),
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b'{"initial": [' + b"1" * 5000 + b"]}",
+         "Exceeds the limit (4300 digits) for integer string conversion"),
+    ],
+    ids=["nested-too-deep", "not-utf-8", "integer-too-long"],
+)
+def test_unreadable_problem_file_exits_1_naming_it(tmp_path, content, cause):
+    # json.load raises RecursionError past its nesting limit, and a
+    # ValueError on bytes that are not UTF-8 or an integer past Python's digit
+    # limit; none of them names the file
+    path = tmp_path / "problem.json"
+    path.write_bytes(content)
+    out = tmp_path / "out"
+    code, err = _run_process("solve", "--problem", str(path), "--n", "5", "--m", "2",
+                             "--out-dir", str(out))
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.startswith(f"ivim: error: cannot read {path} as JSON: {cause}")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "where, value, message",
     [
@@ -522,6 +575,36 @@ def test_converge_runs_one_rk4_reference(tmp_path, monkeypatch, sweep, n_max):
     code = _run("converge", "--problem", str(path), *sweep, "--out-dir", str(tmp_path / "out"))
     assert code == 0
     assert steps == [2.0 / (100 * (n_max - 1))]
+
+
+@pytest.mark.parametrize("mode", ["paper", "full_trapezoid"])
+def test_converge_scores_a_closed_form_by_the_solve_errors(tmp_path, monkeypatch, mode):
+    # a closed form is scored by report.errors, in the bits error_metrics
+    # gives against it; only an RK4 reference goes through error_metrics
+    calls = []
+
+    def counting(report, ref):
+        calls.append(ref.source[0])
+        return error_metrics(report, ref)
+
+    monkeypatch.setattr(ivim.cli, "error_metrics", counting)
+    sweep = ("--m", "4", "--n-list", "9,17,33")
+    for name in ("ex1", "ex2", "ex3"):
+        out = tmp_path / name
+        assert _run("converge", "--problem", name, "--mode", mode, *sweep,
+                    "--out-dir", str(out)) == 0
+        system, _ = get_problem(name)
+        expected = []
+        for n in (9, 17, 33):
+            report = solve(system, SolveConfig(n=n, m_max=4, mode=mode))
+            ref = ReferenceSolution(report.grid.nodes, report.exact, ("closed_form", name))
+            expected.append(error_metrics(report, ref).max_abs)
+        assert json.loads((out / "summary.json").read_text())["max_abs"] == expected
+    assert calls == []
+    path = _write_problem(tmp_path, _PENDULUM)
+    assert _run("converge", "--problem", str(path), "--mode", mode, *sweep,
+                "--out-dir", str(tmp_path / "pendulum")) == 0
+    assert calls == ["rk4"] * 3
 
 
 def test_converge_rejects_bad_point_before_the_reference(tmp_path, capsys):
@@ -753,11 +836,16 @@ def test_export_writes_schema_fields(tmp_path):
     assert set(doc) >= {"name", "interval", "equations", "initial", "exact", "guess"}
 
 
-def test_unknown_problem_exits_1(tmp_path, capsys):
+def test_missing_problem_file_exits_3_naming_it(tmp_path, capsys):
+    # a name that is neither a built-in nor a file is an I/O failure
+    out = tmp_path / "x"
     code = _run("solve", "--problem", "nope.json", "--n", "5", "--m", "1",
-                "--out-dir", str(tmp_path / "x"))
-    assert code in (1, 3)  # missing file surfaces as an input/i-o failure
-    capsys.readouterr()
+                "--out-dir", str(out))
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "ivim: i/o error: [Errno 2] No such file or directory: 'nope.json'\n"
+    )
+    assert not out.exists()
 
 
 def test_bad_flags_exit_1(capsys):

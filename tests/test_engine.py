@@ -293,6 +293,7 @@ def test_system_rejects_nonfinite_initial_value(bad):
         ({"alphas": (float("-inf"), 0.0)}, "alpha of equation 1 must be finite, got -inf"),
         ({"a": float("nan")}, "interval endpoint a must be finite, got nan"),
         ({"T": float("inf")}, "interval endpoint T must be finite, got inf"),
+        ({"a": -1e308, "T": 1e308}, "interval length T - a must be finite, got inf"),
     ],
 )
 def test_system_rejects_nonfinite_alpha_and_endpoints(fields, message):

@@ -41,9 +41,16 @@ def test_make_grid_invalid_interval(a, T, n):
         make_grid(a, T, n)
 
 
-@pytest.mark.parametrize("a,T", [(float("nan"), 1.0), (0.0, float("inf")), (float("-inf"), 0.0)])
+@pytest.mark.parametrize(
+    "a,T", [(float("nan"), 1.0), (0.0, float("inf")), (float("-inf"), 0.0), (-1e308, 1e308)]
+)
 def test_make_grid_nonfinite_endpoints(a, T):
-    with pytest.raises(ValueError, match="grid endpoints must be finite"):
+    # finite endpoints whose distance overflows are rejected by that length
+    if np.isfinite(a) and np.isfinite(T):
+        message = "interval length T - a must be finite, got inf"
+    else:
+        message = "grid endpoints must be finite"
+    with pytest.raises(ValueError, match=message):
         make_grid(a, T, 5)
 
 

@@ -1,4 +1,7 @@
 import importlib
+import importlib.util
+import sys
+from pathlib import Path
 
 import ivim
 
@@ -46,3 +49,21 @@ def test_public_names_are_the_modules_exports():
         for name in module_names:
             assert getattr(ivim, name) is getattr(module, name), name
     assert ivim.expr.__all__ == _PUBLIC["expr"]
+
+
+def test_benchmark_hook_targets_exist(monkeypatch):
+    # bench/spans.py patches these names; a missing one aborts a traced
+    # benchmark run with HookError. Loaded without writing bytecode there.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("_bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # dataclasses look it up
+    spec.loader.exec_module(spans)
+    for module_name, attr, *_ in spans.HOOKS:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), attr
+    tracer = spans.Tracer()
+    tracer.install()  # also patches ivim.cli.get_problem; HookError names a missing target
+    tracer.uninstall()
+    assert ivim.cli.get_problem is ivim.problems.get_problem
+    assert ivim.cli.error_metrics is ivim.reference.error_metrics

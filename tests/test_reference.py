@@ -192,6 +192,14 @@ def test_error_metrics_single_offset():
     m = error_metrics(rep, ref)
     assert m.max_abs == pytest.approx(1e-3, rel=1e-12)
     assert m.per_node_log10[2] == pytest.approx(-3.0, abs=1e-12)
+    # a NaN error stays NaN in log10, as in ivim solve, not the -inf of an
+    # exact match
+    bad = sol.copy()
+    bad[0, 2] = np.nan
+    m = error_metrics(_report_from_values(grid, bad), ref)
+    assert np.isnan(m.max_abs)
+    assert np.isnan(m.per_node_log10[2])
+    assert np.array_equal(np.delete(m.per_node_log10, 2), np.full(4, -np.inf))
 
 
 def test_error_metrics_component_max():
@@ -211,6 +219,18 @@ def test_error_metrics_interpolates_denser_reference():
     ref = ReferenceSolution(nodes=fine, values=(2.0 * fine)[None, :], source=("rk4", 0.025))
     m = error_metrics(rep, ref)
     assert m.max_abs <= 1e-14
+
+
+def test_reference_at_is_the_stacked_interpolation():
+    # a coarse RK4 run put onto nodes that fall on and between its own nodes
+    system = _damped_pendulum()
+    ref = rk4_reference(system, 0.05)
+    for nodes in (ref.nodes, np.linspace(system.a, system.T, 97), np.array([0.0125])):
+        expected = np.vstack([np.interp(nodes, ref.nodes, row) for row in ref.values])
+        got = ref.at(nodes)
+        assert got.shape == (2, nodes.size)
+        assert np.array_equal(got, expected)
+    assert np.array_equal(ref.at(ref.nodes), ref.values)
 
 
 def test_error_metrics_rejects_sparser_reference():
