@@ -30,28 +30,40 @@ over earlier blocks on to the next block start.  When ``|alpha| (T - a) <= 30``
 the whole grid is one block.  For ``alpha < 0`` the weights grow along the
 interval, so ``-alpha (T - a)`` is limited to 700 to keep them finite.
 
-The weights depend only on ``alpha``, the grid and the mode, so ``_plan``
-builds them once per solve (once per call of ``ivim_step``): per equation
-the block bounds, ``e^{alpha(t - t_s)}``, ``h e^{-alpha(t - t_s)}``, the
-scalar carry factor of each block, the ``full_trapezoid`` endpoint column and
-one reusable prefix buffer; the growth limit is checked there, before any
-right-hand side is evaluated.  A sweep then writes one preallocated (k, n)
-array with one multiply, one in-place cumulative sum and one multiply-add per
-node: 6 ns per node-sweep at n = 65537 in one block, against 32 ns
-(``alpha = 0``) and 28 ns (``alpha = 1``) when each sweep re-derived its
-weights, and 11 ns against 21 ns at ``alpha = 60``, n = 4097, in two blocks
-(2-vCPU x86-64 host, numpy 2.4).  Per-node weights of another quadrature,
-such as exponential-integrator weights for the first, interior and last node,
-belong in the same plan.  The finiteness of a sweep is read off the nodal
-max norm that the divergence cap needs anyway; only a non-finite norm starts
-the search for the equation and node to report.
+The weights depend only on ``alpha``, the grid and the mode, and the parts
+of a right-hand side in ``t`` alone only on the grid, so ``_plan`` builds
+both once per solve (once per call of ``ivim_step``), after checking the
+growth limit: per equation the block bounds, ``e^{alpha(t - t_s)}``,
+``h e^{-alpha(t - t_s)}``, the carry factor of each block and the
+``full_trapezoid`` endpoint column (for ``alpha = 0`` the weights are
+exactly 1, so none is stored and ``h``, ``h/2`` are scalars), one prefix
+buffer for all equations, and the coefficient's binding.  A ``forcing``
+equation's ``g - alpha*u_a`` is computed there; a right-hand side compiled
+by ``problems`` carries ``split = (pre, main)``, and ``pre(nodes)`` gives its
+state-free subtrees (ex2's ``5/3`` and ``cos(t)``) for each sweep's
+``main(nodes, U, p)``.  Any other callable, hand-written or wrapped (such as
+the ``--trace 1`` rhs wrappers of ``bench/spans.py``), is called whole on
+every sweep.  The plan holds no (k, n) work array.  A sweep writes its
+coefficients and new iterate with one multiply (a copy for ``alpha = 0``),
+one in-place cumulative sum and one multiply-add per node, and takes the
+successive difference in the spent coefficients: the update costs 6 ns per
+node-sweep at n = 65537 in one block, against 32 ns (``alpha = 0``) and
+28 ns (``alpha = 1``) when each sweep re-derived its weights, and 11 ns
+against 21 ns at ``alpha = 60``, n = 4097, in two blocks; a whole sweep at
+n = 65537 takes 2.4 ms on ex2 and 2.8 ms on ex3, against 3.7 and 5.6 ms when
+it evaluated the whole right-hand side (2-vCPU x86-64 host, numpy 2.4).
+Per-node weights of another quadrature, such as exponential-integrator
+weights for the first, interior and last node, belong in the same plan.
+The finiteness of a sweep is read off the nodal max norm that the
+divergence cap needs anyway; only a non-finite norm starts the search for
+the equation and node to report.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -98,7 +110,7 @@ class IvpSystem:
 
     ``rhs[k]`` is the complete right-hand side, called as ``rhs[k](t, state)``
     where ``state`` is indexable by equation (``state[j]``); the solver passes
-    numpy arrays and the result must broadcast accordingly, while
+    numpy arrays and the result must broadcast to the shape of ``t``, while
     ``rk4_reference`` passes float64 scalars.  The solver evaluates it at the
     iterate plus the initial values, so it always sees the unshifted state.
 
@@ -232,52 +244,67 @@ class SolveReport:
         return shifted + np.asarray(self.u_a)[:, None]
 
 
-def _coefficients(sys: IvpSystem, t: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Integrand coefficients c, shape (k, n); H(s,t) = -e^{alpha(s-t)} c(s).
-
-    ``W`` is the shifted iterate ``u - u_a``; the right-hand sides see
-    ``W + u_a``.  A non-finite coefficient passes silently and is reported
-    by the caller's finiteness check on the update.
-    """
-    ua = np.asarray(sys.initial)
-    U = W + ua[:, None]
-    C = np.empty((sys.k, t.size))
-    with np.errstate(all="ignore"):
-        for j in range(sys.k):
-            if sys.forcing is not None and sys.forcing[j] is not None:
-                C[j] = sys.forcing[j](t) - sys.alphas[j] * ua[j]
-            else:
-                C[j] = sys.alphas[j] * W[j] + sys.rhs[j](t, U)
-    return C
-
-
 @dataclass(frozen=True)
-class _Scan:
-    """One equation's blocked scan on one grid: what every sweep reuses.
+class _Equation:
+    """One equation's part of a solve's plan: what every sweep reuses.
 
-    Block ``(s, e, decay)`` covers nodes ``s .. e-1`` and hands its sum on to
-    node ``e`` through ``decay = e^{-alpha(t_e - t_s)}`` (None for the last
-    block).  Within each block ``fwd = e^{alpha(t - t_s)}`` and
-    ``bwd = h e^{-alpha(t - t_s)}``; ``endpoint`` is ``h/2 e^{-alpha(t - t_1)}``
-    over block 0 in ``full_trapezoid`` mode (else None).  ``prefix`` is the
-    cumulative-sum buffer, one node longer than the longest block.
+    The coefficient is ``fixed`` when it does not depend on the state (a
+    ``forcing`` equation: ``g - alpha*u_a``), else ``alpha*w`` plus
+    ``rhs(t, U, *args)``: a right-hand side with ``split = (pre, main)`` is
+    ``main`` with ``args = (pre(t),)``, any other is called as it is.
+
+    Block ``(s, e, decay, fwd, bwd)`` covers nodes ``s .. e-1`` and hands its
+    sum on to node ``e`` through ``decay = e^{-alpha(t_e - t_s)}`` (None for
+    the last block); ``fwd = e^{alpha(t - t_s)}`` and
+    ``bwd = h e^{-alpha(t - t_s)}`` over the block.  ``endpoint`` is
+    ``h/2 e^{-alpha(t - t_1)}`` over block 0 in ``full_trapezoid`` mode (else
+    None).  For ``alpha = 0`` every weight is exactly 1, so there is one
+    block, ``fwd`` is None, and ``bwd`` and ``endpoint`` are the scalars
+    ``h`` and ``h/2``.  ``prefix`` is the cumulative-sum buffer that all
+    equations of a plan share, one node longer than the longest block.
     """
 
+    alpha: float
+    fixed: Optional[np.ndarray]
+    rhs: Callable
+    args: tuple
     blocks: tuple
-    fwd: np.ndarray
-    bwd: np.ndarray
-    endpoint: Optional[np.ndarray]
+    endpoint: Union[np.ndarray, float, None]
     prefix: np.ndarray
 
 
+def _scan(alpha: float, grid: Grid, mode: str) -> tuple:
+    """The blocks and endpoint column of ``_Equation`` for ``alpha`` on ``grid``."""
+    t, h, n = grid.nodes, grid.h, grid.n
+    full = mode == "full_trapezoid"
+    if alpha == 0.0:  # e^{+-0 d} = 1 exactly, for either zero
+        return ((0, n, None, None, h),), 0.5 * h if full else None
+    if abs(alpha) * (t[-1] - t[0]) <= _BLOCK_EXPONENT:
+        size = n
+    else:
+        size = int(_BLOCK_EXPONENT / (abs(alpha) * h)) + 1
+    blocks = []
+    endpoint = None
+    for s in range(0, n, size):
+        e = min(s + size, n)
+        d = t[s:e] - t[s]
+        winv = np.exp(-alpha * d)
+        if s == 0 and full:
+            endpoint = 0.5 * h * winv
+        decay = np.exp(-alpha * (t[e] - t[s])) if e < n else None
+        blocks.append((s, e, decay, np.exp(alpha * d), h * winv))
+    return tuple(blocks), endpoint
+
+
 def _plan(sys: IvpSystem, grid: Grid, mode: str) -> tuple:
-    """The scan of each equation of ``sys`` on ``grid``, built once per solve.
+    """The scan and coefficient of each equation of ``sys`` on ``grid``,
+    built once per solve.
 
     Raises ``ValueError`` for an equation whose weights would grow past
-    ``e^700``, before any right-hand side is evaluated.
+    ``e^700``, before any right-hand side is evaluated.  The parts of the
+    coefficients that depend on ``t`` alone are then evaluated on the nodes
+    and made read-only.
     """
-    t, h, n = grid.nodes, grid.h, grid.n
-    scans = []
     for j, alpha in enumerate(sys.alphas):
         growth = -alpha * (grid.T - grid.a)
         if growth > _GROWTH_EXPONENT_LIMIT:
@@ -285,48 +312,71 @@ def _plan(sys: IvpSystem, grid: Grid, mode: str) -> tuple:
                 f"equation {j + 1}: -alpha*(T-a) = {growth} exceeds "
                 f"{_GROWTH_EXPONENT_LIMIT}; the exponential weights overflow"
             )
-        if abs(alpha) * (t[-1] - t[0]) <= _BLOCK_EXPONENT:
-            size = n
-        else:
-            size = int(_BLOCK_EXPONENT / (abs(alpha) * h)) + 1
-        blocks = []
-        fwd = np.empty(n)
-        bwd = np.empty(n)
-        endpoint = None
-        for s in range(0, n, size):
-            e = min(s + size, n)
-            d = t[s:e] - t[s]
-            fwd[s:e] = np.exp(alpha * d)
-            winv = np.exp(-alpha * d)
-            bwd[s:e] = h * winv
-            if s == 0 and mode == "full_trapezoid":
-                endpoint = 0.5 * h * winv
-            blocks.append((s, e, np.exp(-alpha * (t[e] - t[s])) if e < n else None))
-        scans.append(_Scan(tuple(blocks), fwd, bwd, endpoint, np.empty(size + 1)))
-    return tuple(scans)
+    t = grid.nodes
+    ua = np.asarray(sys.initial)
+    scans = [_scan(alpha, grid, mode) for alpha in sys.alphas]
+    prefix = np.empty(max(e - s for blocks, _ in scans for s, e, *_ in blocks) + 1)
+    equations = []
+    for j, (alpha, (blocks, endpoint)) in enumerate(zip(sys.alphas, scans)):
+        fixed, rhs, args = None, sys.rhs[j], ()
+        with np.errstate(all="ignore"):  # a non-finite value is classified by the sweep
+            if sys.forcing is not None and sys.forcing[j] is not None:
+                fixed = np.asarray(sys.forcing[j](t) - alpha * ua[j])
+                fixed.flags.writeable = False
+            elif hasattr(rhs, "split"):
+                pre, rhs = rhs.split
+                args = (pre(t),)
+                for value in args[0]:
+                    if isinstance(value, np.ndarray):
+                        value.flags.writeable = False
+        equations.append(_Equation(alpha, fixed, rhs, args, blocks, endpoint, prefix))
+    return tuple(equations)
 
 
-def _update(scan: _Scan, c: np.ndarray, out: np.ndarray) -> None:
+def _coefficients(sys: IvpSystem, plan: tuple, t: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Integrand coefficients c, shape (k, n); H(s,t) = -e^{alpha(s-t)} c(s).
+
+    ``W`` is the shifted iterate ``u - u_a``; the right-hand sides see
+    ``W + u_a``.  A non-finite coefficient passes silently and is reported
+    by the caller's finiteness check on the update.
+    """
+    U = W + np.asarray(sys.initial)[:, None]
+    C = np.empty((sys.k, t.size))
+    with np.errstate(all="ignore"):
+        for j, eq in enumerate(plan):
+            if eq.fixed is not None:
+                C[j] = eq.fixed
+            else:
+                np.multiply(eq.alpha, W[j], out=C[j])
+                C[j] += eq.rhs(t, U, *eq.args)
+    return C
+
+
+def _update(eq: _Equation, c: np.ndarray, out: np.ndarray) -> None:
     """Add ``h sum_{r<i} e^{alpha(t_r - t_i)} c_r`` to ``out``, which holds ``h/2 c_i``.
 
     Within a block starting at node s the sum is ``e^{-alpha(t_i - t_s)}``
     times a cumulative sum of ``e^{alpha(t_r - t_s)} c_r``, seeded with the
     carry ``sum_{r<s} e^{alpha(t_r - t_s)} c_r``.  Per node that is one
-    multiply, one in-place cumulative sum and one multiply-add.
+    multiply (a copy for ``alpha = 0``), one in-place cumulative sum and one
+    multiply-add.
     """
     carry = 0.0
-    for s, e, decay in scan.blocks:
-        prefix = scan.prefix[:e - s + 1]
+    for s, e, decay, fwd, bwd in eq.blocks:
+        prefix = eq.prefix[:e - s + 1]
         prefix[0] = carry
-        np.multiply(scan.fwd[s:e], c[s:e], out=prefix[1:])
+        if fwd is None:
+            prefix[1:] = c[s:e]
+        else:
+            np.multiply(fwd, c[s:e], out=prefix[1:])
         if s == 0:
             prefix[1] = 0.0
         np.cumsum(prefix, out=prefix)  # sums over r < i
         terms = prefix[:-1]
-        np.multiply(scan.bwd[s:e], terms, out=terms)
+        np.multiply(bwd, terms, out=terms)
         out[s:e] += terms
-        if scan.endpoint is not None and s == 0:
-            np.multiply(scan.endpoint, c[0], out=terms)  # the s = a endpoint,
+        if eq.endpoint is not None and s == 0:
+            np.multiply(eq.endpoint, c[0], out=terms)  # the s = a endpoint,
             out[s:e] += terms
             prefix[-1] += 0.5 * c[0]  # and through the carry for later blocks
         if decay is not None:
@@ -362,15 +412,17 @@ def _sweep(W: np.ndarray, sys: IvpSystem, grid: Grid, mode: str, plan: tuple) ->
     zero in its first column; ``plan`` is ``_plan(sys, grid, mode)``.  The
     offset ``u_a = sys.initial`` is applied where the coefficients are
     evaluated: the coupled right-hand sides see the full state vector ``u``
-    at each node.  Returns the new iterate as a read-only (k, n) array and
-    its nodal max norm, which is finite: a non-finite update raises here.
+    at each node.  Returns the new iterate as a read-only (k, n) array, its
+    nodal max norm, which is finite: a non-finite update raises here, and the
+    successive difference ``max |new - W|``, taken in the spent coefficient
+    array so that it allocates nothing.
     """
     t = grid.nodes
-    C = _coefficients(sys, t, W)
+    C = _coefficients(sys, plan, t, W)
     with np.errstate(all="ignore"):  # a non-finite update is classified below
         new = np.multiply(C, 0.5 * grid.h)
-        for j, scan in enumerate(plan):
-            _update(scan, C[j], new[j])
+        for j, eq in enumerate(plan):
+            _update(eq, C[j], new[j])
     new[:, 0] = 0.0
     biggest = float(np.max(np.abs(new)))
     if not np.isfinite(biggest):
@@ -384,19 +436,31 @@ def _sweep(W: np.ndarray, sys: IvpSystem, grid: Grid, mode: str, plan: tuple) ->
                     f"non-finite update in equation {j + 1} at node {i + 1} (t={t[i]})"
                 )
     new.flags.writeable = False
-    return new, biggest
+    np.subtract(new, W, out=C)
+    return new, biggest, float(np.max(np.abs(C, out=C)))
 
 
 def _nodal_array(
     state: Sequence[PiecewiseLinear], sys: IvpSystem, grid: Grid, what: str
 ) -> np.ndarray:
-    """Stack ``state``, one element per equation on ``grid``, into a (k, n) array."""
+    """Stack ``state``, one element per equation on ``grid``, into a (k, n) array.
+
+    A non-finite nodal value is an input error that names ``what``, the
+    equation and the node.
+    """
     if len(state) != sys.k:
         raise ValueError(f"{what} must have one element per equation")
     for pl in state:
         if pl.grid.n != grid.n or pl.grid.a != grid.a or pl.grid.T != grid.T:
             raise ValueError(f"{what} grids do not match the solve grid")
-    return np.vstack([pl.values for pl in state])
+    W = np.vstack([pl.values for pl in state])
+    if not np.isfinite(W).all():
+        j, i = (int(x) for x in np.argwhere(~np.isfinite(W))[0])
+        raise ValueError(
+            f"{what} must be finite: equation {j + 1} is {W[j, i]} at node {i + 1} "
+            f"(t={grid.nodes[i]})"
+        )
+    return W
 
 
 def ivim_step(
@@ -419,7 +483,7 @@ def ivim_step(
     alphas = [float(m) for m in mults]
     if alphas != list(sys.alphas):
         raise ValueError(f"mults carry alphas {alphas}, the equations {list(sys.alphas)}")
-    new, _ = _sweep(W, sys, grid, mode, _plan(sys, grid, mode))
+    new, _, _ = _sweep(W, sys, grid, mode, _plan(sys, grid, mode))
     return [PiecewiseLinear(grid, row) for row in new]
 
 
@@ -464,8 +528,7 @@ def solve(
     diffs: list[float] = []
     history: Optional[list] = [] if cfg.keep_history else None
     for _ in range(cfg.m_max):
-        new, biggest = _sweep(W, sys, grid, cfg.mode, plan)
-        diff = float(np.max(np.abs(new - W)))
+        new, biggest, diff = _sweep(W, sys, grid, cfg.mode, plan)
         diffs.append(diff)
         if biggest > _DIVERGENCE_CAP:
             raise DivergenceError(

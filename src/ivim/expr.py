@@ -20,6 +20,7 @@ for ``u^(2/5)``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Union
 
@@ -500,6 +501,29 @@ def free_variables(e: Expr) -> dict[str, int]:
     return found
 
 
+def state_free_subtrees(e: Expr, state: Iterable[str]) -> tuple:
+    """The maximal subtrees of ``e`` that read no variable in ``state`` and
+    apply at least one operator or call, left to right.
+
+    With ``state`` the components of a right-hand side, these are its parts
+    in ``t`` and constants alone: on fixed nodes their values do not change
+    from one evaluation to the next (see ``_generate``'s ``hoisted``).
+    """
+    state = frozenset(state)
+    found = []
+
+    def walk(node: Expr) -> None:
+        if state.isdisjoint(free_variables(node)):
+            if _children(node):
+                found.append(node)
+            return
+        for child in _children(node):
+            walk(child)
+
+    walk(e)
+    return tuple(found)
+
+
 def validate_vars(e: Expr, allowed: Iterable[str]) -> None:
     """Raise ExprError listing every free variable not in ``allowed``."""
     allowed = set(allowed)
@@ -531,6 +555,14 @@ def _odd_root(x, inv):
 
 # the globals of a generated function: the callables its source names
 _NAMESPACE = {**_NP_FUNCS, "divide": np.divide, "power": np.power, "_odd_root": _odd_root}
+
+# The names a generated function binds its constants to, interned for the
+# life of the process.  Otherwise each compile adds them to CPython's table
+# of interned strings and each freed function removes them again; the
+# deleted entries fill the table until it is rebuilt, and a rebuild can
+# double it (about 1 MiB of peak RSS, seen after 300 to 1,000 compiles of
+# one problem in one process).
+_CONST_NAMES = tuple(sys.intern(f"c{i}") for i in range(256))
 
 # np.divide, not '/', so 1/0 on two Python floats is inf
 _BINOPS = {
@@ -564,7 +596,7 @@ def _read_env(name: str, const: Optional[str]) -> str:
     return f"env[{name!r}]" if const is None else f"env.get({name!r}, {const})"
 
 
-def _generate(e: Expr, params: tuple, read: Callable, label: str) -> Callable:
+def _generate(e: Expr, params: tuple, read: Callable, label: str, hoisted: tuple = ()) -> Callable:
     """Compile a validated tree into ``def f(*params): return <expression>``.
 
     ``read(name, const)`` gives the source that loads variable ``name``;
@@ -577,15 +609,29 @@ def _generate(e: Expr, params: tuple, read: Callable, label: str) -> Callable:
     variable name, inside a ``repr``.  ``label`` names the function and its
     file for tracebacks and profiles.  A node that is not an expression
     raises ``TypeError``.
+
+    ``hoisted`` holds subtrees of ``e`` that read no variable but ``t``, as
+    ``state_free_subtrees`` finds them.  When it is not empty, the same
+    source defines ``pre(t)``, returning the tuple of their values, and
+    ``main(*params, p)``, which is ``f`` reading the i-th subtree (matched by
+    identity) as ``p[i]``; ``f.split`` is ``(pre, main)``.  As each subtree
+    is evaluated by the same operations, ``main(*args, pre(t))`` has the bits
+    of ``f(*args)``.  The one exception is a NaN: where numpy reuses a
+    temporary array of 256 KiB or more in place, a sum or product of two
+    NaNs may keep the other one's sign and payload.
     """
     consts: dict = {}
+    slots: dict = {}  # id of a hoisted node -> its index in p, while main is written
 
     def bind(value) -> str:
-        name = f"c{len(consts)}"
+        i = len(consts)
+        name = _CONST_NAMES[i] if i < len(_CONST_NAMES) else f"c{i}"
         consts[name] = value
         return name
 
     def source(node) -> str:
+        if id(node) in slots:
+            return f"p[{slots[id(node)]}]"
         if isinstance(node, Const):
             return bind(node.value)
         if isinstance(node, Var):
@@ -609,8 +655,15 @@ def _generate(e: Expr, params: tuple, read: Callable, label: str) -> Callable:
         raise TypeError(f"not an expression node: {node!r}")
 
     src = f"def f({', '.join(params)}):\n    return {source(e)}\n"
+    if hoisted:
+        src += f"def pre(t):\n    return ({''.join(source(node) + ', ' for node in hoisted)})\n"
+        slots.update((id(node), i) for i, node in enumerate(hoisted))
+        src += f"def main({', '.join(params)}, p):\n    return {source(e)}\n"
     namespace = {**_NAMESPACE, **consts}
     exec(compile(src, f"<{label}>", "exec"), namespace)
-    fn = namespace.pop("f")  # no cycle through its own globals: freed by refcount
+    # no cycle through their own globals: freed by refcount
+    fn = namespace.pop("f")
     fn.__qualname__ = label
+    if hoisted:
+        fn.split = (namespace.pop("pre"), namespace.pop("main"))
     return fn

@@ -29,7 +29,7 @@ import json
 import numpy as np
 
 from .engine import IvpSystem
-from .expr import ExprError, _generate, parse, validate_vars
+from .expr import ExprError, _generate, parse, state_free_subtrees, validate_vars
 
 __all__ = [
     "BUILTIN_PROBLEMS",
@@ -103,6 +103,9 @@ def _compile(src, what: str, k: int = 0):
 
     A right-hand side (``k`` components) compiles to ``f(t, s)`` reading
     ``u_j`` as ``s[j-1]``; ``exact`` and ``guess`` (``k = 0``) to ``f(t)``.
+    A right-hand side with parts in ``t`` alone also carries
+    ``f.split = (pre, main)``, so a solve on fixed nodes evaluates those
+    parts once (see ``expr._generate``).
     """
     if not isinstance(src, str):
         raise _must_be(what, "a string", src)
@@ -112,7 +115,10 @@ def _compile(src, what: str, k: int = 0):
     try:
         tree = parse(src)
         validate_vars(tree, slots)
-        return _generate(tree, ("t", "s") if k else ("t",), slots.get, what)
+        if not k:
+            return _generate(tree, ("t",), slots.get, what)
+        state = set(slots) - {"t"}
+        return _generate(tree, ("t", "s"), slots.get, what, state_free_subtrees(tree, state))
     except ExprError as exc:
         raise ExprError(f"{what}: {exc.reason}", exc.position) from None
 

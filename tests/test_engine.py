@@ -17,6 +17,7 @@ from ivim import (
     ivim_step,
     problem_from_dict,
     make_grid,
+    rk4_reference,
     solve,
     successive_diff_norm,
 )
@@ -271,6 +272,47 @@ def test_solve_rejects_mismatched_u0_grid():
     u0 = [PiecewiseLinear(wrong, np.zeros(20))]
     with pytest.raises(ValueError, match="u0 grids"):
         solve(sys_, SolveConfig(n=50, m_max=2), u0=u0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_nonfinite_iterate_is_an_input_error(bad):
+    # not a "non-finite update" divergence: the argument, equation and node are named
+    sys_, _ = get_problem("ex3")
+    grid = make_grid(sys_.a, sys_.T, 5)
+    state = _state_from(grid, [[0.0, 1.0, 1.0, 1.0, 1.0], [0.0, 1.0, bad, 1.0, 1.0]])
+    where = f"must be finite: equation 2 is {bad} at node 3 (t={grid.nodes[2]})"
+    with pytest.raises(ValueError, match=re.escape(f"u0 {where}") + "$"):
+        solve(sys_, SolveConfig(n=5, m_max=2), u0=state)
+    mults = [exp_multiplier(alpha) for alpha in sys_.alphas]
+    with pytest.raises(ValueError, match=re.escape(f"state {where}") + "$"):
+        ivim_step(state, sys_, grid, mults)
+
+
+_STIFF = {
+    "name": "stiff",
+    "interval": {"a": 0.0, "T": 1.0},
+    "equations": [{
+        "alpha": 60.0,
+        "rhs": "-60*u - 0.2*u^2 + 7*cos(7*t) + 60*(1 + sin(7*t)) + 0.2*(1 + sin(7*t))^2",
+    }],
+    "initial": [1.0],
+    "exact": ["1 + sin(7*t)"],
+}
+
+
+@pytest.mark.parametrize("sys_", [get_problem("ex2")[0], problem_from_dict(_STIFF)], ids=["ex2", "stiff"])
+def test_t_only_part_is_evaluated_once_per_solve(sys_):
+    (f,) = sys_.rhs
+    pre, main = f.split
+    calls = []
+    f.split = (lambda t: calls.append(t.size) or pre(t), main)
+    for m in (1, 4, 9):
+        calls.clear()
+        rep = solve(sys_, SolveConfig(n=257, m_max=m))
+        assert calls == [257] and rep.iterations_run == m
+    calls.clear()
+    rk4_reference(sys_, 0.01)  # calls f itself
+    assert calls == []
 
 
 def test_system_interval_validation():

@@ -19,11 +19,14 @@ from ivim.expr import (
     parse,
     parse_expression,
     pretty,
+    state_free_subtrees,
     tokenize,
     validate_vars,
 )
 
 import numpy as np
+
+from ivim.expr import _children, _generate
 
 
 # --- tokenizer ----------------------------------------------------------------
@@ -446,6 +449,64 @@ def test_compiled_function_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         ref = weakref.ref(compile_array(parse("sin(u) * pi + nthroot(u, 3)")))
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+_STIFF_RHS = "-60*u - 0.2*u^2 + 7*cos(7*t) + 60*(1 + sin(7*t)) + 0.2*(1 + sin(7*t))^2"
+
+
+@pytest.mark.parametrize(
+    "src, state, parts",
+    [
+        ("5/3*nthroot(u^2,5)*cos(t)", {"u"}, ["5/3", "cos(t)"]),  # ex2
+        (
+            "t + 2*sin(t/2)^2 - 8*sin(t/2)^4 + 2*u2^2 - u2 - u1",  # ex3, equation 2
+            {"u1", "u2"},
+            ["t + 2*sin(t/2)^2 - 8*sin(t/2)^4"],
+        ),
+        (_STIFF_RHS, {"u"}, ["-60", "7*cos(7*t)", "60*(1 + sin(7*t))", "0.2*(1 + sin(7*t))^2"]),
+        ("2*u - u^2 + 1", {"u"}, []),  # ex1: bare constants stay in place
+        ("u2", {"u1", "u2"}, []),
+        ("u*pi + t", {"u"}, []),
+        ("sin(t)", {"u"}, ["sin(t)"]),  # the whole tree
+        ("u1 + 2*u", {"u1"}, ["2*u"]),  # only the names in state are state
+    ],
+)
+def test_state_free_subtrees_are_the_maximal_ones_with_an_operation(src, state, parts):
+    tree = parse(src)
+    found = state_free_subtrees(tree, state)
+    assert [pretty(node) for node in found] == parts
+
+    def subtrees(node):
+        yield node
+        for child in _children(node):
+            yield from subtrees(child)
+
+    # the subtrees themselves, not copies: the generator matches them by identity
+    assert all(any(part is node for node in subtrees(tree)) for part in found)
+
+
+def test_split_function_reads_the_hoisted_values():
+    tree = parse(_STIFF_RHS)
+    read = {"t": "t", "u": "s[0]"}.get
+    f = _generate(tree, ("t", "s"), read, "rhs", state_free_subtrees(tree, {"u"}))
+    pre, main = f.split
+    assert (f.__code__.co_varnames, pre.__code__.co_varnames, main.__code__.co_varnames) == (
+        ("t", "s"), ("t",), ("t", "s", "p")
+    )
+    assert f.__code__.co_filename == pre.__code__.co_filename == "<rhs>"
+    t = np.linspace(0.0, 1.0, 9)
+    U = np.cos(3.0 * t)[None, :]
+    p = pre(t)
+    assert len(p) == 4 and p[0] == -60.0
+    assert np.array_equal(main(t, U, p), f(t, U))
+    assert np.array_equal(main(t, U, (0.0, 0.0, 0.0, 0.0)), -0.2 * U[0] ** 2)
+    assert not hasattr(_generate(parse("u"), ("t", "s"), read, "rhs"), "split")
+    gc.disable()  # pre and main hold no cycle back to f either
+    try:
+        ref = weakref.ref(_generate(tree, ("t", "s"), read, "rhs", state_free_subtrees(tree, {"u"})))
         assert ref() is None
     finally:
         gc.enable()

@@ -5,6 +5,7 @@ Hypothesis runs derandomized with a fixed example budget and no deadline,
 so the suite draws the same examples on every run and host.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,7 +23,21 @@ from ivim import (
     solve,
     successive_diff_norm,
 )
-from ivim.expr import BinOp, Call, Const, ExprError, Neg, Var, compile_array, eval_expr
+from ivim.engine import MODES, _plan
+from ivim.expr import (
+    BinOp,
+    Call,
+    Const,
+    ExprError,
+    Neg,
+    Var,
+    _generate,
+    compile_array,
+    eval_expr,
+    pretty,
+    state_free_subtrees,
+)
+from ivim.problems import problem_from_dict
 
 from _oracles import blocked_scan, closure_compile, naive_step
 
@@ -35,11 +50,12 @@ def _settings(examples):
 
 _alphas = st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=2)
 # on [0, 1] the scan is one block while |alpha| <= 30; negative alphas grow
-# the weights up to the limit e^700
-_scan_alphas = st.lists(
-    st.just(0.0) | st.floats(-1.0, 1.0) | st.floats(31.0, 2000.0) | st.floats(-700.0, -31.0),
-    min_size=1, max_size=2,
+# the weights up to the limit e^700; either zero takes the scalar weights
+_scan_alpha = (
+    st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 1.0) | st.floats(31.0, 2000.0)
+    | st.floats(-700.0, -31.0)
 )
+_scan_alphas = st.lists(_scan_alpha, min_size=1, max_size=2)
 _nonzero = st.floats(0.1, 2.0) | st.floats(-2.0, -0.1)
 
 
@@ -149,6 +165,23 @@ def _oracle_sweep(sys_, grid, W, mode):
 @given(_problems(_scan_alphas, 600))
 def test_step_equals_the_blocked_scan_oracle_bit_for_bit(problem):
     sys_, _, n, mode, seed = problem
+    _assert_step_is_the_oracle_sweep(sys_, n, mode, seed)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+@_settings(20)
+@given(data=st.data())
+def test_zero_alpha_scans_with_scalar_weights_bit_for_bit(zero, mode, data):
+    # the e^0 = 1 weights are not stored: no multiply by 1, and h as a scalar
+    alphas = st.tuples(st.just(zero)) | st.tuples(st.just(zero), _scan_alpha)
+    sys_, _, n, _, seed = data.draw(_problems(alphas, 600))
+    grid = make_grid(sys_.a, sys_.T, n)
+    assert _plan(sys_, grid, mode)[0].blocks == ((0, n, None, None, grid.h),)
+    _assert_step_is_the_oracle_sweep(sys_, n, mode, seed)
+
+
+def _assert_step_is_the_oracle_sweep(sys_, n, mode, seed):
     grid = make_grid(sys_.a, sys_.T, n)
     W = np.random.default_rng(seed).normal(size=(sys_.k, n))
     W[:, 0] = 0.0
@@ -247,6 +280,63 @@ def test_compiled_expression_equals_the_closure_tree_bit_for_bit(tree, seed, sha
         for i in range(values.size):
             scalars = {name: np.float64(v[i]) for name, v in env.items()}
             assert _same_bits(got(scalars), want(scalars))
+
+
+@_settings(300)
+@given(_any_tree, st.integers(0, 2**32 - 1))
+def test_split_rhs_has_the_bits_of_the_whole_rhs(tree, seed):
+    hoisted = state_free_subtrees(tree, {"u"})
+    f = _generate(tree, ("t", "s"), {"t": "t", "u": "s[0]"}.get, "rhs", hoisted)
+    if not hoisted:
+        assert not hasattr(f, "split")
+        return
+    pre, main = f.split
+    rng = np.random.default_rng(seed)
+    special = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]
+    values = np.concatenate([rng.normal(scale=3.0, size=13), special])
+    t, U = rng.permutation(values), rng.permutation(values)[None, :]
+    with np.errstate(all="ignore"):
+        got, want = main(t, U, pre(t)), f(t, U)
+    assert type(got) is type(want)
+    assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+
+# trees that pretty() can spell as a problem file: no infinite or NaN constant
+_finite_tree = _trees(
+    st.one_of(
+        st.builds(Const, st.floats(-4.0, 4.0)),
+        st.builds(Const, st.sampled_from([0.0, 1.0, 2.0, 0.5])),
+        st.builds(Var, st.sampled_from(["t", "u", "pi", "e"])),
+    ),
+    _any_node,
+    8,
+)
+
+
+def _outcome(sys_, cfg):
+    try:
+        rep = solve(sys_, cfg)
+    except (ValueError, DivergenceError) as exc:
+        return type(exc), str(exc)
+    return [snap.tobytes() for snap in rep.history], rep.diffs
+
+
+@_settings(150)
+@given(_finite_tree, st.sampled_from([0.0, -0.0, 0.5, -2.0, 45.0]), _nonzero,
+       st.integers(2, 40), st.integers(1, 4))
+def test_solve_of_a_split_rhs_equals_solve_of_the_plain_callable(tree, alpha, ua, n, m):
+    # a wrapped callable carries no split, so its sweeps evaluate the whole rhs
+    doc = {
+        "interval": {"a": 0.0, "T": 1.0},
+        "equations": [{"alpha": alpha, "rhs": pretty(tree)}],
+        "initial": [ua],
+    }
+    split = problem_from_dict(doc)
+    (f,) = split.rhs
+    plain = dataclasses.replace(split, rhs=(lambda t, s: f(t, s),))
+    for mode in MODES:
+        cfg = SolveConfig(n=n, m_max=m, mode=mode, keep_history=True)
+        assert _outcome(split, cfg) == _outcome(plain, cfg)
 
 
 def _positive_node(sub):
