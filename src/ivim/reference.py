@@ -9,8 +9,10 @@ below the quantity being measured.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -71,16 +73,19 @@ class ErrorMetrics:
 def rk4_reference(sys: IvpSystem, step: float) -> ReferenceSolution:
     """Classical 4-stage Runge-Kutta trajectory at fixed step.
 
-    ``step`` must divide the interval to within 1e-9 relative.  Integration
-    starts from the original (unshifted) initial values.  The state is one
-    float64 scalar per component, and each stage calls ``sys.rhs[j](t, state)``
-    with ``state`` a list of those scalars, so a right-hand side may only
-    index it.  Per component the arithmetic is that of
-    ``y + h/6 (k1 + 2 k2 + 2 k3 + k4)``, in that order.  Numpy's floating-point
-    warnings are off for the whole run.  A step that turns the state
-    non-finite raises ``ValueError`` naming the equation and ``t`` if a stage
-    of it returned NaN at a finite state (``f`` outside its domain), and
-    ``DivergenceError`` naming ``t`` otherwise.
+    ``step`` must divide the interval to within 1e-9 relative, into no more
+    steps than one array can hold.  Integration starts from the original
+    (unshifted) initial values.  The state is one ``np.float64`` per
+    component, and each stage calls ``sys.rhs[j](t, state)`` with ``state`` a
+    list of those scalars, so a right-hand side may only index it.  Per
+    component the arithmetic is that of ``y + h/6 (k1 + 2 k2 + 2 k3 + k4)``,
+    in that order.  The steps run in one generated loop per equation count
+    (``_rk4_loop``), which holds the state in locals and writes each step
+    into ``values``.  Numpy's floating-point warnings are off for the whole
+    run.  A step that turns the state non-finite raises ``ValueError`` naming
+    the equation and ``t`` if a stage of it returned NaN at a finite state
+    (``f`` outside its domain), and ``DivergenceError`` naming ``t``
+    otherwise.
     """
     step = float(step)
     if step <= 0.0:
@@ -96,36 +101,66 @@ def rk4_reference(sys: IvpSystem, step: float) -> ReferenceSolution:
             f"step {step} does not divide the interval length {sys.T - sys.a}"
         )
 
-    rhs = sys.rhs
     h = (sys.T - sys.a) / nsteps
-    half = 0.5 * h
-    sixth = h / 6.0
-    y = [np.float64(v) for v in sys.initial]
-    values = np.empty((sys.k, nsteps + 1))
-    values[:, 0] = y
-    t = sys.a
+    try:
+        values = np.empty((sys.k, nsteps + 1))
+    except ValueError as exc:  # past numpy's largest array, before any memory is asked for
+        raise ValueError(
+            f"step {step} gives {nsteps} RK4 steps, too many for one array: {exc}"
+        ) from None
+    values[:, 0] = sys.initial
     with np.errstate(all="ignore"):
-        for i in range(nsteps):
-            k1 = [f(t, y) for f in rhs]
-            s = [yj + half * kj for yj, kj in zip(y, k1)]
-            k2 = [f(t + half, s) for f in rhs]
-            s = [yj + half * kj for yj, kj in zip(y, k2)]
-            k3 = [f(t + half, s) for f in rhs]
-            s = [yj + h * kj for yj, kj in zip(y, k3)]
-            k4 = [f(t + h, s) for f in rhs]
-            y_next = [
-                yj + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-                for yj, a1, a2, a3, a4 in zip(y, k1, k2, k3, k4)
-            ]
-            if not all(map(math.isfinite, y_next)):
-                _reject_nan_stage(rhs, t, y, h)
-                raise DivergenceError(f"RK4 state became non-finite at t={sys.a + (i + 1) * h}")
-            y = y_next
-            t = sys.a + (i + 1) * h
-            for j, yj in enumerate(y):
-                values[j, i + 1] = yj
+        i = _rk4_loop(sys.k)(sys.rhs, values, sys.a, h, nsteps)
+        if i is not None:
+            _reject_nan_stage(sys.rhs, sys.a + i * h, list(values[:, i]), h)
+            raise DivergenceError(f"RK4 state became non-finite at t={sys.a + (i + 1) * h}")
     nodes = np.linspace(sys.a, sys.T, nsteps + 1)
     return ReferenceSolution(nodes=nodes, values=values, source=("rk4", step))
+
+
+@functools.cache
+def _rk4_loop(k: int) -> Callable:
+    """``march(rhs, values, a, h, nsteps)``: the RK4 loop of ``rk4_reference``
+    for ``k`` equations, with the state in locals ``y0 .. y{k-1}``.
+
+    It starts from ``values[:, 0]``, writes step ``i``'s state into
+    ``values[:, i]`` and returns the index of the first step whose new
+    state is not finite, or ``None``.
+    """
+
+    def each(template: str, sep: str = ", ") -> str:
+        return sep.join(template.format(j=j) for j in range(k))
+
+    def stage(n: int, t: str) -> str:
+        return each(f"k{n}_{{j}} = f{{j}}({t}, s)", "; ")
+
+    src = f"""\
+def march(rhs, values, a, h, nsteps):
+    {each("f{j}")}, = rhs
+    {each("y{j}")}, = values[:, 0]
+    {each("r{j}")}, = values
+    half = 0.5 * h
+    sixth = h / 6.0
+    t = a
+    for i in range(1, nsteps + 1):
+        s = [{each("y{j}")}]
+        {stage(1, "t")}
+        s = [{each("y{j} + half * k1_{j}")}]
+        tm = t + half
+        {stage(2, "tm")}
+        s = [{each("y{j} + half * k2_{j}")}]
+        {stage(3, "tm")}
+        s = [{each("y{j} + h * k3_{j}")}]
+        {stage(4, "t + h")}
+        {each("n{j} = y{j} + sixth * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j} + k4_{j})", "; ")}
+        if not ({each("isfinite(n{j})", " and ")}):
+            return i - 1
+        {each("y{j} = r{j}[i] = n{j}", "; ")}
+        t = a + i * h
+"""
+    namespace = {"isfinite": math.isfinite}
+    exec(compile(src, f"<rk4 loop of {k} equations>", "exec"), namespace)
+    return namespace.pop("march")
 
 
 def _reject_nan_stage(rhs, t: float, y: list, h: float) -> None:

@@ -770,6 +770,22 @@ def test_compare_subnormal_step_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "step, nsteps", [("1e-19", 15 * 10**18), ("1e-18", 15 * 10**17)], ids=["dimension", "bytes"]
+)
+def test_rk4_step_count_past_any_array_exits_1(tmp_path, step, nsteps):
+    # numpy refuses these shapes before asking for memory: more elements than
+    # a dimension may hold, or more bytes than an address space has
+    out = tmp_path / "out"
+    code, err = _run_process("compare", "--problem", "ex3", "--n", "3", "--m", "1",
+                             "--rk4-step", step, "--out-dir", str(out))
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.startswith(
+        f"ivim: error: step {step} gives {nsteps} RK4 steps, too many for one array: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv, shape",
     [
         (("solve", "--n", "1000000000000", "--m", "1"), "(1000000000000,)"),

@@ -20,6 +20,7 @@ from ivim import (
     exp_multiplier,
     ivim_step,
     make_grid,
+    rk4_reference,
     solve,
     successive_diff_norm,
 )
@@ -39,7 +40,7 @@ from ivim.expr import (
 )
 from ivim.problems import problem_from_dict
 
-from _oracles import blocked_scan, closure_compile, naive_step
+from _oracles import blocked_scan, closure_compile, naive_step, rk4_march
 
 _CAP = 1e12  # the nodal max norm past which solve reports divergence
 
@@ -337,6 +338,41 @@ def test_solve_of_a_split_rhs_equals_solve_of_the_plain_callable(tree, alpha, ua
     for mode in MODES:
         cfg = SolveConfig(n=n, m_max=m, mode=mode, keep_history=True)
         assert _outcome(split, cfg) == _outcome(plain, cfg)
+
+
+@st.composite
+def _rk4_systems(draw):
+    """A compiled system of k = 1 .. 3 equations with right-hand sides from random trees."""
+    k = draw(st.integers(1, 3))
+    trees = _trees(
+        st.one_of(
+            st.builds(Const, st.floats(-4.0, 4.0)),
+            st.builds(Var, st.sampled_from(["t", "pi", *(f"u{j + 1}" for j in range(k))])),
+        ),
+        _any_node,
+        6,
+    )
+    a = draw(st.floats(-1.0, 1.0))
+    doc = {
+        "interval": {"a": a, "T": a + draw(st.floats(0.25, 2.0))},
+        "equations": [{"alpha": 0.0, "rhs": pretty(draw(trees))} for _ in range(k)],
+        "initial": [draw(st.floats(-2.0, 2.0)) for _ in range(k)],
+    }
+    return problem_from_dict(doc)
+
+
+@_settings(150)
+@given(_rk4_systems(), st.integers(1, 40))
+def test_rk4_reference_equals_the_array_march_bit_for_bit(sys_, nsteps):
+    step = (sys_.T - sys_.a) / nsteps
+    try:
+        want = rk4_march(sys_, nsteps)
+    except ArithmeticError:
+        with pytest.raises((ValueError, DivergenceError)):
+            rk4_reference(sys_, step)
+        return
+    got = rk4_reference(sys_, step).values
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def _positive_node(sub):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from ivim import (
     make_grid,
     rk4_reference,
 )
+from ivim.reference import _rk4_loop
 
 from _oracles import rk4_march
 
@@ -117,6 +120,60 @@ def test_rk4_matches_array_march_bitwise(case):
     nsteps = 1500
     ref = rk4_reference(sys_, (sys_.T - sys_.a) / nsteps)
     assert np.array_equal(ref.values, rk4_march(sys_, nsteps))
+
+
+def _coupled(rhs2, u0):
+    return IvpSystem(alphas=(0.0, 0.0), a=0.5, T=1.5, initial=u0,
+                     rhs=(lambda t, U: U[1], rhs2))
+
+
+def test_rk4_nan_of_a_later_equation_after_the_first_step_names_its_stage():
+    # sqrt(0.75 - t) turns nan at the midpoint stage of step 250, from t = 0.75
+    sys_ = _coupled(lambda t, U: np.sqrt(0.75 - t) + U[0], (0.1, 0.2))
+    # the state that step starts from: the trajectory's end on [0.5, 0.75]
+    y = list(rk4_march(dataclasses.replace(sys_, T=0.75), 250)[:, -1])
+    state = [float(yj + 0.0005 * f(0.75, y)) for yj, f in zip(y, sys_.rhs)]
+    with pytest.raises(ValueError, match=re.escape(
+            f"equation 2 is nan at t=0.7505 (RK4 stage, u={state}): outside its domain")):
+        rk4_reference(sys_, 0.001)
+
+
+def test_rk4_divergence_after_the_first_step_names_the_step_end():
+    # u2' = u2^2 from u2 = 2 blows up at t = 1.0, hundreds of steps in
+    sys_ = _coupled(lambda t, U: U[1] ** 2, (0.1, 2.0))
+    with pytest.raises(ArithmeticError) as march:
+        rk4_march(sys_, 1000)
+    t = float(str(march.value).rpartition("t=")[2])
+    assert 0.9 < t < 1.1
+    with pytest.raises(DivergenceError, match=f"^{re.escape(str(march.value))}$"):
+        rk4_reference(sys_, 0.001)
+
+
+@pytest.mark.parametrize(
+    "rhs2, u0, error, message",
+    [
+        (lambda t, U: np.log(U[0] - 1.0), (0.0, 1.0), ValueError,
+         "right-hand side of equation 2 is nan at t=0.5 (RK4 stage, u=[0.0, 1.0]): outside its domain"),
+        (lambda t, U: U[1] ** 2, (0.1, 1e200), DivergenceError,
+         "RK4 state became non-finite at t=0.501"),
+    ],
+    ids=["nan", "divergence"],
+)
+def test_rk4_failure_in_the_first_step_of_a_system(rhs2, u0, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        rk4_reference(_coupled(rhs2, u0), 0.001)
+
+
+def test_rk4_compiles_one_loop_per_equation_count():
+    _rk4_loop.cache_clear()
+    one = _scalar_system(lambda t, U: U[0], 0.0, 1.0, 1.0)
+    rk4_reference(one, 0.5)
+    rk4_reference(one, 0.25)
+    assert (_rk4_loop.cache_info().hits, _rk4_loop.cache_info().misses) == (1, 1)
+    rk4_reference(_damped_pendulum(), 0.5)
+    assert _rk4_loop.cache_info().misses == 2
+    assert _rk4_loop(1) is not _rk4_loop(2)
+    assert _rk4_loop(2).__code__.co_filename == "<rk4 loop of 2 equations>"
 
 
 def test_rk4_system_trajectory():
