@@ -31,7 +31,6 @@ __all__ = [
     "parse",
     "eval_expr",
     "validate_vars",
-    "compile_array",
 ]
 
 
@@ -572,28 +571,6 @@ _BINOPS = {
     "/": "divide({}, {})",
     "^": "power({}, {})",
 }
-
-
-def compile_array(e: Expr) -> Callable[[dict], np.ndarray]:
-    """Compile a tree into a numpy-vectorized ``fn(env) -> ndarray``.
-
-    ``fn`` is one generated function that reads each variable as
-    ``env[name]`` (``pi`` and ``e`` only where ``env`` binds them) and
-    returns one nested expression that applies one numpy operation per
-    operator or call, in the tree's order.  Every operator follows IEEE
-    arithmetic, so domain violations and division by zero produce nan/inf
-    rather than raising; callers are expected to check finiteness of
-    whatever they derive from the result.  ``fn`` does not touch numpy's
-    error state: numpy reports those nan/inf as ``RuntimeWarning`` unless the
-    caller evaluates under ``np.errstate(all="ignore")``, as the solver
-    sweep, the guess and exact evaluations and the RK4 reference each do
-    once per call.  The scalar :func:`eval_expr` is the strict evaluator.
-    """
-    return _generate(e, ("env",), _read_env, "expression")
-
-
-def _read_env(name: str, const: Optional[str]) -> str:
-    return f"env[{name!r}]" if const is None else f"env.get({name!r}, {const})"
 
 
 def _generate(e: Expr, params: tuple, read: Callable, label: str, hoisted: tuple = ()) -> Callable:

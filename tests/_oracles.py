@@ -10,6 +10,10 @@ closures, one per node, with no generated code.  ``blocked_scan`` is the
 solver's nodal update as it was before its weights were planned once per
 solve: it derives every weight afresh on each call, allocates its own
 temporaries, and the solver must match it bit for bit.
+
+``compile_array`` is no oracle: it is the package's own code generator,
+``expr._generate``, reading each variable from a dict.  No code in the
+package calls it, so it lives here, for the tests of the generator.
 """
 
 import math
@@ -17,7 +21,7 @@ import math
 import numpy as np
 
 from ivim.engine import _BLOCK_EXPONENT
-from ivim.expr import _NP_FUNCS, CONSTANTS, BinOp, Call, Const, Neg, Var
+from ivim.expr import _NP_FUNCS, CONSTANTS, BinOp, Call, Const, Neg, Var, _generate
 
 
 def naive_step(alphas, rhs_list, t, h, U, mode):
@@ -235,3 +239,23 @@ def closure_compile(e):
         fn = _NP_FUNCS[e.fn]
         return lambda env: fn(xf(env))
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def compile_array(e):
+    """Compile a tree into a numpy-vectorized ``fn(env) -> ndarray``.
+
+    ``fn`` is one generated function that reads each variable as
+    ``env[name]`` (``pi`` and ``e`` only where ``env`` binds them) and
+    returns one nested expression that applies one numpy operation per
+    operator or call, in the tree's order.  Every operator follows IEEE
+    arithmetic, so domain violations and division by zero produce nan/inf
+    rather than raising.  ``fn`` does not touch numpy's error state: numpy
+    reports those nan/inf as ``RuntimeWarning`` unless the caller evaluates
+    under ``np.errstate(all="ignore")``, as the solver sweep, the guess and
+    exact evaluations and the RK4 reference each do once per call.
+    """
+    return _generate(e, ("env",), _read_env, "expression")
+
+
+def _read_env(name, const):
+    return f"env[{name!r}]" if const is None else f"env.get({name!r}, {const})"

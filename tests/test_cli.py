@@ -811,11 +811,11 @@ def test_atomic_write_keeps_the_old_file_when_a_chunk_fails(tmp_path):
     target.write_text("old\n", encoding="utf-8")
 
     def chunks():
-        yield "new\n"
+        yield b"new\n"
         raise RuntimeError("formatting failed")
 
     with pytest.raises(RuntimeError, match="formatting failed"):
-        ivim.cli._write_text_atomic(target, chunks())
+        ivim.cli._write_atomic(target, chunks())
     assert target.read_text(encoding="utf-8") == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["solution.csv"]  # no .tmp left
 

@@ -13,7 +13,6 @@ from ivim.expr import (
     ExprError,
     Neg,
     Var,
-    compile_array,
     eval_expr,
     free_variables,
     parse,
@@ -27,6 +26,8 @@ from ivim.expr import (
 import numpy as np
 
 from ivim.expr import _children, _generate
+
+from _oracles import compile_array
 
 
 # --- tokenizer ----------------------------------------------------------------

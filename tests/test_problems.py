@@ -18,7 +18,9 @@ from ivim import (
     rk4_reference,
     solve,
 )
-from ivim.expr import ExprError, compile_array, parse
+from ivim.expr import ExprError, parse
+
+from _oracles import compile_array
 
 
 def test_builtin_names():

@@ -33,14 +33,13 @@ from ivim.expr import (
     Neg,
     Var,
     _generate,
-    compile_array,
     eval_expr,
     pretty,
     state_free_subtrees,
 )
 from ivim.problems import problem_from_dict
 
-from _oracles import blocked_scan, closure_compile, naive_step, rk4_march
+from _oracles import blocked_scan, closure_compile, compile_array, naive_step, rk4_march
 
 _CAP = 1e12  # the nodal max norm past which solve reports divergence
 
