@@ -87,11 +87,14 @@ def _write_atomic(path: Path, chunks: Iterable[bytes]) -> None:
 #   a fraction of exactly 1/2 is a real tie, and rounds half to even as dtoa
 #   does.  For every other p a fraction within 2**-20 of 1/2 might round
 #   either way, so the cell goes to the fallback.
-# * e comes from a rounded log10 and can be one off next to a power of ten.
-#   A y below 10**16 means e was one too high, and D would lack a digit; the
-#   test reads the unrounded y (hi == 10**16 with lo < 0 is below).
-#   D > 10**17 means e was one too low.  D == 10**17 is a y within 1/2 of
-#   10**17, which dtoa spells as 10**16 with exponent e + 1: the carry.
+# * e comes from a rounded log10 and can be one off next to a power of ten,
+#   so a cell falls back unless 10**16 <= y and D < 10**17.  D >= 10**17 is
+#   an e one too low or a y within 1/2 of 10**17.  The lower edge tests
+#   D0 = hi + floor(lo) before rounding: that is floor(hi + lo) exactly, as
+#   hi >= 2**53 is an integer and a smaller hi leaves D0 below 10**16.  Only
+#   a true y within 2**-46 of 10**16 could land on the wrong side; adjacent
+#   doubles give y more than 1 apart there, so only the doubles next to
+#   10**e can, and the tests spell 10.0**k and its neighbours for every k.
 # * The fallback is "%.17g" % x itself.  It takes the cells above, +-0, +-inf,
 #   nan and |x| outside [1e-290, 1e290), where the split or the table could
 #   overflow.
@@ -207,12 +210,10 @@ class _Speller:
         frac = lo - whole  # exact
         D = hi.astype(np.int64) + whole.astype(np.int64)
         exact = p_lo == 0.0
+        slow = ~fast | (~exact & (np.abs(frac - 0.5) < 2.0**-20)) | (D < 10**16)
         D += (frac > 0.5) | ((frac == 0.5) & exact & ((D & 1) == 1))
-        slow = ~fast | (~exact & (np.abs(frac - 0.5) < 2.0**-20))
-        slow |= (hi < 1e16) | ((hi == 1e16) & (lo < 0.0)) | (D > 10**17)
-        carry = D == 10**17
-        D[carry] = 10**16
-        X = e + carry
+        slow |= D >= 10**17
+        X = e
         D[slow] = 10**16  # any valid digits; the fallback replaces the text
         X[slow] = 0
 

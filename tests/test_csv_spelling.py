@@ -1,6 +1,7 @@
 """The CSV writer's vectorised %.17g against CPython's ``"%.17g" % x``.
 
-``cli._spell`` must give the bytes of the per-cell ``%`` for every double.
+``cli._Speller`` (and ``cli._float_rows`` through it) must give the bytes of
+the per-cell ``%`` for every double.
 Hypothesis runs derandomized with a fixed example budget and no deadline,
 as in test_properties.
 """
