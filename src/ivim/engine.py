@@ -32,31 +32,21 @@ interval, so ``-alpha (T - a)`` is limited to 700 to keep them finite.
 
 The weights depend only on ``alpha``, the grid and the mode, and the parts
 of a right-hand side in ``t`` alone only on the grid, so ``_plan`` builds
-both once per solve (once per call of ``ivim_step``), after checking the
-growth limit: per equation the block bounds, ``e^{alpha(t - t_s)}``,
-``h e^{-alpha(t - t_s)}``, the carry factor of each block and the
-``full_trapezoid`` endpoint column (for ``alpha = 0`` the weights are
-exactly 1, so none is stored and ``h``, ``h/2`` are scalars), one prefix
-buffer for all equations, and the coefficient's binding.  A ``forcing``
-equation's ``g - alpha*u_a`` is computed there; a right-hand side compiled
-by ``problems`` carries ``split = (pre, main)``, and ``pre(nodes)`` gives its
-state-free subtrees (ex2's ``5/3`` and ``cos(t)``) for each sweep's
-``main(nodes, U, p)``.  Any other callable, hand-written or wrapped (such as
-the ``--trace 1`` rhs wrappers of ``bench/spans.py``), is called whole on
-every sweep.  The plan holds no (k, n) work array.  A sweep writes its
-coefficients and new iterate with one multiply (a copy for ``alpha = 0``),
-one in-place cumulative sum and one multiply-add per node, and takes the
-successive difference in the spent coefficients: the update costs 6 ns per
-node-sweep at n = 65537 in one block, against 32 ns (``alpha = 0``) and
-28 ns (``alpha = 1``) when each sweep re-derived its weights, and 11 ns
-against 21 ns at ``alpha = 60``, n = 4097, in two blocks; a whole sweep at
-n = 65537 takes 2.4 ms on ex2 and 2.8 ms on ex3, against 3.7 and 5.6 ms when
-it evaluated the whole right-hand side (2-vCPU x86-64 host, numpy 2.4).
-Per-node weights of another quadrature, such as exponential-integrator
-weights for the first, interior and last node, belong in the same plan.
-The finiteness of a sweep is read off the nodal max norm that the
-divergence cap needs anyway; only a non-finite norm starts the search for
-the equation and node to report.
+both once per solve, after checking the growth limit.  A right-hand side
+compiled by ``problems`` carries ``split = (pre, main)``: ``pre(nodes)``
+gives its state-free subtrees (ex2's ``5/3`` and ``cos(t)``) for each
+sweep's ``main(nodes, U, p)``; any other callable is called whole.
+
+A solve allocates its (k, n) arrays once: the iterate alternates with a
+spare one, which holds ``w + u_a`` until the update overwrites it, and one
+coefficient array serves every sweep.  The right-hand sides are called on
+chunks of about ``_CHUNK`` nodes, so no sweep maps and faults in fresh
+memory.  The update is one multiply, one in-place cumulative sum and one
+multiply-add per node.  At n = 65537 a sweep takes 0.8-0.9 ms on ex2 and
+1.2-1.5 ms on ex3, against 1.5 and 1.8 ms with fresh whole rows (2-vCPU
+x86-64 host, numpy 2.4).  A non-finite sweep shows in the nodal max norm
+that the divergence cap needs anyway; only then are the equation and node
+searched.
 """
 
 from __future__ import annotations
@@ -88,6 +78,9 @@ _BLOCK_EXPONENT = 30.0
 _GROWTH_EXPONENT_LIMIT = 700.0
 # A sweep whose nodal max norm exceeds this is reported as divergence.
 _DIVERGENCE_CAP = 1e12
+# Nodes per chunk of a coefficient evaluation: 64 KiB temporaries stay
+# below glibc's 128 KiB mmap threshold, so they are never unmapped.
+_CHUNK = 8192
 
 MODES = ("paper", "full_trapezoid")
 
@@ -109,16 +102,14 @@ class IvpSystem:
     """System of k first-order equations ``u_k' = f_k(t, u)`` on ``[a, T]``.
 
     ``rhs[k]`` is the complete right-hand side, called as ``rhs[k](t, state)``
-    where ``state`` is indexable by equation (``state[j]``); the solver passes
-    numpy arrays and the result must broadcast to the shape of ``t``, while
-    ``rk4_reference`` passes float64 scalars.  The solver evaluates it at the
-    iterate plus the initial values, so it always sees the unshifted state.
+    where ``state`` is indexable by equation (``state[j]``).  The solver
+    passes numpy arrays over a contiguous chunk of the nodes, so ``rhs`` must
+    act elementwise, and the result must broadcast to the shape of ``t``;
+    ``rk4_reference`` passes float64 scalars.  The state is unshifted.
 
-    Optionally an equation may instead (or additionally) carry the affine
-    split ``f = -alpha*u + g(t)`` via ``forcing[k]`` (None leaves it to ``rhs``).
-    The solver then evaluates the integrand coefficient as
-    ``g - alpha*u_a``, which is algebraically identical to the general form
-    and keeps the coefficient literally independent of the state.  A missing
+    An equation may also carry the affine split ``f = -alpha*u + g(t)`` as
+    ``forcing[k] = g`` (None leaves it to ``rhs``); the solver then takes
+    ``g - alpha*u_a`` as its coefficient, free of the state.  A missing
     ``rhs`` is synthesized from the split.
 
     ``exact`` (optional) maps a node array to exact values, shape (k, n).
@@ -250,18 +241,17 @@ class _Equation:
 
     The coefficient is ``fixed`` when it does not depend on the state (a
     ``forcing`` equation: ``g - alpha*u_a``), else ``alpha*w`` plus
-    ``rhs(t, U, *args)``: a right-hand side with ``split = (pre, main)`` is
-    ``main`` with ``args = (pre(t),)``, any other is called as it is.
+    ``rhs(t, U, *args[c])`` on chunk ``c`` of ``_chunks``: a right-hand side
+    with ``split = (pre, main)`` is ``main`` with ``args[c]`` holding
+    ``pre(t)`` sliced to the chunk, any other is called as it is.
 
     Block ``(s, e, decay, fwd, bwd)`` covers nodes ``s .. e-1`` and hands its
     sum on to node ``e`` through ``decay = e^{-alpha(t_e - t_s)}`` (None for
-    the last block); ``fwd = e^{alpha(t - t_s)}`` and
-    ``bwd = h e^{-alpha(t - t_s)}`` over the block.  ``endpoint`` is
-    ``h/2 e^{-alpha(t - t_1)}`` over block 0 in ``full_trapezoid`` mode (else
-    None).  For ``alpha = 0`` every weight is exactly 1, so there is one
-    block, ``fwd`` is None, and ``bwd`` and ``endpoint`` are the scalars
-    ``h`` and ``h/2``.  ``prefix`` is the cumulative-sum buffer that all
-    equations of a plan share, one node longer than the longest block.
+    the last block); ``fwd = e^{alpha(t - t_s)}``, ``bwd = h e^{-alpha(t -
+    t_s)}``.  ``endpoint`` is ``h/2 e^{-alpha(t - t_1)}`` over block 0 in
+    ``full_trapezoid`` mode, else None.  For ``alpha = 0`` there is one block,
+    ``fwd`` is None, and ``bwd`` and ``endpoint`` are ``h`` and ``h/2``.
+    ``prefix`` is the cumulative-sum buffer that the equations share.
     """
 
     alpha: float
@@ -296,6 +286,14 @@ def _scan(alpha: float, grid: Grid, mode: str) -> tuple:
     return tuple(blocks), endpoint
 
 
+def _chunks(n: int) -> tuple:
+    """Bounds ``(s, e)`` of ``n // _CHUNK`` (at least one) near-equal chunks
+    of ``n`` nodes, each starting on a multiple of 8 like a whole row."""
+    count = max(1, n // _CHUNK)
+    starts = [i * n // count // 8 * 8 for i in range(count)]
+    return tuple(zip(starts, starts[1:] + [n]))
+
+
 def _plan(sys: IvpSystem, grid: Grid, mode: str) -> tuple:
     """The scan and coefficient of each equation of ``sys`` on ``grid``,
     built once per solve.
@@ -316,40 +314,43 @@ def _plan(sys: IvpSystem, grid: Grid, mode: str) -> tuple:
     ua = np.asarray(sys.initial)
     scans = [_scan(alpha, grid, mode) for alpha in sys.alphas]
     prefix = np.empty(max(e - s for blocks, _ in scans for s, e, *_ in blocks) + 1)
+    chunks = _chunks(grid.n)
     equations = []
     for j, (alpha, (blocks, endpoint)) in enumerate(zip(sys.alphas, scans)):
-        fixed, rhs, args = None, sys.rhs[j], ()
+        fixed, rhs, args = None, sys.rhs[j], ((),) * len(chunks)
         with np.errstate(all="ignore"):  # a non-finite value is classified by the sweep
             if sys.forcing is not None and sys.forcing[j] is not None:
-                fixed = np.asarray(sys.forcing[j](t) - alpha * ua[j])
-                fixed.flags.writeable = False
+                fixed = np.broadcast_to(sys.forcing[j](t) - alpha * ua[j], t.shape)
             elif hasattr(rhs, "split"):
                 pre, rhs = rhs.split
-                args = (pre(t),)
-                for value in args[0]:
+                values = pre(t)
+                for value in values:
                     if isinstance(value, np.ndarray):
                         value.flags.writeable = False
+                args = tuple((tuple(v[s:e] if np.ndim(v) else v for v in values),) for s, e in chunks)
         equations.append(_Equation(alpha, fixed, rhs, args, blocks, endpoint, prefix))
     return tuple(equations)
 
 
-def _coefficients(sys: IvpSystem, plan: tuple, t: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Integrand coefficients c, shape (k, n); H(s,t) = -e^{alpha(s-t)} c(s).
+def _coefficients(
+    sys: IvpSystem, plan: tuple, t: np.ndarray, W: np.ndarray, C: np.ndarray, U: np.ndarray
+) -> None:
+    """Integrand coefficients c into ``C``, (k, n); H(s,t) = -e^{alpha(s-t)} c(s).
 
-    ``W`` is the shifted iterate ``u - u_a``; the right-hand sides see
-    ``W + u_a``.  A non-finite coefficient passes silently and is reported
-    by the caller's finiteness check on the update.
+    The right-hand sides see ``W + u_a``, written into ``U`` chunk by chunk.
+    A non-finite c passes silently, to the caller's check on the update.
     """
-    U = W + np.asarray(sys.initial)[:, None]
-    C = np.empty((sys.k, t.size))
+    ua = np.asarray(sys.initial)[:, None]
     with np.errstate(all="ignore"):
-        for j, eq in enumerate(plan):
-            if eq.fixed is not None:
-                C[j] = eq.fixed
-            else:
-                np.multiply(eq.alpha, W[j], out=C[j])
-                C[j] += eq.rhs(t, U, *eq.args)
-    return C
+        for c, (s, e) in enumerate(_chunks(t.size)):
+            U_c = np.add(W[:, s:e], ua, out=U[:, s:e])
+            for j, eq in enumerate(plan):
+                row = C[j, s:e]
+                if eq.fixed is not None:
+                    row[...] = eq.fixed[s:e]
+                else:
+                    np.multiply(eq.alpha, W[j, s:e], out=row)
+                    row += eq.rhs(t[s:e], U_c, *eq.args[c])
 
 
 def _update(eq: _Equation, c: np.ndarray, out: np.ndarray) -> None:
@@ -405,26 +406,26 @@ def _reject_nan_coefficient(
         )
 
 
-def _sweep(W: np.ndarray, sys: IvpSystem, grid: Grid, mode: str, plan: tuple) -> tuple:
+def _sweep(
+    W: np.ndarray, sys: IvpSystem, grid: Grid, mode: str, plan: tuple,
+    new: np.ndarray, C: np.ndarray,
+) -> tuple:
     """One interpolated iteration sweep over all equations.
 
-    ``W`` is the previous iterate ``u - u_a`` on ``grid``, shape (k, n) and
-    zero in its first column; ``plan`` is ``_plan(sys, grid, mode)``.  The
-    offset ``u_a = sys.initial`` is applied where the coefficients are
-    evaluated: the coupled right-hand sides see the full state vector ``u``
-    at each node.  Returns the new iterate as a read-only (k, n) array, its
-    nodal max norm, which is finite: a non-finite update raises here, and the
-    successive difference ``max |new - W|``, taken in the spent coefficient
-    array so that it allocates nothing.
+    ``W`` is the previous iterate ``u - u_a``, (k, n) and zero in its first
+    column; ``plan`` is ``_plan(sys, grid, mode)``.  The new iterate goes
+    into ``new``, the coefficients into ``C``.  Returns the new nodal max
+    norm, which is finite (a non-finite update raises here), and the
+    successive difference ``max |new - W|``, taken in the spent ``C``.
     """
     t = grid.nodes
-    C = _coefficients(sys, plan, t, W)
+    _coefficients(sys, plan, t, W, C, new)  # new holds the state until the update
     with np.errstate(all="ignore"):  # a non-finite update is classified below
-        new = np.multiply(C, 0.5 * grid.h)
+        np.multiply(C, 0.5 * grid.h, out=new)
         for j, eq in enumerate(plan):
             _update(eq, C[j], new[j])
     new[:, 0] = 0.0
-    biggest = float(np.max(np.abs(new)))
+    biggest = max(float(new.max()), -float(new.min()))
     if not np.isfinite(biggest):
         first = 0 if mode == "full_trapezoid" else 1  # paper mode never reads c(t_1)
         for j, row in enumerate(new):
@@ -435,9 +436,8 @@ def _sweep(W: np.ndarray, sys: IvpSystem, grid: Grid, mode: str, plan: tuple) ->
                 raise DivergenceError(
                     f"non-finite update in equation {j + 1} at node {i + 1} (t={t[i]})"
                 )
-    new.flags.writeable = False
     np.subtract(new, W, out=C)
-    return new, biggest, float(np.max(np.abs(C, out=C)))
+    return biggest, float(np.max(np.abs(C, out=C)))
 
 
 def _nodal_array(
@@ -483,7 +483,8 @@ def ivim_step(
     alphas = [float(m) for m in mults]
     if alphas != list(sys.alphas):
         raise ValueError(f"mults carry alphas {alphas}, the equations {list(sys.alphas)}")
-    new, _, _ = _sweep(W, sys, grid, mode, _plan(sys, grid, mode))
+    new = np.empty_like(W)
+    _sweep(W, sys, grid, mode, _plan(sys, grid, mode), new, np.empty_like(W))
     return [PiecewiseLinear(grid, row) for row in new]
 
 
@@ -506,8 +507,7 @@ def solve(
 ) -> SolveReport:
     """Run the interpolated iteration up to ``cfg.m_max`` sweeps.
 
-    The iterates are ``u - u_a`` (the offset is applied where the
-    coefficients are evaluated), carried as one (k, n) array, and iteration
+    The iterates are ``u - u_a``, carried as one (k, n) array, and iteration
     starts from ``u0``, given as ``u - u_a`` (default: the system's guess
     minus ``u_a``, else zero).  With ``cfg.stop_tol > 0`` the loop exits
     early once the successive-difference max norm drops to the tolerance.
@@ -525,21 +525,26 @@ def solve(
                     W[j] = project_samples(grid, lambda t: g(t) - sys.initial[j]).values
 
     plan = _plan(sys, grid, cfg.mode)
+    spare, C = np.empty_like(W), np.empty_like(W)
     diffs: list[float] = []
     history: Optional[list] = [] if cfg.keep_history else None
     for _ in range(cfg.m_max):
-        new, biggest, diff = _sweep(W, sys, grid, cfg.mode, plan)
+        biggest, diff = _sweep(W, sys, grid, cfg.mode, plan, spare, C)
         diffs.append(diff)
         if biggest > _DIVERGENCE_CAP:
             raise DivergenceError(
                 f"nodal max norm {biggest} exceeded divergence cap "
                 f"{_DIVERGENCE_CAP} at iteration {len(diffs)}"
             )
+        W, spare = spare, W
         if history is not None:
-            history.append(new)
-        W = new
+            history.append(W.copy())
+            history[-1].flags.writeable = False
         if cfg.stop_tol > 0.0 and diff <= cfg.stop_tol:
             break
+    del plan, spare, C  # before the closed form, so that the peak does not rise
+    if history:
+        W = history[-1]  # final shares the last snapshot
 
     exact = errors = None
     if sys.exact is not None:
