@@ -297,7 +297,8 @@ def _cmd_solve(args) -> int:
     max_abs = None
     if report.exact is not None:
         ReferenceSolution(nodes, report.exact, ("closed_form", system.name))  # checks it is finite
-        errs = np.abs(values - report.exact)
+        errs = np.subtract(values, report.exact)
+        np.abs(errs, out=errs)
         with np.errstate(divide="ignore"):  # an exact zero is -inf
             log_err = np.log10(report.errors)
         header += [f"exact{j + 1}" for j in range(k)]

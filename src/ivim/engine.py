@@ -43,17 +43,16 @@ coefficient array serves every sweep.  The right-hand sides are called on
 chunks of about ``_CHUNK`` nodes, so no sweep maps and faults in fresh
 memory.  The update is one multiply, one in-place cumulative sum and one
 multiply-add per node.  At n = 65537 a sweep takes 0.8-0.9 ms on ex2 and
-1.2-1.5 ms on ex3, against 1.5 and 1.8 ms with fresh whole rows (2-vCPU
-x86-64 host, numpy 2.4).  A non-finite sweep shows in the nodal max norm
-that the divergence cap needs anyway; only then are the equation and node
-searched.
+1.2-1.5 ms on ex3 (2-vCPU x86-64 host, numpy 2.4).  A non-finite sweep shows
+in the nodal max norm that the divergence cap needs anyway; only then are the
+equation and node searched.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -82,7 +81,9 @@ _DIVERGENCE_CAP = 1e12
 # below glibc's 128 KiB mmap threshold, so they are never unmapped.
 _CHUNK = 8192
 
-MODES = ("paper", "full_trapezoid")
+# The weight of node 1 in a sweep's trapezoid sum, by quadrature mode.
+_FIRST_WEIGHT = {"paper": 0.0, "full_trapezoid": 0.5}
+MODES = tuple(_FIRST_WEIGHT)
 
 
 class DivergenceError(RuntimeError):
@@ -230,9 +231,10 @@ class SolveReport:
         return len(self.final)
 
     def nodal_values(self) -> np.ndarray:
-        """Unshifted solution values at the nodes, shape (k, n)."""
-        shifted = np.vstack([pl.values for pl in self.final])
-        return shifted + np.asarray(self.u_a)[:, None]
+        """Unshifted solution values at the nodes, a fresh (k, n) array."""
+        values = np.vstack([pl.values for pl in self.final])
+        values += np.asarray(self.u_a)[:, None]
+        return values
 
 
 @dataclass(frozen=True)
@@ -248,10 +250,10 @@ class _Equation:
     Block ``(s, e, decay, fwd, bwd)`` covers nodes ``s .. e-1`` and hands its
     sum on to node ``e`` through ``decay = e^{-alpha(t_e - t_s)}`` (None for
     the last block); ``fwd = e^{alpha(t - t_s)}``, ``bwd = h e^{-alpha(t -
-    t_s)}``.  ``endpoint`` is ``h/2 e^{-alpha(t - t_1)}`` over block 0 in
-    ``full_trapezoid`` mode, else None.  For ``alpha = 0`` there is one block,
-    ``fwd`` is None, and ``bwd`` and ``endpoint`` are ``h`` and ``h/2``.
-    ``prefix`` is the cumulative-sum buffer that the equations share.
+    t_s)}``; for ``alpha = 0`` there is one block, ``fwd`` is None and ``bwd``
+    is ``h``.  ``first`` is node 1's weight in units of ``h``: 0 in ``paper``
+    mode, 1/2 in ``full_trapezoid``.  ``prefix`` is the cumulative-sum buffer
+    that the equations share.
     """
 
     alpha: float
@@ -259,31 +261,26 @@ class _Equation:
     rhs: Callable
     args: tuple
     blocks: tuple
-    endpoint: Union[np.ndarray, float, None]
+    first: float
     prefix: np.ndarray
 
 
-def _scan(alpha: float, grid: Grid, mode: str) -> tuple:
-    """The blocks and endpoint column of ``_Equation`` for ``alpha`` on ``grid``."""
+def _scan(alpha: float, grid: Grid) -> tuple:
+    """The blocks of ``_Equation`` for ``alpha`` on ``grid``."""
     t, h, n = grid.nodes, grid.h, grid.n
-    full = mode == "full_trapezoid"
     if alpha == 0.0:  # e^{+-0 d} = 1 exactly, for either zero
-        return ((0, n, None, None, h),), 0.5 * h if full else None
+        return ((0, n, None, None, h),)
     if abs(alpha) * (t[-1] - t[0]) <= _BLOCK_EXPONENT:
         size = n
     else:
         size = int(_BLOCK_EXPONENT / (abs(alpha) * h)) + 1
     blocks = []
-    endpoint = None
     for s in range(0, n, size):
         e = min(s + size, n)
         d = t[s:e] - t[s]
-        winv = np.exp(-alpha * d)
-        if s == 0 and full:
-            endpoint = 0.5 * h * winv
         decay = np.exp(-alpha * (t[e] - t[s])) if e < n else None
-        blocks.append((s, e, decay, np.exp(alpha * d), h * winv))
-    return tuple(blocks), endpoint
+        blocks.append((s, e, decay, np.exp(alpha * d), h * np.exp(-alpha * d)))
+    return tuple(blocks)
 
 
 def _chunks(n: int) -> tuple:
@@ -312,11 +309,11 @@ def _plan(sys: IvpSystem, grid: Grid, mode: str) -> tuple:
             )
     t = grid.nodes
     ua = np.asarray(sys.initial)
-    scans = [_scan(alpha, grid, mode) for alpha in sys.alphas]
-    prefix = np.empty(max(e - s for blocks, _ in scans for s, e, *_ in blocks) + 1)
-    chunks = _chunks(grid.n)
+    scans = [_scan(alpha, grid) for alpha in sys.alphas]
+    prefix = np.empty(max(e - s for blocks in scans for s, e, *_ in blocks) + 1)
+    chunks, first = _chunks(grid.n), _FIRST_WEIGHT[mode]
     equations = []
-    for j, (alpha, (blocks, endpoint)) in enumerate(zip(sys.alphas, scans)):
+    for j, (alpha, blocks) in enumerate(zip(sys.alphas, scans)):
         fixed, rhs, args = None, sys.rhs[j], ((),) * len(chunks)
         with np.errstate(all="ignore"):  # a non-finite value is classified by the sweep
             if sys.forcing is not None and sys.forcing[j] is not None:
@@ -328,7 +325,7 @@ def _plan(sys: IvpSystem, grid: Grid, mode: str) -> tuple:
                     if isinstance(value, np.ndarray):
                         value.flags.writeable = False
                 args = tuple((tuple(v[s:e] if np.ndim(v) else v for v in values),) for s, e in chunks)
-        equations.append(_Equation(alpha, fixed, rhs, args, blocks, endpoint, prefix))
+        equations.append(_Equation(alpha, fixed, rhs, args, blocks, first, prefix))
     return tuple(equations)
 
 
@@ -376,10 +373,11 @@ def _update(eq: _Equation, c: np.ndarray, out: np.ndarray) -> None:
         terms = prefix[:-1]
         np.multiply(bwd, terms, out=terms)
         out[s:e] += terms
-        if eq.endpoint is not None and s == 0:
-            np.multiply(eq.endpoint, c[0], out=terms)  # the s = a endpoint,
+        if eq.first and s == 0:
+            end = eq.first * c[0]
+            np.multiply(bwd, end, out=terms)  # the s = a endpoint,
             out[s:e] += terms
-            prefix[-1] += 0.5 * c[0]  # and through the carry for later blocks
+            prefix[-1] += end  # and through the carry for later blocks
         if decay is not None:
             carry = decay * prefix[-1]
 
@@ -407,8 +405,7 @@ def _reject_nan_coefficient(
 
 
 def _sweep(
-    W: np.ndarray, sys: IvpSystem, grid: Grid, mode: str, plan: tuple,
-    new: np.ndarray, C: np.ndarray,
+    W: np.ndarray, sys: IvpSystem, grid: Grid, plan: tuple, new: np.ndarray, C: np.ndarray
 ) -> tuple:
     """One interpolated iteration sweep over all equations.
 
@@ -427,12 +424,11 @@ def _sweep(
     new[:, 0] = 0.0
     biggest = max(float(new.max()), -float(new.min()))
     if not np.isfinite(biggest):
-        first = 0 if mode == "full_trapezoid" else 1  # paper mode never reads c(t_1)
         for j, row in enumerate(new):
             bad = np.flatnonzero(~np.isfinite(row))
             if bad.size:
-                i = int(bad[0])
-                _reject_nan_coefficient(sys, j, C[j], W, t, first, i)
+                i = int(bad[0])  # c(t_1) is read only under a nonzero first weight
+                _reject_nan_coefficient(sys, j, C[j], W, t, 0 if plan[j].first else 1, i)
                 raise DivergenceError(
                     f"non-finite update in equation {j + 1} at node {i + 1} (t={t[i]})"
                 )
@@ -484,7 +480,7 @@ def ivim_step(
     if alphas != list(sys.alphas):
         raise ValueError(f"mults carry alphas {alphas}, the equations {list(sys.alphas)}")
     new = np.empty_like(W)
-    _sweep(W, sys, grid, mode, _plan(sys, grid, mode), new, np.empty_like(W))
+    _sweep(W, sys, grid, _plan(sys, grid, mode), new, np.empty_like(W))
     return [PiecewiseLinear(grid, row) for row in new]
 
 
@@ -529,7 +525,7 @@ def solve(
     diffs: list[float] = []
     history: Optional[list] = [] if cfg.keep_history else None
     for _ in range(cfg.m_max):
-        biggest, diff = _sweep(W, sys, grid, cfg.mode, plan, spare, C)
+        biggest, diff = _sweep(W, sys, grid, plan, spare, C)
         diffs.append(diff)
         if biggest > _DIVERGENCE_CAP:
             raise DivergenceError(

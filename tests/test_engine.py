@@ -103,6 +103,29 @@ def test_errors_are_error_metrics_against_the_kept_closed_form(mode):
     assert rep.exact is None and rep.errors is None
 
 
+@pytest.mark.parametrize("keep_history", [False, True])
+def test_nodal_values_is_a_fresh_writable_array(keep_history):
+    # u_a is added in place into the stacked rows; the result is the
+    # caller's own, and writing to it changes neither the report nor a
+    # later call
+    sys_ = dataclasses.replace(_ROTATION, initial=(1.0, -0.5), exact=None)
+    rep = solve(sys_, SolveConfig(n=33, m_max=3, keep_history=keep_history))
+    final = [pl.values.copy() for pl in rep.final]
+    history = [snap.copy() for snap in rep.history or ()]
+    values = rep.nodal_values()
+    want = np.vstack(final) + np.array([[1.0], [-0.5]])
+    assert values.shape == (2, 33) and values.flags.writeable
+    assert np.array_equal(values.view(np.int64), want.view(np.int64))
+    kept = [pl.values for pl in rep.final] + list(rep.history or ())
+    assert not any(np.shares_memory(values, a) for a in kept)
+    values[...] = np.nan
+    assert all(np.array_equal(pl.values, row) for pl, row in zip(rep.final, final))
+    assert all(np.array_equal(a, b) for a, b in zip(rep.history or (), history))
+    again = rep.nodal_values()
+    assert not np.shares_memory(again, values)
+    assert np.array_equal(again.view(np.int64), want.view(np.int64))
+
+
 # --- one-step exactness -----------------------------------------------------------
 
 @pytest.mark.parametrize("n", [2, 17, 100])

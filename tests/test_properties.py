@@ -181,6 +181,43 @@ def test_zero_alpha_scans_with_scalar_weights_bit_for_bit(zero, mode, data):
     _assert_step_is_the_oracle_sweep(sys_, n, mode, seed)
 
 
+def _tiny_interval_system(alpha, length):
+    # c(t_1) = f(a, u_a) = 1.5: below 2 in magnitude, and on [0, 1e-310] a
+    # value whose product with the rounded h/2 rounds one unit off
+    rhs = (lambda t, U: 1.5 * np.cos(t) + 0.3 * (U[0] - 0.75),)
+    return IvpSystem(alphas=(alpha,), a=0.0, T=length, initial=(0.75,), rhs=rhs)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("n", [9, 33])
+@pytest.mark.parametrize("alpha", [0.0, 2.0, -3.0, 40.0])
+def test_step_on_a_tiny_interval_equals_the_blocked_scan_oracle_bit_for_bit(alpha, n, mode):
+    # h = 1e-300 / (n - 1) is still a normal double, so halving it is exact
+    _assert_step_is_the_oracle_sweep(_tiny_interval_system(alpha, 1e-300), n, mode, n)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("n", [9, 33])
+@pytest.mark.parametrize("alpha", [0.0, 2.0, -3.0, 40.0])
+def test_step_with_a_subnormal_h_is_the_blocked_scan_oracle_to_one_unit(alpha, n, mode):
+    # h = 1e-310 / (n - 1) is subnormal, so halving it may drop its last bit.
+    # The oracle weighs the s = a endpoint by the rounded h/2 times c(t_1);
+    # the sweep halves c(t_1), which is exact, and multiplies by h once.  The
+    # weights e^{-alpha(t - t_1)} are 1 here, so the two products differ by
+    # less than |c(t_1)| / 2 units of 2^-1074 before rounding, and with
+    # |c(t_1)| < 2 by at most one unit after.  Paper mode has no endpoint
+    # term and keeps every bit.
+    sys_ = _tiny_interval_system(alpha, 1e-310)
+    grid = make_grid(sys_.a, sys_.T, n)
+    W = np.random.default_rng(n).normal(size=(1, n))
+    W[:, 0] = 0.0
+    state = [PiecewiseLinear(grid, W[0])]
+    got = ivim_step(state, sys_, grid, [exp_multiplier(alpha)], mode)[0].values
+    want = _oracle_sweep(sys_, grid, W, mode)[0]
+    bound = 0.0 if mode == "paper" else 2.0**-1074
+    assert np.max(np.abs(got - want)) <= bound
+
+
 def _assert_step_is_the_oracle_sweep(sys_, n, mode, seed):
     grid = make_grid(sys_.a, sys_.T, n)
     W = np.random.default_rng(seed).normal(size=(sys_.k, n))
