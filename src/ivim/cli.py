@@ -271,6 +271,15 @@ def _write_json(path: Path, doc: dict) -> None:
     _write_atomic(path, [(json.dumps(doc, indent=2) + "\n").encode("utf-8")])
 
 
+def _config(args, n: int, m: int) -> SolveConfig:
+    return SolveConfig(n=n, m_max=m, mode=args.mode)
+
+
+def _write_summary(args, system, fields: dict) -> None:
+    doc = {"command": args.command, "problem": system.name or str(args.problem), **fields}
+    _write_json(Path(args.out_dir) / "summary.json", doc)
+
+
 def _parse_int_list(text: str, what: str) -> list:
     try:
         values = [int(part) for part in text.split(",") if part.strip() != ""]
@@ -285,8 +294,7 @@ def _parse_int_list(text: str, what: str) -> list:
 
 def _cmd_solve(args) -> int:
     system, _ = get_problem(args.problem)
-    cfg = SolveConfig(n=args.n, m_max=args.m, mode=args.mode)
-    report = solve(system, cfg)
+    report = solve(system, _config(args, args.n, args.m))
     out_dir = Path(args.out_dir)
 
     k = system.k
@@ -308,19 +316,14 @@ def _cmd_solve(args) -> int:
         max_abs = float(np.max(report.errors))
     _write_csv(out_dir / "solution.csv", header, _float_rows(columns))
 
-    _write_json(
-        out_dir / "summary.json",
-        {
-            "command": "solve",
-            "problem": system.name or str(args.problem),
-            "n": args.n,
-            "m": args.m,
-            "mode": args.mode,
-            "iterations_run": report.iterations_run,
-            "max_abs_error": max_abs,
-            "wall_time_s": round(report.wall_time, 3),
-        },
-    )
+    _write_summary(args, system, {
+        "n": args.n,
+        "m": args.m,
+        "mode": args.mode,
+        "iterations_run": report.iterations_run,
+        "max_abs_error": max_abs,
+        "wall_time_s": round(report.wall_time, 3),
+    })
     return 0
 
 
@@ -343,7 +346,7 @@ def _cmd_converge(args) -> int:
         m_values = _parse_int_list(args.m_list, "--m-list")
         points = [(args.n, m) for m in m_values]
 
-    configs = [SolveConfig(n=n, m_max=m, mode=args.mode) for n, m in points]
+    configs = [_config(args, n, m) for n, m in points]
 
     started = time.perf_counter()
     # a closed form scores a point by report.errors; without one, every point
@@ -369,23 +372,18 @@ def _cmd_converge(args) -> int:
 
     out_dir = Path(args.out_dir)
     _write_csv(out_dir / "convergence.csv", ["n", "m", "max_abs", "observed_order"], rows)
-    _write_json(
-        out_dir / "summary.json",
-        {
-            "command": "converge",
-            "problem": system.name or str(args.problem),
-            "mode": args.mode,
-            "points": [{"n": n, "m": m} for n, m in points],
-            "max_abs": errors,
-            "wall_time_s": round(time.perf_counter() - started, 3),
-        },
-    )
+    _write_summary(args, system, {
+        "mode": args.mode,
+        "points": [{"n": n, "m": m} for n, m in points],
+        "max_abs": errors,
+        "wall_time_s": round(time.perf_counter() - started, 3),
+    })
     return 0
 
 
 def _cmd_compare(args) -> int:
     system, _ = get_problem(args.problem)
-    report = solve(system, SolveConfig(n=args.n, m_max=args.m, mode=args.mode))
+    report = solve(system, _config(args, args.n, args.m))
     rk_started = time.perf_counter()
     ref = rk4_reference(system, args.rk4_step)
     rk_wall = time.perf_counter() - rk_started
@@ -404,20 +402,15 @@ def _cmd_compare(args) -> int:
     )
     out_dir = Path(args.out_dir)
     _write_csv(out_dir / "compare.csv", header, _float_rows([nodes, ivim_vals, rk_vals, gaps]))
-    _write_json(
-        out_dir / "summary.json",
-        {
-            "command": "compare",
-            "problem": system.name or str(args.problem),
-            "n": args.n,
-            "m": args.m,
-            "mode": args.mode,
-            "rk4_step": args.rk4_step,
-            "max_gap": float(np.max(gaps)),
-            "wall_time_ivim_s": round(report.wall_time, 3),
-            "wall_time_rk4_s": round(rk_wall, 3),
-        },
-    )
+    _write_summary(args, system, {
+        "n": args.n,
+        "m": args.m,
+        "mode": args.mode,
+        "rk4_step": args.rk4_step,
+        "max_gap": float(np.max(gaps)),
+        "wall_time_ivim_s": round(report.wall_time, 3),
+        "wall_time_rk4_s": round(rk_wall, 3),
+    })
     return 0
 
 

@@ -50,6 +50,7 @@ equation and node searched.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -194,16 +195,19 @@ class SolveConfig:
     keep_history: bool = False
 
     def __post_init__(self):
-        if int(self.n) < 2:
-            raise ValueError(f"config invalid: n={self.n}, need n >= 2")
-        if int(self.m_max) < 1:
-            raise ValueError(f"config invalid: m_max={self.m_max}, need m_max >= 1")
+        for field, least in (("n", 2), ("m_max", 1)):
+            value = getattr(self, field)
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise ValueError(f"config invalid: {field}={value!r}, need an integer") from None
+            if value < least:
+                raise ValueError(f"config invalid: {field}={value}, need {field} >= {least}")
+            object.__setattr__(self, field, value)
         if self.mode not in MODES:
             raise ValueError(f"config invalid: mode={self.mode!r}, choose from {MODES}")
         if not (self.stop_tol >= 0.0 and np.isfinite(self.stop_tol)):
             raise ValueError(f"config invalid: stop_tol={self.stop_tol}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "m_max", int(self.m_max))
 
 
 @dataclass
@@ -436,24 +440,22 @@ def _sweep(
     return biggest, float(np.max(np.abs(C, out=C)))
 
 
-def _nodal_array(
-    state: Sequence[PiecewiseLinear], sys: IvpSystem, grid: Grid, what: str
-) -> np.ndarray:
+def _nodal_array(state: Sequence[PiecewiseLinear], sys: IvpSystem, grid: Grid) -> np.ndarray:
     """Stack ``state``, one element per equation on ``grid``, into a (k, n) array.
 
-    A non-finite nodal value is an input error that names ``what``, the
-    equation and the node.
+    A non-finite nodal value is an input error that names the equation and
+    the node.
     """
     if len(state) != sys.k:
-        raise ValueError(f"{what} must have one element per equation")
+        raise ValueError("state must have one element per equation")
     for pl in state:
         if pl.grid.n != grid.n or pl.grid.a != grid.a or pl.grid.T != grid.T:
-            raise ValueError(f"{what} grids do not match the solve grid")
+            raise ValueError("state grids do not match the solve grid")
     W = np.vstack([pl.values for pl in state])
     if not np.isfinite(W).all():
         j, i = (int(x) for x in np.argwhere(~np.isfinite(W))[0])
         raise ValueError(
-            f"{what} must be finite: equation {j + 1} is {W[j, i]} at node {i + 1} "
+            f"state must be finite: equation {j + 1} is {W[j, i]} at node {i + 1} "
             f"(t={grid.nodes[i]})"
         )
     return W
@@ -475,7 +477,7 @@ def ivim_step(
     """
     if mode not in MODES:
         raise ValueError(f"mode={mode!r}, choose from {MODES}")
-    W = _nodal_array(state, sys, grid, "state")
+    W = _nodal_array(state, sys, grid)
     alphas = [float(m) for m in mults]
     if alphas != list(sys.alphas):
         raise ValueError(f"mults carry alphas {alphas}, the equations {list(sys.alphas)}")
@@ -496,29 +498,24 @@ def successive_diff_norm(s1: Sequence[PiecewiseLinear], s2: Sequence[PiecewiseLi
     return worst
 
 
-def solve(
-    sys: IvpSystem,
-    cfg: SolveConfig,
-    u0: Optional[Sequence[PiecewiseLinear]] = None,
-) -> SolveReport:
+def solve(sys: IvpSystem, cfg: SolveConfig) -> SolveReport:
     """Run the interpolated iteration up to ``cfg.m_max`` sweeps.
 
-    The iterates are ``u - u_a``, carried as one (k, n) array, and iteration
-    starts from ``u0``, given as ``u - u_a`` (default: the system's guess
-    minus ``u_a``, else zero).  With ``cfg.stop_tol > 0`` the loop exits
-    early once the successive-difference max norm drops to the tolerance.
-    Identical inputs produce bit-identical reports.
+    The iterates are ``u - u_a``, carried as one (k, n) array.  Iteration
+    starts from the system's guess minus ``u_a``, projected on the grid, or
+    from zero for an equation without one; to start elsewhere, pass a system
+    with another ``guess`` (``dataclasses.replace(sys, guess=None)`` starts
+    from zero).  With ``cfg.stop_tol > 0`` the loop exits early once the
+    successive-difference max norm drops to the tolerance.  Identical inputs
+    produce bit-identical reports.
     """
     start = time.perf_counter()
     grid = make_grid(sys.a, sys.T, cfg.n)
-    if u0 is not None:
-        W = _nodal_array(u0, sys, grid, "u0")
-    else:
-        W = np.zeros((sys.k, grid.n))
-        for j, g in enumerate(sys.guess or ()):
-            if g is not None:
-                with np.errstate(all="ignore"):  # project_samples names a non-finite sample
-                    W[j] = project_samples(grid, lambda t: g(t) - sys.initial[j]).values
+    W = np.zeros((sys.k, grid.n))
+    for j, g in enumerate(sys.guess or ()):
+        if g is not None:
+            with np.errstate(all="ignore"):  # project_samples names a non-finite sample
+                W[j] = project_samples(grid, lambda t: g(t) - sys.initial[j]).values
 
     plan = _plan(sys, grid, cfg.mode)
     spare, C = np.empty_like(W), np.empty_like(W)
@@ -565,8 +562,5 @@ def solve(
 
 def eval_solution(report: SolveReport, t: float) -> np.ndarray:
     """Solution values at ``t`` (one per equation), initial offset restored."""
-    t = float(t)
-    if t < report.grid.a or t > report.grid.T:
-        raise ValueError(f"t={t} outside [{report.grid.a}, {report.grid.T}]")
     shifted = np.array([interp_eval(pl, t) for pl in report.final])
     return shifted + np.asarray(report.u_a)

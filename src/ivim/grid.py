@@ -12,6 +12,7 @@ Index conventions follow the usual 1-based numbering of the nodes
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -59,7 +60,7 @@ def make_grid(a: float, T: float, n: int) -> Grid:
     ------
     ValueError
         If an endpoint or ``T - a`` is not finite, ``T <= a`` (invalid
-        interval) or ``n < 2`` (too few nodes).
+        interval), ``n`` is not an integer or ``n < 2`` (too few nodes).
     """
     a = float(a)
     T = float(T)
@@ -69,7 +70,10 @@ def make_grid(a: float, T: float, n: int) -> Grid:
         raise ValueError(f"invalid interval: T={T} must exceed a={a}")
     if not np.isfinite(T - a):
         raise ValueError(f"interval length T - a must be finite, got {T - a!r}")
-    n = int(n)
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"grid invalid: n={n!r}, need an integer") from None
     if n < 2:
         raise ValueError(f"too few nodes: n={n}, need at least 2")
     h = (T - a) / (n - 1)
@@ -107,7 +111,7 @@ def interp_eval(pl: PiecewiseLinear, t: float) -> float:
     """
     grid = pl.grid
     t = float(t)
-    if t < grid.a or t > grid.T:
+    if not grid.a <= t <= grid.T:  # False for nan
         raise ValueError(f"t={t} outside [{grid.a}, {grid.T}]")
     return float(np.interp(t, grid.nodes, pl.values))
 

@@ -199,7 +199,7 @@ def exact_builtin_eval(name: str, t: float) -> np.ndarray:
     interval = BUILTIN_PROBLEMS[name]["interval"]
     a, T = interval["a"], interval["T"]
     t = float(t)
-    if t < a or t > T:
+    if not a <= t <= T:  # False for nan
         raise ValueError(f"t={t} outside [{a}, {T}] for {name}")
     if name == "ex1":
         return np.array([1.0 + _SQRT2 * math.tanh(_SQRT2 * t + _EX1_PHASE)])

@@ -283,18 +283,8 @@ def test_solve_accepts_explicit_initial_iterate():
     # overriding the seed with zeros lands on the spurious stationary branch
     # of the fractional-power problem: the rhs vanishes identically along it
     sys_, _ = get_problem("ex2")
-    grid = make_grid(sys_.a, sys_.T, 50)
-    zeros = [PiecewiseLinear(grid, np.zeros(50))]
-    rep = solve(sys_, SolveConfig(n=50, m_max=8), u0=zeros)
+    rep = solve(dataclasses.replace(sys_, guess=None), SolveConfig(n=50, m_max=8))
     assert not rep.final[0].values.any()
-
-
-def test_solve_rejects_mismatched_u0_grid():
-    sys_, _ = get_problem("ex1")
-    wrong = make_grid(sys_.a, sys_.T, 20)
-    u0 = [PiecewiseLinear(wrong, np.zeros(20))]
-    with pytest.raises(ValueError, match="u0 grids"):
-        solve(sys_, SolveConfig(n=50, m_max=2), u0=u0)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -304,8 +294,6 @@ def test_nonfinite_iterate_is_an_input_error(bad):
     grid = make_grid(sys_.a, sys_.T, 5)
     state = _state_from(grid, [[0.0, 1.0, 1.0, 1.0, 1.0], [0.0, 1.0, bad, 1.0, 1.0]])
     where = f"must be finite: equation 2 is {bad} at node 3 (t={grid.nodes[2]})"
-    with pytest.raises(ValueError, match=re.escape(f"u0 {where}") + "$"):
-        solve(sys_, SolveConfig(n=5, m_max=2), u0=state)
     mults = [exp_multiplier(alpha) for alpha in sys_.alphas]
     with pytest.raises(ValueError, match=re.escape(f"state {where}") + "$"):
         ivim_step(state, sys_, grid, mults)
@@ -564,6 +552,19 @@ def test_solve_config_validation():
         SolveConfig(n=10, m_max=5, stop_tol=-1.0)
 
 
+def test_solve_config_sizes_must_be_integers():
+    # int() would truncate 2.7 to 2 sweeps and accept the string "5"
+    with pytest.raises(ValueError, match=re.escape("config invalid: m_max=2.7, need an integer")):
+        SolveConfig(n=5, m_max=2.7)
+    with pytest.raises(ValueError, match=re.escape("config invalid: n='5', need an integer")):
+        SolveConfig(n="5", m_max=2)
+    with pytest.raises(ValueError, match=re.escape("config invalid: n=5.0, need an integer")):
+        SolveConfig(n=5.0, m_max=2)
+    cfg = SolveConfig(n=np.int64(5), m_max=np.int32(2))
+    assert (cfg.n, cfg.m_max) == (5, 2)
+    assert type(cfg.n) is int and type(cfg.m_max) is int
+
+
 # --- successive_diff_norm -----------------------------------------------------------
 
 def test_diff_norm_identical_states():
@@ -611,6 +612,13 @@ def test_eval_solution_offsets_and_interpolates():
     assert eval_solution(rep, mid)[0] == pytest.approx(expected, abs=1e-15)
     with pytest.raises(ValueError, match="outside"):
         eval_solution(rep, 1.5)
+
+
+def test_eval_solution_rejects_nan():
+    sys_, _ = get_problem("ex1")
+    rep = solve(sys_, SolveConfig(n=11, m_max=1))
+    with pytest.raises(ValueError, match=re.escape("t=nan outside [0.0, 1.0]")):
+        eval_solution(rep, float("nan"))
 
 
 def test_history_snapshots():

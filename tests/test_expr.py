@@ -188,6 +188,12 @@ def test_eval_unbound_variable():
         eval_expr(parse("x + 1"), {"t": 0.0})
 
 
+def test_eval_non_finite_result():
+    with pytest.raises(ExprError) as err:
+        eval_expr(parse("1e308 * 10"), {})
+    assert str(err.value) == "non-finite result inf from '1e+308*10'"
+
+
 def test_eval_division_by_zero():
     with pytest.raises(ExprError, match="division by zero"):
         eval_expr(parse("1/u"), {"u": 0.0})

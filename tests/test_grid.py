@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,16 @@ def test_make_grid_too_few_nodes():
         make_grid(0, 1, 1)
 
 
+def test_make_grid_node_count_must_be_an_integer():
+    # int() would truncate 2.5 to a 2-node grid
+    with pytest.raises(ValueError, match=re.escape("grid invalid: n=2.5, need an integer")):
+        make_grid(0, 1, 2.5)
+    with pytest.raises(ValueError, match=re.escape("grid invalid: n='5', need an integer")):
+        make_grid(0, 1, "5")
+    g = make_grid(0, 1, np.int64(5))
+    assert g.n == 5 and type(g.n) is int
+
+
 def test_hat_eval_examples():
     g = make_grid(0, 1, 5)
     assert hat_eval(g, 3, 0.5) == 1.0
@@ -99,6 +111,12 @@ def test_interp_eval_examples():
     assert interp_eval(pl, 0.0) == 0.0
     with pytest.raises(ValueError, match="outside"):
         interp_eval(pl, 1.25)
+
+
+def test_interp_eval_rejects_nan():
+    pl = PiecewiseLinear(make_grid(0, 1, 3), np.array([0.0, 1.0, 4.0]))
+    with pytest.raises(ValueError, match=re.escape("t=nan outside [0.0, 1.0]")):
+        interp_eval(pl, float("nan"))
 
 
 def test_piecewise_linear_must_vanish_at_a():

@@ -53,6 +53,20 @@ def test_rk4_constant_problem():
     assert np.all(ref.values == 3.25)
 
 
+def test_rk4_of_a_system_given_by_forcing_alone():
+    # no rhs: RK4 calls the one IvpSystem synthesizes from the split
+    # f = -alpha*u + g(t), which problem files never reach
+    ones = IvpSystem(
+        alphas=(-1.0,), a=0.0, T=1.0, initial=(0.0,),
+        forcing=(lambda t: np.ones_like(np.asarray(t, dtype=float)),),
+    )
+    ref = rk4_reference(ones, 1e-3)
+    assert np.max(np.abs(ref.values[0] - np.expm1(ref.nodes))) <= 1e-12
+    decay = IvpSystem(alphas=(2.0,), a=0.5, T=1.5, initial=(1.5,), forcing=(None,))
+    ref = rk4_reference(decay, 1e-3)
+    assert np.max(np.abs(ref.values[0] - 1.5 * np.exp(-2.0 * (ref.nodes - 0.5)))) <= 1e-12
+
+
 def test_rk4_fourth_order():
     sys_ = _scalar_system(lambda t, U: U[0], 0.0, 1.0, 1.0)
     e_coarse = abs(rk4_reference(sys_, 1.0 / 100).values[0, -1] - math.e)
@@ -208,6 +222,11 @@ def test_exact_builtin_validation():
         exact_builtin_eval("ex9", 0.5)
     with pytest.raises(ValueError, match="outside"):
         exact_builtin_eval("ex1", 1.5)
+
+
+def test_exact_builtin_rejects_nan():
+    with pytest.raises(ValueError, match=re.escape("t=nan outside [0.0, 3.0] for ex2")):
+        exact_builtin_eval("ex2", float("nan"))
 
 
 @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
