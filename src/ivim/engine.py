@@ -106,8 +106,10 @@ class IvpSystem:
     ``rhs[k]`` is the complete right-hand side, called as ``rhs[k](t, state)``
     where ``state`` is indexable by equation (``state[j]``).  The solver
     passes numpy arrays over a contiguous chunk of the nodes, so ``rhs`` must
-    act elementwise, and the result must broadcast to the shape of ``t``;
-    ``rk4_reference`` passes float64 scalars.  The state is unshifted.
+    act elementwise, and the result must broadcast to the shape of ``t``.
+    ``rk4_reference`` calls the scalar forms ``rhs[k].scalar`` of compiled
+    right-hand sides on Python floats, and any other rhs on ``np.float64``
+    scalars; there it returns a real scalar.  The state is unshifted.
 
     An equation may also carry the affine split ``f = -alpha*u + g(t)`` as
     ``forcing[k] = g`` (None leaves it to ``rhs``); the solver then takes
@@ -198,6 +200,8 @@ class SolveConfig:
         for field, least in (("n", 2), ("m_max", 1)):
             value = getattr(self, field)
             try:
+                if isinstance(value, bool):  # operator.index(True) is 1
+                    raise TypeError
                 value = operator.index(value)
             except TypeError:
                 raise ValueError(f"config invalid: {field}={value!r}, need an integer") from None

@@ -182,8 +182,10 @@ CONSTANTS = {"pi": math.pi, "e": math.e}
 # term of a chain such as a + b + c).  The parser spends up to six frames a
 # level (nested calls), the tree walkers one to three; 100 levels keep the
 # deepest case near 650 frames under Python's default limit of 1000.  The
-# generated source nests one bracket level per tree level, and CPython
-# rejects more than 200 nested parentheses, so this must stay well below 200.
+# generated source nests up to two bracket levels per operator or call (a
+# call inside float() in the scalar form of a right-hand side) and one for a
+# leaf ``s[j]``: 2 * 99 + 1 = 199 at this depth, one below the 200 nested
+# brackets that CPython rejects, so this cannot grow.
 MAX_DEPTH = 100
 
 
@@ -552,8 +554,16 @@ def _odd_root(x, inv):
     return np.copysign(np.power(np.abs(x), inv), x)
 
 
+def _quotient(a, b):
+    """``a / b`` on Python floats; numpy's inf or NaN, as a float, for a zero ``b``."""
+    return a / b if b else float(np.divide(a, b))
+
+
 # the globals of a generated function: the callables its source names
-_NAMESPACE = {**_NP_FUNCS, "divide": np.divide, "power": np.power, "_odd_root": _odd_root}
+_NAMESPACE = {
+    **_NP_FUNCS, "divide": np.divide, "power": np.power, "_odd_root": _odd_root,
+    "_quotient": _quotient,
+}
 
 # The names a generated function binds its constants to, interned for the
 # life of the process.  Otherwise each compile adds them to CPython's table
@@ -571,6 +581,8 @@ _BINOPS = {
     "/": "divide({}, {})",
     "^": "power({}, {})",
 }
+# the scalar form: Python's '/' but for a zero divisor, and numpy's power as a float
+_SCALAR_BINOPS = {**_BINOPS, "/": "_quotient({}, {})", "^": "float(power({}, {}))"}
 
 
 def _generate(e: Expr, params: tuple, read: Callable, label: str, hoisted: tuple = ()) -> Callable:
@@ -596,6 +608,18 @@ def _generate(e: Expr, params: tuple, read: Callable, label: str, hoisted: tuple
     of ``f(*args)``.  The one exception is a NaN: where numpy reuses a
     temporary array of 256 KiB or more in place, a sum or product of two
     NaNs may keep the other one's sign and payload.
+
+    A right-hand side (``params`` is ``("t", "s")``) also gets
+    ``f.scalar(t, s)``, the same expression on Python floats ``t`` and
+    ``s[j]`` for ``rk4_reference``: ``+ - *`` and negation act on the
+    floats, ``/`` is Python's but for a zero divisor (``_quotient``), and
+    each numpy call is converted back with ``float()``.  IEEE arithmetic is
+    the same on both types and ``float()`` of a float64 is exact, so it
+    returns a ``float`` with the bits of ``f`` on ``np.float64`` arguments,
+    the sign of a zero included.  The one exception is again a NaN: a sum or
+    product of two NaNs may keep the other one's sign and payload, as
+    CPython's float ``+`` and ``*`` do once the interpreter has specialized
+    them (after a few calls).
     """
     consts: dict = {}
     slots: dict = {}  # id of a hoisted node -> its index in p, while main is written
@@ -606,7 +630,7 @@ def _generate(e: Expr, params: tuple, read: Callable, label: str, hoisted: tuple
         consts[name] = value
         return name
 
-    def source(node) -> str:
+    def source(node, scalar: bool = False) -> str:
         if id(node) in slots:
             return f"p[{slots[id(node)]}]"
         if isinstance(node, Const):
@@ -616,22 +640,26 @@ def _generate(e: Expr, params: tuple, read: Callable, label: str, hoisted: tuple
                 raise TypeError(f"variable name must be a str: {node!r}")
             return read(node.name, bind(CONSTANTS[node.name]) if node.name in CONSTANTS else None)
         if isinstance(node, Neg):
-            return f"(-{source(node.operand)})"
+            return f"(-{source(node.operand, scalar)})"
         if isinstance(node, BinOp):
-            template = _BINOPS.get(node.op)
+            template = (_SCALAR_BINOPS if scalar else _BINOPS).get(node.op)
             if template is None:
                 raise TypeError(f"not an operator: {node.op!r}")
-            return template.format(source(node.left), source(node.right))
+            return template.format(source(node.left, scalar), source(node.right, scalar))
         if isinstance(node, Call) and node.fn == "nthroot":
             root = "power" if node.k % 2 == 0 else "_odd_root"
-            return f"{root}({source(node.args[0])}, {bind(1.0 / node.k)})"
-        if isinstance(node, Call):
+            text = f"{root}({source(node.args[0], scalar)}, {bind(1.0 / node.k)})"
+        elif isinstance(node, Call):
             if type(node.fn) is not str or node.fn not in _NP_FUNCS:
                 raise TypeError(f"not a function: {node.fn!r}")
-            return f"{node.fn}({source(node.args[0])})"
-        raise TypeError(f"not an expression node: {node!r}")
+            text = f"{node.fn}({source(node.args[0], scalar)})"
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        return f"float({text})" if scalar else text
 
     src = f"def f({', '.join(params)}):\n    return {source(e)}\n"
+    if params == ("t", "s"):
+        src += f"def scalar(t, s):\n    return {source(e, True)}\n"
     if hoisted:
         src += f"def pre(t):\n    return ({''.join(source(node) + ', ' for node in hoisted)})\n"
         slots.update((id(node), i) for i, node in enumerate(hoisted))
@@ -641,6 +669,8 @@ def _generate(e: Expr, params: tuple, read: Callable, label: str, hoisted: tuple
     # no cycle through their own globals: freed by refcount
     fn = namespace.pop("f")
     fn.__qualname__ = label
+    if params == ("t", "s"):
+        fn.scalar = namespace.pop("scalar")
     if hoisted:
         fn.split = (namespace.pop("pre"), namespace.pop("main"))
     return fn

@@ -71,6 +71,8 @@ def make_grid(a: float, T: float, n: int) -> Grid:
     if not np.isfinite(T - a):
         raise ValueError(f"interval length T - a must be finite, got {T - a!r}")
     try:
+        if isinstance(n, bool):  # operator.index(True) is 1
+            raise TypeError
         n = operator.index(n)
     except TypeError:
         raise ValueError(f"grid invalid: n={n!r}, need an integer") from None

@@ -103,7 +103,8 @@ def _compile(src, what: str, k: int = 0):
 
     A right-hand side (``k`` components) compiles to ``f(t, s)`` reading
     ``u_j`` as ``s[j-1]``; ``exact`` and ``guess`` (``k = 0``) to ``f(t)``.
-    A right-hand side with parts in ``t`` alone also carries
+    A right-hand side carries ``f.scalar``, its form on Python floats for
+    ``rk4_reference``; one with parts in ``t`` alone also carries
     ``f.split = (pre, main)``, so a solve on fixed nodes evaluates those
     parts once (see ``expr._generate``).
     """

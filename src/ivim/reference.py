@@ -75,11 +75,17 @@ def rk4_reference(sys: IvpSystem, step: float) -> ReferenceSolution:
 
     ``step`` must divide the interval to within 1e-9 relative, into no more
     steps than one array can hold.  Integration starts from the original
-    (unshifted) initial values.  The state is one ``np.float64`` per
-    component, and each stage calls ``sys.rhs[j](t, state)`` with ``state`` a
-    list of those scalars, so a right-hand side may only index it.  Per
-    component the arithmetic is that of ``y + h/6 (k1 + 2 k2 + 2 k3 + k4)``,
-    in that order.  The steps run in one generated loop per equation count
+    (unshifted) initial values.  When every right-hand side is compiled,
+    the state is one Python float per component, and each stage calls the
+    scalar forms ``sys.rhs[j].scalar(t, state)`` with ``state`` a list of
+    those floats.  Otherwise the state is one ``np.float64`` per component
+    and each stage calls ``sys.rhs[j](t, state)``, so a callable of its own
+    sees ``np.float64`` items (``U[0] ** 2`` overflows to inf rather than
+    raising).  Either may only index the state and returns a real scalar.
+    IEEE arithmetic is the same on both types, so the trajectory has the
+    same bits either way.  Per component
+    the arithmetic is that of ``y + h/6 (k1 + 2 k2 + 2 k3 + k4)``, in that
+    order.  The steps run in one generated loop per equation count
     (``_rk4_loop``), which holds the state in locals and writes each step
     into ``values``.  Numpy's floating-point warnings are off for the whole
     run.  A step that turns the state non-finite raises ``ValueError`` naming
@@ -110,7 +116,11 @@ def rk4_reference(sys: IvpSystem, step: float) -> ReferenceSolution:
         ) from None
     values[:, 0] = sys.initial
     with np.errstate(all="ignore"):
-        i = _rk4_loop(sys.k)(sys.rhs, values, sys.a, h, nsteps)
+        rhs = tuple(getattr(f, "scalar", None) for f in sys.rhs)
+        start = values[:, 0].tolist()
+        if None in rhs:
+            rhs, start = sys.rhs, list(values[:, 0])
+        i = _rk4_loop(sys.k)(rhs, start, values, sys.a, h, nsteps)
         if i is not None:
             _reject_nan_stage(sys.rhs, sys.a + i * h, list(values[:, i]), h)
             raise DivergenceError(f"RK4 state became non-finite at t={sys.a + (i + 1) * h}")
@@ -120,12 +130,15 @@ def rk4_reference(sys: IvpSystem, step: float) -> ReferenceSolution:
 
 @functools.cache
 def _rk4_loop(k: int) -> Callable:
-    """``march(rhs, values, a, h, nsteps)``: the RK4 loop of ``rk4_reference``
-    for ``k`` equations, with the state in locals ``y0 .. y{k-1}``.
+    """``march(rhs, start, values, a, h, nsteps)``: the RK4 loop of
+    ``rk4_reference`` for ``k`` equations, with the state in locals
+    ``y0 .. y{k-1}``.
 
-    It starts from ``values[:, 0]``, writes step ``i``'s state into
-    ``values[:, i]`` and returns the index of the first step whose new
-    state is not finite, or ``None``.
+    It starts from the list ``start`` (``values[:, 0]`` as Python floats or
+    as ``np.float64``; the state keeps that type), writes step ``i``'s
+    state into ``values[:, i]`` through a memoryview of each row and
+    returns the index of the first step whose new state is not finite, or
+    ``None``.
     """
 
     def each(template: str, sep: str = ", ") -> str:
@@ -135,10 +148,10 @@ def _rk4_loop(k: int) -> Callable:
         return each(f"k{n}_{{j}} = f{{j}}({t}, s)", "; ")
 
     src = f"""\
-def march(rhs, values, a, h, nsteps):
+def march(rhs, start, values, a, h, nsteps):
     {each("f{j}")}, = rhs
-    {each("y{j}")}, = values[:, 0]
-    {each("r{j}")}, = values
+    {each("y{j}")}, = start
+    {each("r{j}")}, = map(memoryview, values)
     half = 0.5 * h
     sixth = h / 6.0
     t = a

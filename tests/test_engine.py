@@ -565,6 +565,14 @@ def test_solve_config_sizes_must_be_integers():
     assert type(cfg.n) is int and type(cfg.m_max) is int
 
 
+def test_solve_config_sizes_reject_booleans():
+    # operator.index(True) is 1, so m_max=True would run one sweep
+    with pytest.raises(ValueError, match=re.escape("config invalid: m_max=True, need an integer")):
+        SolveConfig(n=5, m_max=True)
+    with pytest.raises(ValueError, match=re.escape("config invalid: n=False, need an integer")):
+        SolveConfig(n=False, m_max=2)
+
+
 # --- successive_diff_norm -----------------------------------------------------------
 
 def test_diff_norm_identical_states():

@@ -26,6 +26,7 @@ from ivim.expr import (
 import numpy as np
 
 from ivim.expr import _children, _generate
+from ivim.problems import problem_from_dict
 
 from _oracles import compile_array
 
@@ -527,6 +528,22 @@ def test_compile_array_leaves_error_state_to_the_caller():
         assert math.isnan(fn({"t": 0.0}))
 
 
+@pytest.mark.parametrize(
+    "src, u, want",
+    [("1/u", 0.0, math.inf), ("-1/u", -0.0, math.inf), ("u/u", 0.0, math.nan),
+     ("1/u", -0.0, -math.inf), ("u/2", 3.0, 1.5)],
+    ids=["one_by_zero", "minus_one_by_minus_zero", "zero_by_zero", "one_by_minus_zero", "plain"],
+)
+def test_scalar_rhs_divides_by_zero_as_numpy(src, u, want):
+    # Python's '/' raises ZeroDivisionError; the scalar form returns numpy's answer
+    f = _generate(parse(src), ("t", "s"), {"t": "t", "u": "s[0]"}.get, "rhs")
+    with np.errstate(all="ignore"):
+        got, array = f.scalar(0.0, [u]), f(np.float64(0.0), [np.float64(u)])
+    assert type(got) is float
+    assert np.float64(got).view(np.int64) == np.float64(array).view(np.int64)
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
 # --- nesting limit ------------------------------------------------------------
 
 # family -> (source nested k levels below the top, offset reported at k = MAX_DEPTH)
@@ -560,6 +577,19 @@ def test_nesting_limit_boundary(family):
     with pytest.raises(ExprError, match=rf"nested deeper than {MAX_DEPTH} levels") as info:
         parse(make(MAX_DEPTH))
     assert info.value.position == offset
+
+
+@pytest.mark.parametrize("family", sorted(_NESTED))
+def test_deepest_rhs_compiles_its_scalar_form(family):
+    # the scalar form nests two brackets per call, under CPython's 200
+    (f,) = problem_from_dict({
+        "interval": {"a": 0.0, "T": 1.0},
+        "equations": [{"alpha": 0.0, "rhs": _NESTED[family][0](MAX_DEPTH - 1)}],
+        "initial": [0.0],
+    }).rhs
+    with np.errstate(all="ignore"):
+        got, want = f.scalar(0.25, [0.5]), f(np.float64(0.25), [np.float64(0.5)])
+    assert math.isfinite(got) and got == want
 
 
 def test_nesting_limit_counts_the_tree_below_parentheses():

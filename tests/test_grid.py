@@ -71,6 +71,12 @@ def test_make_grid_node_count_must_be_an_integer():
     assert g.n == 5 and type(g.n) is int
 
 
+def test_make_grid_node_count_rejects_booleans():
+    # operator.index(True) is 1: reported as no integer, not as too few nodes
+    with pytest.raises(ValueError, match=re.escape("grid invalid: n=True, need an integer")):
+        make_grid(0, 1, True)
+
+
 def test_hat_eval_examples():
     g = make_grid(0, 1, 5)
     assert hat_eval(g, 3, 0.5) == 1.0

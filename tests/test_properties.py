@@ -338,6 +338,28 @@ def test_split_rhs_has_the_bits_of_the_whole_rhs(tree, seed):
     assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
 
 
+def _bits(x):
+    return np.float64(x).view(np.int64)
+
+
+@_settings(300)
+@given(_any_tree, st.integers(0, 2**32 - 1))
+def test_scalar_rhs_has_the_bits_of_the_rhs_on_float64(tree, seed):
+    f = _generate(tree, ("t", "s"), {"t": "t", "u": "s[0]"}.get, "rhs")
+    rng = np.random.default_rng(seed)
+    # NaNs of both signs, one with a payload
+    nans = [math.nan, -math.nan, np.int64(0x7FF8_0000_0000_0123).view(np.float64)]
+    special = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, *nans]
+    values = np.concatenate([rng.normal(scale=3.0, size=6), special])
+    with np.errstate(all="ignore"):
+        for t, u in zip(rng.permutation(values), rng.permutation(values)):
+            got, want = f.scalar(float(t), [float(u)]), f(t, [u])
+            assert type(got) is float
+            # a NaN's sign and payload may differ: once CPython specializes a
+            # float '+' or '*', it keeps the other one of two NaN operands
+            assert _bits(got) == _bits(want) or (math.isnan(got) and math.isnan(want))
+
+
 # trees that pretty() can spell as a problem file: no infinite or NaN constant
 _finite_tree = _trees(
     st.one_of(

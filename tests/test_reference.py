@@ -190,6 +190,54 @@ def test_rk4_compiles_one_loop_per_equation_count():
     assert _rk4_loop(2).__code__.co_filename == "<rk4 loop of 2 equations>"
 
 
+def test_rk4_hands_a_plain_rhs_float64_items():
+    # a callable without a scalar form sees the state as np.float64, so
+    # U[0] ** 2 overflows to inf instead of raising OverflowError
+    seen = set()
+
+    def rhs2(t, U):
+        seen.update(map(type, U))
+        return -0.25 * U[1] - np.sin(U[0])
+
+    sys_ = IvpSystem(alphas=(0.0, 0.25), a=0.0, T=2.0, initial=(0.5, 0.0),
+                     rhs=(lambda t, U: U[1], rhs2))
+    assert not hasattr(rhs2, "scalar")
+    got = rk4_reference(sys_, 2.0 / 400).values
+    assert seen == {np.float64}
+    assert np.array_equal(got.view(np.int64), rk4_march(sys_, 400).view(np.int64))
+
+
+def _spy(f, seen):
+    """``f`` with a scalar form that records the types it is called on."""
+
+    def scalar(t, U):
+        seen.update(map(type, [t, *U]))
+        return f.scalar(t, U)
+
+    def rhs(t, U):
+        return f(t, U)
+
+    rhs.scalar = scalar
+    return rhs
+
+
+def test_rk4_calls_scalar_forms_on_python_floats_only_when_all_have_one():
+    sys_, _ = get_problem("ex3")
+    want = rk4_march(sys_, 300)
+    seen = set()
+    spied = dataclasses.replace(sys_, rhs=tuple(_spy(f, seen) for f in sys_.rhs))
+    got = rk4_reference(spied, (sys_.T - sys_.a) / 300).values
+    assert seen == {float}
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # one callable of its own: every equation runs on np.float64, scalar forms unused
+    seen.clear()
+    f1, f2 = sys_.rhs
+    mixed = dataclasses.replace(sys_, rhs=(_spy(f1, seen), lambda t, U: f2(t, U)))
+    got = rk4_reference(mixed, (sys_.T - sys_.a) / 300).values
+    assert not seen
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_rk4_system_trajectory():
     # harmonic oscillator: (cos t, -sin t)
     sys_ = IvpSystem(
