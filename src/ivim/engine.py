@@ -50,14 +50,14 @@ equation and node searched.
 
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .grid import Grid, PiecewiseLinear, interp_eval, make_grid, project_samples
+from .grid import Grid, PiecewiseLinear, _as_size, interp_eval, make_grid, project_samples
 
 __all__ = [
     "DivergenceError",
@@ -198,35 +198,31 @@ class SolveConfig:
 
     def __post_init__(self):
         for field, least in (("n", 2), ("m_max", 1)):
-            value = getattr(self, field)
-            try:
-                if isinstance(value, bool):  # operator.index(True) is 1
-                    raise TypeError
-                value = operator.index(value)
-            except TypeError:
-                raise ValueError(f"config invalid: {field}={value!r}, need an integer") from None
+            value = _as_size(getattr(self, field), f"config invalid: {field}")
             if value < least:
                 raise ValueError(f"config invalid: {field}={value}, need {field} >= {least}")
             object.__setattr__(self, field, value)
         if self.mode not in MODES:
             raise ValueError(f"config invalid: mode={self.mode!r}, choose from {MODES}")
-        if not (self.stop_tol >= 0.0 and np.isfinite(self.stop_tol)):
-            raise ValueError(f"config invalid: stop_tol={self.stop_tol}")
+        tol = self.stop_tol  # a bool, a string or None is no tolerance
+        if isinstance(tol, bool) or not isinstance(tol, Real) or not 0 <= float(tol) < np.inf:
+            raise ValueError(f"config invalid: stop_tol={tol!r}")
+        object.__setattr__(self, "stop_tol", float(tol))
 
 
 @dataclass
 class SolveReport:
     """Solve outcome: final iterate, convergence trace, optional errors.
 
-    ``exact`` is the closed form, evaluated once per solve on the nodes
-    (read-only, unshifted, (k, n)), and ``errors`` the per-node maximum over
-    components of ``|nodal_values() - exact|``; both are None without one.
+    With ``keep_history``, ``iterate`` is ``history[-1]``.  ``exact`` is the
+    closed form, evaluated once per solve on the nodes (read-only, unshifted,
+    (k, n)), and ``errors`` the per-node maximum over components of
+    ``|nodal_values() - exact|``; both are None without one.
     """
 
-    final: list  # k PiecewiseLinear in the shifted space (vanish at a)
+    iterate: np.ndarray  # the final u - u_a, read-only (k, n), zero in column 1
     u_a: tuple
     grid: Grid
-    mode: str
     diffs: list  # successive max-norm differences, one per iteration run
     iterations_run: int
     wall_time: float
@@ -235,14 +231,13 @@ class SolveReport:
     history: Optional[list] = None  # per-iteration read-only (k, n) iterates
 
     @property
-    def k(self) -> int:
-        return len(self.final)
+    def final(self) -> list:
+        """The rows of ``iterate`` as k ``PiecewiseLinear`` views."""
+        return [PiecewiseLinear(self.grid, row) for row in self.iterate]
 
     def nodal_values(self) -> np.ndarray:
         """Unshifted solution values at the nodes, a fresh (k, n) array."""
-        values = np.vstack([pl.values for pl in self.final])
-        values += np.asarray(self.u_a)[:, None]
-        return values
+        return self.iterate + np.asarray(self.u_a)[:, None]
 
 
 @dataclass(frozen=True)
@@ -540,8 +535,8 @@ def solve(sys: IvpSystem, cfg: SolveConfig) -> SolveReport:
         if cfg.stop_tol > 0.0 and diff <= cfg.stop_tol:
             break
     del plan, spare, C  # before the closed form, so that the peak does not rise
-    if history:
-        W = history[-1]  # final shares the last snapshot
+    W = history[-1] if history else W  # the iterate is the last snapshot
+    W.flags.writeable = False
 
     exact = errors = None
     if sys.exact is not None:
@@ -551,10 +546,9 @@ def solve(sys: IvpSystem, cfg: SolveConfig) -> SolveReport:
         exact.flags.writeable = False
 
     return SolveReport(
-        final=[PiecewiseLinear(grid, row) for row in W],
+        iterate=W,
         u_a=sys.initial,
         grid=grid,
-        mode=cfg.mode,
         diffs=diffs,
         iterations_run=len(diffs),
         wall_time=time.perf_counter() - start,

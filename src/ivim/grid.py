@@ -53,6 +53,17 @@ class Grid:
         self.nodes.flags.writeable = False
 
 
+def _as_size(value, invalid: str) -> int:
+    """``value`` as an int, else ``ValueError("{invalid}={value!r}, need an integer")``:
+    a float, a string or a bool is no size, though ``operator.index(True)`` is 1."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{invalid}={value!r}, need an integer") from None
+
+
 def make_grid(a: float, T: float, n: int) -> Grid:
     """Build a uniform grid with ``n`` nodes on ``[a, T]``.
 
@@ -70,12 +81,7 @@ def make_grid(a: float, T: float, n: int) -> Grid:
         raise ValueError(f"invalid interval: T={T} must exceed a={a}")
     if not np.isfinite(T - a):
         raise ValueError(f"interval length T - a must be finite, got {T - a!r}")
-    try:
-        if isinstance(n, bool):  # operator.index(True) is 1
-            raise TypeError
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"grid invalid: n={n!r}, need an integer") from None
+    n = _as_size(n, "grid invalid: n")
     if n < 2:
         raise ValueError(f"too few nodes: n={n}, need at least 2")
     h = (T - a) / (n - 1)

@@ -231,10 +231,9 @@ def error_metrics(sol: SolveReport, ref: ReferenceSolution) -> ErrorMetrics:
     error from ``report.errors``, which has the bits of ``per_node_abs``.
     """
     nodes = sol.grid.nodes
-    if ref.values.shape[0] != sol.k:
-        raise ValueError(
-            f"component mismatch: reference has {ref.values.shape[0]}, solution {sol.k}"
-        )
+    k = len(sol.iterate)
+    if ref.values.shape[0] != k:
+        raise ValueError(f"component mismatch: reference has {ref.values.shape[0]}, solution {k}")
     if ref.nodes.size < nodes.size:
         raise ValueError(
             f"grid mismatch: reference has {ref.nodes.size} nodes, "

@@ -105,16 +105,20 @@ def test_errors_are_error_metrics_against_the_kept_closed_form(mode):
 
 @pytest.mark.parametrize("keep_history", [False, True])
 def test_nodal_values_is_a_fresh_writable_array(keep_history):
-    # u_a is added in place into the stacked rows; the result is the
-    # caller's own, and writing to it changes neither the report nor a
-    # later call
+    # u_a is added to the read-only iterate, which final views row by row;
+    # the result is the caller's own, and writing to it changes neither the
+    # report nor a later call
     sys_ = dataclasses.replace(_ROTATION, initial=(1.0, -0.5), exact=None)
     rep = solve(sys_, SolveConfig(n=33, m_max=3, keep_history=keep_history))
+    assert not rep.iterate.flags.writeable
+    assert all(np.shares_memory(rep.iterate, pl.values) for pl in rep.final)
     final = [pl.values.copy() for pl in rep.final]
     history = [snap.copy() for snap in rep.history or ()]
     values = rep.nodal_values()
     want = np.vstack(final) + np.array([[1.0], [-0.5]])
     assert values.shape == (2, 33) and values.flags.writeable
+    assert np.array_equal(values.view(np.int64), want.view(np.int64))
+    want = rep.iterate + np.array([[1.0], [-0.5]])
     assert np.array_equal(values.view(np.int64), want.view(np.int64))
     kept = [pl.values for pl in rep.final] + list(rep.history or ())
     assert not any(np.shares_memory(values, a) for a in kept)
@@ -550,6 +554,13 @@ def test_solve_config_validation():
         SolveConfig(n=10, m_max=5, mode="simpson")
     with pytest.raises(ValueError, match="config invalid"):
         SolveConfig(n=10, m_max=5, stop_tol=-1.0)
+    # a bool or a non-real tolerance is a config error, not a bare TypeError
+    for tol in (True, "1e-3", None, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=re.escape(f"config invalid: stop_tol={tol!r}")):
+            SolveConfig(n=5, m_max=2, stop_tol=tol)
+    cfg = SolveConfig(n=5, m_max=2, stop_tol=np.float32(0.5))
+    assert type(cfg.stop_tol) is float and cfg.stop_tol == 0.5
+    assert type(SolveConfig(n=5, m_max=2, stop_tol=1).stop_tol) is float
 
 
 def test_solve_config_sizes_must_be_integers():
@@ -634,7 +645,7 @@ def test_history_snapshots():
     rep = solve(sys_, SolveConfig(n=33, m_max=4, keep_history=True))
     assert len(rep.history) == 4
     assert all(snap.shape == (1, 33) for snap in rep.history)
-    assert np.array_equal(rep.history[-1], np.vstack([pl.values for pl in rep.final]))
+    assert rep.history[-1] is rep.iterate
     rep2 = solve(sys_, SolveConfig(n=33, m_max=4))
     assert rep2.history is None
 
