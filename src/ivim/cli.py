@@ -331,20 +331,15 @@ def _cmd_converge(args) -> int:
     system, _ = get_problem(args.problem)
     if (args.n_list is None) == (args.m_list is None):
         raise ValueError("provide exactly one of --n-list or --m-list")
-    if args.n_list is not None:
-        if args.m is None:
-            raise ValueError("--n-list requires a fixed --m")
-        if args.n is not None:
-            raise ValueError("--n cannot be combined with --n-list, which gives every n")
-        n_values = _parse_int_list(args.n_list, "--n-list")
-        points = [(n, args.m) for n in n_values]
-    else:
-        if args.n is None:
-            raise ValueError("--m-list requires a fixed --n")
-        if args.m is not None:
-            raise ValueError("--m cannot be combined with --m-list, which gives every m")
-        m_values = _parse_int_list(args.m_list, "--m-list")
-        points = [(args.n, m) for m in m_values]
+    swept, fixed = ("n", "m") if args.n_list is not None else ("m", "n")
+    if getattr(args, fixed) is None:
+        raise ValueError(f"--{swept}-list requires a fixed --{fixed}")
+    if getattr(args, swept) is not None:
+        raise ValueError(
+            f"--{swept} cannot be combined with --{swept}-list, which gives every {swept}"
+        )
+    values = _parse_int_list(getattr(args, f"{swept}_list"), f"--{swept}-list")
+    points = [(v, args.m) for v in values] if swept == "n" else [(args.n, v) for v in values]
 
     configs = [_config(args, n, m) for n, m in points]
 

@@ -42,10 +42,8 @@ spare one, which holds ``w + u_a`` until the update overwrites it, and one
 coefficient array serves every sweep.  The right-hand sides are called on
 chunks of about ``_CHUNK`` nodes, so no sweep maps and faults in fresh
 memory.  The update is one multiply, one in-place cumulative sum and one
-multiply-add per node.  At n = 65537 a sweep takes 0.8-0.9 ms on ex2 and
-1.2-1.5 ms on ex3 (2-vCPU x86-64 host, numpy 2.4).  A non-finite sweep shows
-in the nodal max norm that the divergence cap needs anyway; only then are the
-equation and node searched.
+multiply-add per node.  A non-finite sweep shows in the nodal max norm that
+the divergence cap needs anyway; only then are the equation and node searched.
 """
 
 from __future__ import annotations
@@ -204,8 +202,12 @@ class SolveConfig:
             object.__setattr__(self, field, value)
         if self.mode not in MODES:
             raise ValueError(f"config invalid: mode={self.mode!r}, choose from {MODES}")
-        tol = self.stop_tol  # a bool, a string or None is no tolerance
-        if isinstance(tol, bool) or not isinstance(tol, Real) or not 0 <= float(tol) < np.inf:
+        tol = self.stop_tol  # a bool, a string, None or an int past float64 is no tolerance
+        try:
+            valid = not isinstance(tol, bool) and isinstance(tol, Real) and 0 <= float(tol) < np.inf
+        except OverflowError:
+            valid = False
+        if not valid:
             raise ValueError(f"config invalid: stop_tol={tol!r}")
         object.__setattr__(self, "stop_tol", float(tol))
 

@@ -54,7 +54,8 @@ class Token:
     position: int
 
 
-_OPERATORS = "+-*/^"
+# the kind of each one-character token
+_CHAR_KINDS = {**dict.fromkeys("+-*/^", "operator"), "(": "paren", ")": "paren", ",": "comma"}
 
 
 def tokenize(src: str) -> list[Token]:
@@ -94,19 +95,10 @@ def tokenize(src: str) -> list[Token]:
                 i += 1
             tokens.append(Token("identifier", src[start:i], start))
             continue
-        if c in _OPERATORS:
-            tokens.append(Token("operator", c, start))
-            i += 1
-            continue
-        if c in "()":
-            tokens.append(Token("paren", c, start))
-            i += 1
-            continue
-        if c == ",":
-            tokens.append(Token("comma", c, start))
-            i += 1
-            continue
-        raise ExprError(f"illegal character {c!r}", start)
+        if c not in _CHAR_KINDS:
+            raise ExprError(f"illegal character {c!r}", start)
+        tokens.append(Token(_CHAR_KINDS[c], c, start))
+        i += 1
     return tokens
 
 
@@ -159,17 +151,20 @@ def _children(e: Expr) -> tuple:
     return ()
 
 
-FUNCTIONS = {
-    "sin": 1,
-    "cos": 1,
-    "tan": 1,
-    "tanh": 1,
-    "exp": 1,
-    "log": 1,
-    "sqrt": 1,
-    "abs": 1,
-    "nthroot": 2,
+# the one-argument functions, as the numpy ufuncs that generated code calls
+_NP_FUNCS = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "tanh": np.tanh,
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
 }
+
+# every function name and its arity
+FUNCTIONS = {**dict.fromkeys(_NP_FUNCS, 1), "nthroot": 2}
 
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
@@ -187,6 +182,12 @@ CONSTANTS = {"pi": math.pi, "e": math.e}
 # leaf ``s[j]``: 2 * 99 + 1 = 199 at this depth, one below the 200 nested
 # brackets that CPython rejects, so this cannot grow.
 MAX_DEPTH = 100
+
+
+# binding strength, loosest first; the binary operators' levels are read by
+# the parser and the printer
+_PREC_SUM, _PREC_TERM, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+_PREC = {"+": _PREC_SUM, "-": _PREC_SUM, "*": _PREC_TERM, "/": _PREC_TERM, "^": _PREC_POW}
 
 
 def _too_deep(pos: int) -> ExprError:
@@ -227,7 +228,7 @@ def parse_expression(tokens: list[Token]) -> Expr:
     if not tokens:
         raise ExprError("empty expression", 0)
     cur = _Cursor(tokens)
-    tree = _parse_sum(cur)
+    tree = _parse_level(cur)
     tok = cur.peek()
     if tok is not None:
         raise ExprError(f"trailing input {tok.lexeme!r}", tok.position)
@@ -246,28 +247,17 @@ def parse(src: str) -> Expr:
     return parse_expression(tokenize(src))
 
 
-def _parse_sum(cur: _Cursor) -> Expr:
-    node = _parse_term(cur)
+def _parse_level(cur: _Cursor, prec: int = _PREC_SUM) -> Expr:
+    """A left-associative chain of the operators of level ``prec``: a sum of
+    terms, or (``_PREC_TERM``) a term of unary operands."""
+    op = None
     while True:
-        tok = cur.peek()
-        if tok is not None and tok.kind == "operator" and tok.lexeme in "+-":
-            cur.next()
-            rhs = _parse_term(cur)
-            node = BinOp(tok.lexeme, node, rhs, pos=tok.position)
-        else:
+        operand = _parse_level(cur, _PREC_TERM) if prec == _PREC_SUM else _parse_unary(cur)
+        node = operand if op is None else BinOp(op.lexeme, node, operand, pos=op.position)
+        op = cur.peek()
+        if op is None or op.kind != "operator" or _PREC[op.lexeme] != prec:
             return node
-
-
-def _parse_term(cur: _Cursor) -> Expr:
-    node = _parse_unary(cur)
-    while True:
-        tok = cur.peek()
-        if tok is not None and tok.kind == "operator" and tok.lexeme in "*/":
-            cur.next()
-            rhs = _parse_unary(cur)
-            node = BinOp(tok.lexeme, node, rhs, pos=tok.position)
-        else:
-            return node
+        cur.next()
 
 
 def _parse_unary(cur: _Cursor) -> Expr:
@@ -317,12 +307,8 @@ def _parse_atom(cur: _Cursor) -> Expr:
         return Var(tok.lexeme, pos=tok.position)
     if tok.kind == "paren" and tok.lexeme == "(":
         cur.paren_depth += 1
-        inner = _parse_sum(cur)
-        closing = cur.peek()
-        if closing is None or closing.kind != "paren" or closing.lexeme != ")":
-            raise ExprError("unbalanced parenthesis", tok.position)
-        cur.next()
-        cur.paren_depth -= 1
+        inner = _parse_level(cur)
+        _close(cur, tok)
         return inner
     raise ExprError(f"unexpected token {tok.lexeme!r}", tok.position)
 
@@ -333,19 +319,15 @@ def _parse_call(cur: _Cursor, name_tok: Token) -> Expr:
         raise ExprError(f"unknown function {fn!r}", name_tok.position)
     open_tok = cur.next()  # '('
     cur.paren_depth += 1
-    args = [_parse_sum(cur)]
+    args = [_parse_level(cur)]
     while True:
         tok = cur.peek()
         if tok is not None and tok.kind == "comma":
             cur.next()
-            args.append(_parse_sum(cur))
+            args.append(_parse_level(cur))
             continue
         break
-    closing = cur.peek()
-    if closing is None or closing.kind != "paren" or closing.lexeme != ")":
-        raise ExprError("unbalanced parenthesis", open_tok.position)
-    cur.next()
-    cur.paren_depth -= 1
+    _close(cur, open_tok)
     arity = FUNCTIONS[fn]
     if len(args) != arity:
         raise ExprError(
@@ -360,18 +342,20 @@ def _parse_call(cur: _Cursor, name_tok: Token) -> Expr:
     return Call(fn, tuple(args), pos=name_tok.position)
 
 
+def _close(cur: _Cursor, open_tok: Token) -> None:
+    """Consume the ')' that closes the '(' ``open_tok``."""
+    closing = cur.peek()
+    if closing is None or closing.kind != "paren" or closing.lexeme != ")":
+        raise ExprError("unbalanced parenthesis", open_tok.position)
+    cur.next()
+    cur.paren_depth -= 1
+
+
 # --- printing ---------------------------------------------------------------
-
-_PREC_SUM, _PREC_TERM, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
 
 def _prec(e: Expr) -> int:
     if isinstance(e, BinOp):
-        if e.op in "+-":
-            return _PREC_SUM
-        if e.op in "*/":
-            return _PREC_TERM
-        return _PREC_POW
+        return _PREC[e.op]
     if isinstance(e, Neg):
         return _PREC_UNARY
     return _PREC_ATOM
@@ -451,27 +435,24 @@ def _eval(e: Expr, env: dict[str, float]) -> float:
             if b == 0.0:
                 raise ExprError(f"division by zero in {pretty(e)!r}", e.pos)
             return a / b
-        try:
-            return math.pow(a, b)
-        except ValueError:
-            raise ExprError(
-                f"domain error in {pretty(e)!r}: pow({a!r}, {b!r})", e.pos
-            )
-        except OverflowError:
-            raise ExprError(f"overflow in {pretty(e)!r}: pow({a!r}, {b!r})", e.pos)
+        return _math_call(e, "pow", math.pow, a, b)
     if isinstance(e, Call):
-        if e.fn == "nthroot":
-            x = _eval(e.args[0], env)
-            return _nthroot(x, e.k, e)
         x = _eval(e.args[0], env)
-        fn = getattr(math, e.fn) if e.fn != "abs" else abs
-        try:
-            return float(fn(x))
-        except ValueError:
-            raise ExprError(f"domain error in {pretty(e)!r}: {e.fn}({x!r})", e.pos)
-        except OverflowError:
-            raise ExprError(f"overflow in {pretty(e)!r}: {e.fn}({x!r})", e.pos)
+        if e.fn == "nthroot":
+            return _nthroot(x, e.k, e)
+        return _math_call(e, e.fn, abs if e.fn == "abs" else getattr(math, e.fn), x)
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _math_call(e: Expr, name: str, fn: Callable, *args: float) -> float:
+    """``fn(*args)`` as a float; a math error names ``e`` and the call ``name(args)``."""
+    try:
+        return float(fn(*args))
+    except ValueError:
+        kind = "domain error"
+    except OverflowError:
+        kind = "overflow"
+    raise ExprError(f"{kind} in {pretty(e)!r}: {name}({', '.join(map(repr, args))})", e.pos)
 
 
 def _nthroot(x: float, k: int, node: Call) -> float:
@@ -536,18 +517,6 @@ def validate_vars(e: Expr, allowed: Iterable[str]) -> None:
 
 
 # --- code generation --------------------------------------------------------
-
-_NP_FUNCS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "tanh": np.tanh,
-    "exp": np.exp,
-    "log": np.log,
-    "sqrt": np.sqrt,
-    "abs": np.abs,
-}
-
 
 def _odd_root(x, inv):
     """Real odd root ``sign(x) * |x|^inv``: a call, so ``x`` is evaluated once."""

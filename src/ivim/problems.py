@@ -141,6 +141,16 @@ def _reject_unknown_keys(obj: dict, allowed: tuple, where: str) -> None:
             raise ValueError(f"unknown key {key!r} in {where}; allowed: {', '.join(allowed)}")
 
 
+def _expressions_in_t(doc: dict, key: str, k: int):
+    """The optional list ``doc[key]`` of k expressions in ``t``, compiled; None without one."""
+    texts = doc.get(key)
+    if texts is None:
+        return None
+    if not isinstance(texts, list) or len(texts) != k:
+        raise ValueError(f"{key} must list exactly {k} expression(s)")
+    return tuple(_compile(s, f"{key} {j + 1}") for j, s in enumerate(texts))
+
+
 def problem_from_dict(doc: dict) -> IvpSystem:
     """Validate a problem document and compile it into a system."""
     if not isinstance(doc, dict):
@@ -179,22 +189,12 @@ def problem_from_dict(doc: dict) -> IvpSystem:
         rhs.append(_compile(eq["rhs"], f"rhs of equation {idx + 1}", k))
 
     exact = None
-    if doc.get("exact") is not None:
-        texts = doc["exact"]
-        if not isinstance(texts, list) or len(texts) != k:
-            raise ValueError(f"exact must list exactly {k} expression(s)")
-        fns = [_compile(s, f"exact {j + 1}") for j, s in enumerate(texts)]
+    fns = _expressions_in_t(doc, "exact", k)
+    if fns is not None:
 
         def exact(t):
             t = np.asarray(t, dtype=float)
             return np.vstack([np.broadcast_to(f(t), t.shape) for f in fns])
-
-    guess = None
-    if doc.get("guess") is not None:
-        texts = doc["guess"]
-        if not isinstance(texts, list) or len(texts) != k:
-            raise ValueError(f"guess must list exactly {k} expression(s)")
-        guess = tuple(_compile(s, f"guess {j + 1}") for j, s in enumerate(texts))
 
     return IvpSystem(
         alphas=tuple(alphas),
@@ -203,7 +203,7 @@ def problem_from_dict(doc: dict) -> IvpSystem:
         initial=initial,
         rhs=tuple(rhs),
         exact=exact,
-        guess=guess,
+        guess=_expressions_in_t(doc, "guess", k),
         name=name,
     )
 

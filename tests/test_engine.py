@@ -555,7 +555,8 @@ def test_solve_config_validation():
     with pytest.raises(ValueError, match="config invalid"):
         SolveConfig(n=10, m_max=5, stop_tol=-1.0)
     # a bool or a non-real tolerance is a config error, not a bare TypeError
-    for tol in (True, "1e-3", None, float("nan"), float("inf")):
+    # an integer past the float range is a config error too, not a bare OverflowError
+    for tol in (True, "1e-3", None, float("nan"), float("inf"), 10**400):
         with pytest.raises(ValueError, match=re.escape(f"config invalid: stop_tol={tol!r}")):
             SolveConfig(n=5, m_max=2, stop_tol=tol)
     cfg = SolveConfig(n=5, m_max=2, stop_tol=np.float32(0.5))

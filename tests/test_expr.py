@@ -224,6 +224,39 @@ def test_eval_nonfinite_result():
     assert err.value.position == 2
 
 
+@pytest.mark.parametrize(
+    "src, u, reason, offset",
+    [
+        # parse errors (u is None)
+        ("(1+", None, "unbalanced parenthesis", 3),  # the end of the input
+        ("(t", None, "unbalanced parenthesis", 0),  # the open group
+        ("sin(t", None, "unbalanced parenthesis", 3),  # the call's '('
+        ("1+", None, "unexpected end of input", 2),
+        (")", None, "unexpected token ')'", 0),
+        ("sin + 1", None, "expected '(' after function name 'sin'", 0),
+        ("sinh(t)", None, "unknown function 'sinh'", 0),
+        ("sin(t, u)", None, "sin expects 1 argument(s), got 2", 0),
+        ("nthroot(u, 0.5)", None, "nthroot degree must be a positive integer literal", 11),
+        ("u + $", None, "illegal character '$'", 4),
+        # evaluation errors
+        ("log(u)", -1.0, "domain error in 'log(u)': log(-1.0)", 0),
+        ("exp(u)", 1e6, "overflow in 'exp(u)': exp(1000000.0)", 0),
+        ("u^0.5", -4.0, "domain error in 'u^0.5': pow(-4.0, 0.5)", 1),
+        ("1/u", 0.0, "division by zero in '1/u'", 1),
+        ("nthroot(u, 2)", -1.0, "domain error in 'nthroot(u, 2)': even root of -1.0", 0),
+    ],
+)
+def test_error_reason_and_offset(src, u, reason, offset):
+    with pytest.raises(ExprError) as err:
+        if u is None:
+            parse(src)
+        else:
+            eval_expr(parse(src), {"u": u})
+    assert err.value.reason == reason
+    assert err.value.position == offset
+    assert str(err.value) == f"{reason} (at offset {offset})"
+
+
 # --- validate_vars --------------------------------------------------------------
 
 def test_validate_vars_scalar_ok():

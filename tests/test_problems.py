@@ -220,6 +220,17 @@ def test_expression_errors_name_their_expression(field, texts, message, offset):
     assert err.value.position == offset
 
 
+@pytest.mark.parametrize("field", ["exact", "guess"])
+@pytest.mark.parametrize("texts", [["t"], ["t", "t", "t"], "t"])
+def test_expression_list_must_match_the_equations(field, texts):
+    doc = json.loads(json.dumps(_TWO_EQUATIONS))
+    doc[field] = texts
+    with pytest.raises(ValueError) as err:
+        problem_from_dict(doc)
+    assert type(err.value) is ValueError
+    assert str(err.value) == f"{field} must list exactly 2 expression(s)"
+
+
 @pytest.mark.parametrize("name", ["__import__", "os", "x"])
 def test_unknown_names_never_reach_the_code_generator(monkeypatch, name):
     generated = []
