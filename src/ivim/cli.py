@@ -460,10 +460,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser serves every main() call in a process: parse_args keeps no state
+# in it, and building one costs about 1 ms, more than the rest of the front end
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -19,6 +19,7 @@ for ``u^(2/5)``.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -244,6 +245,16 @@ def parse_expression(tokens: list[Token]) -> Expr:
 
 
 def parse(src: str) -> Expr:
+    """The tree of ``src``.  The trees of the last 256 texts are kept, as
+    trees are frozen, so parsing a text again is a lookup; a bad text
+    raises afresh every time."""
+    if type(src) is str:
+        return _parse_text(src)
+    return parse_expression(tokenize(src))
+
+
+@functools.lru_cache(maxsize=256)
+def _parse_text(src: str) -> Expr:
     return parse_expression(tokenize(src))
 
 
@@ -491,18 +502,28 @@ def state_free_subtrees(e: Expr, state: Iterable[str]) -> tuple:
     in ``t`` and constants alone: on fixed nodes their values do not change
     from one evaluation to the next (see ``_generate``'s ``hoisted``).
     """
-    state = frozenset(state)
+    state = frozenset(state) - CONSTANTS.keys()
     found = []
 
-    def walk(node: Expr) -> None:
-        if state.isdisjoint(free_variables(node)):
-            if _children(node):
-                found.append(node)
-            return
+    def reads_state(node: Expr) -> bool:
+        # one walk, bottom up: a child that reads no state is listed as soon
+        # as it is walked, and unlisted again with its siblings' entries when
+        # its parent turns out to read none either
+        if isinstance(node, Var):
+            return node.name in state
+        mark = len(found)
+        reads = False
         for child in _children(node):
-            walk(child)
+            if reads_state(child):
+                reads = True
+            elif _children(child):
+                found.append(child)
+        if not reads:
+            del found[mark:]
+        return reads
 
-    walk(e)
+    if not reads_state(e) and _children(e):
+        return (e,)
     return tuple(found)
 
 
@@ -535,11 +556,12 @@ _NAMESPACE = {
 }
 
 # The names a generated function binds its constants to, interned for the
-# life of the process.  Otherwise each compile adds them to CPython's table
-# of interned strings and each freed function removes them again; the
-# deleted entries fill the table until it is rebuilt, and a rebuild can
-# double it (about 1 MiB of peak RSS, seen after 300 to 1,000 compiles of
-# one problem in one process).
+# life of the process.  Otherwise each compile of a new shape adds them to
+# CPython's table of interned strings, and freeing its code object and
+# functions removes them again; the deleted entries fill the table until it
+# is rebuilt, and a rebuild can double it (about 1 MiB of peak RSS, seen
+# after 300 to 1,000 compiles in one process).  Loading a problem again
+# reuses its code objects (``_code``) and compiles nothing.
 _CONST_NAMES = tuple(sys.intern(f"c{i}") for i in range(256))
 
 # np.divide, not '/', so 1/0 on two Python floats is inf
@@ -634,7 +656,7 @@ def _generate(e: Expr, params: tuple, read: Callable, label: str, hoisted: tuple
         slots.update((id(node), i) for i, node in enumerate(hoisted))
         src += f"def main({', '.join(params)}, p):\n    return {source(e)}\n"
     namespace = {**_NAMESPACE, **consts}
-    exec(compile(src, f"<{label}>", "exec"), namespace)
+    exec(_code(src, label), namespace)
     # no cycle through their own globals: freed by refcount
     fn = namespace.pop("f")
     fn.__qualname__ = label
@@ -643,3 +665,11 @@ def _generate(e: Expr, params: tuple, read: Callable, label: str, hoisted: tuple
     if hoisted:
         fn.split = (namespace.pop("pre"), namespace.pop("main"))
     return fn
+
+
+@functools.lru_cache(maxsize=256)
+def _code(src: str, label: str):
+    """``src`` compiled; kept, as a code object is immutable and its source
+    names constants rather than holding them, so every rhs of one shape
+    shares it and each ``exec`` of it makes new functions."""
+    return compile(src, f"<{label}>", "exec")

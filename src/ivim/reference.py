@@ -112,7 +112,7 @@ def rk4_reference(sys: IvpSystem, step: float) -> ReferenceSolution:
         values = np.empty((sys.k, nsteps + 1))
     except ValueError as exc:  # past numpy's largest array, before any memory is asked for
         raise ValueError(
-            f"step {step} gives {nsteps} RK4 steps, too many for one array: {exc}"
+            f"step {step} gives {ratio:.3g} RK4 steps, too many for one array: {exc}"
         ) from None
     values[:, 0] = sys.initial
     with np.errstate(all="ignore"):

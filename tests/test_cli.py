@@ -14,11 +14,14 @@ from ivim import (
     ReferenceSolution,
     SolveConfig,
     error_metrics,
+    expr,
     get_problem,
     rk4_reference,
     solve,
 )
-from ivim.cli import main
+from ivim.cli import build_parser, main
+
+from _artifacts import masked_digest
 
 
 def _read_lines(path):
@@ -770,7 +773,9 @@ def test_compare_subnormal_step_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "step, nsteps", [("1e-19", 15 * 10**18), ("1e-18", 15 * 10**17)], ids=["dimension", "bytes"]
+    "step, nsteps",
+    [("1e-19", "1.5e+19"), ("1e-18", "1.5e+18"), ("1e-300", "1.5e+300")],
+    ids=["dimension", "bytes", "300-digit-count"],
 )
 def test_rk4_step_count_past_any_array_exits_1(tmp_path, step, nsteps):
     # numpy refuses these shapes before asking for memory: more elements than
@@ -890,3 +895,64 @@ def test_unknown_mode_exits_1_listing_the_modes(tmp_path, capsys, argv):
 def test_help_exits_0(capsys):
     assert _run("--help") == 0
     assert "solve" in capsys.readouterr().out
+
+
+# --- one process, many main() calls -------------------------------------------
+
+def _clear_caches():
+    ivim.cli._parser.cache_clear()
+    expr._parse_text.cache_clear()
+    expr._code.cache_clear()
+
+
+def _outcome(capsys, out, *argv):
+    """(exit code, stdout, stderr, masked digest of each artifact) of one main() call."""
+    code = _run(*argv, *(["--out-dir", str(out)] if argv[:1] != ("--help",) else []))
+    captured = capsys.readouterr()
+    files = sorted(out.iterdir()) if out.exists() else []
+    return code, captured.out, captured.err, {p.name: masked_digest(p) for p in files}
+
+
+def test_build_parser_returns_a_new_parser():
+    assert build_parser() is not build_parser()
+
+
+def test_one_parser_serves_each_command_line_as_a_fresh_one_would(tmp_path, capsys):
+    argvs = [
+        ("converge", "--problem", "ex1", "--n-list", "9,17", "--m", "3"),
+        ("converge", "--problem", "ex1", "--m-list", "1,3", "--n", "9"),
+        ("converge", "--problem", "ex1", "--n-list", "9,17", "--bogus"),
+        ("--help",),
+        ("solve", "--problem", "ex1", "--n", "9", "--m", "3"),
+    ]
+    _clear_caches()
+    together = [_outcome(capsys, tmp_path / f"together{i}", *argv) for i, argv in enumerate(argvs)]
+    assert ivim.cli._parser.cache_info().misses == 1
+    assert [outcome[0] for outcome in together] == [0, 0, 1, 0, 0]
+    for i, argv in enumerate(argvs):
+        _clear_caches()
+        assert _outcome(capsys, tmp_path / f"alone{i}", *argv) == together[i]
+
+
+def test_a_rewritten_problem_file_is_read_afresh(tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    doc = {
+        "interval": {"a": 0.0, "T": 1.0},
+        "equations": [{"alpha": -2.0, "rhs": "-2*u + cos(3*t)"}],
+        "initial": [1.0],
+    }
+    # the first text, one of the same shape, and one of a new shape
+    texts = ["-2*u + cos(3*t)", "-5*u + cos(0.5*t)", "u^2 - sin(t)"]
+
+    def run(text, out):
+        doc["equations"][0]["rhs"] = text
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return _outcome(capsys, out, "solve", "--problem", str(path), "--n", "17", "--m", "4")
+
+    _clear_caches()
+    warm = [run(text, tmp_path / f"warm{i}") for i, text in enumerate(texts)]
+    assert [outcome[0] for outcome in warm] == [0, 0, 0]
+    assert len({outcome[3]["solution.csv"] for outcome in warm}) == 3
+    for i, text in enumerate(texts):
+        _clear_caches()
+        assert run(text, tmp_path / f"cold{i}") == warm[i]

@@ -149,6 +149,30 @@ def test_overflowing_number_literal_is_rejected(src, offset):
     assert err.value.position == offset
 
 
+@pytest.mark.parametrize(
+    "src, reason, offset",
+    [
+        ("u + $", "illegal character '$'", 4),
+        ("sin(u + 1", "unbalanced parenthesis", 3),
+        ("2*1E+309 + u", "number '1E+309' overflows float64", 2),
+    ],
+)
+def test_a_bad_text_raises_the_same_error_on_every_parse(src, reason, offset):
+    errors = []
+    for _ in range(3):
+        with pytest.raises(ExprError) as err:
+            parse(src)
+        errors.append(err.value)
+    assert [(e.reason, e.position) for e in errors] == [(reason, offset)] * 3
+    assert errors[0] is not errors[1]  # raised afresh, not kept
+
+
+def test_a_text_parses_to_one_kept_tree():
+    assert parse("u^2 - sin(t)") is parse("u^2 - sin(t)")
+    with pytest.raises(TypeError):  # as before: only a str's tree is kept
+        parse(None)
+
+
 def test_superscript_digit_is_a_malformed_number():
     # str.isdigit accepts U+00B2 but float() does not
     with pytest.raises(ExprError) as err:

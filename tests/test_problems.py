@@ -1,4 +1,5 @@
 import cProfile
+import copy
 import json
 import pstats
 import traceback
@@ -11,6 +12,7 @@ from ivim import (
     builtin_names,
     builtin_problem_dict,
     exact_builtin_eval,
+    expr,
     get_problem,
     load_problem_file,
     problem_from_dict,
@@ -282,3 +284,40 @@ def test_profile_counts_each_expression_apart():
     calls = {file: ncalls for (file, _, _), (_, ncalls, *_) in pstats.Stats(profile).stats.items()}
     assert calls["<rhs of equation 1>"] == calls["<rhs of equation 2>"] == 60
     assert calls["<exact 1>"] == calls["<exact 2>"] == 1
+
+
+def test_loading_a_problem_again_makes_new_functions_on_shared_code():
+    (first, _), (second, _) = get_problem("ex3"), get_problem("ex3")
+    pairs = [(f.scalar, g.scalar) for f, g in zip(first.rhs, second.rhs)]
+    pairs += [(f, g) for f, g in zip(first.rhs, second.rhs)]
+    pairs += zip(first.rhs[1].split, second.rhs[1].split)  # t + 2*sin(t/2)^2 - ...
+    for f, g in pairs:
+        assert f is not g and f.__code__ is g.__code__
+
+
+def test_a_rhs_of_a_known_shape_evaluates_its_own_constants():
+    doc = {
+        "interval": {"a": 0.0, "T": 1.0},
+        "equations": [{"alpha": -1.0, "rhs": "2*u - 3*cos(t)"}],
+        "initial": [1.0],
+    }
+    other = copy.deepcopy(doc)
+    other["equations"][0]["rhs"] = "5*u - 0.25*cos(t)"
+    t = np.linspace(0.0, 1.0, 7)
+    U = np.sin(t)[None, :]
+
+    def values(f):
+        pre, main = f.split
+        return [f(t, U), main(t, U, pre(t)), np.array([f.scalar(x, [y]) for x, y in zip(t, U[0])])]
+
+    f = problem_from_dict(doc).rhs[0]
+    g = problem_from_dict(other).rhs[0]
+    assert g.__code__ is f.__code__
+    warm = values(g)
+    assert not np.array_equal(warm[0], values(f)[0])
+    expr._parse_text.cache_clear()
+    expr._code.cache_clear()
+    cold = problem_from_dict(other).rhs[0]
+    assert cold.__code__ is not f.__code__
+    for got, want in zip(warm, values(cold)):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
