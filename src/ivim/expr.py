@@ -244,17 +244,11 @@ def parse_expression(tokens: list[Token]) -> Expr:
     return tree
 
 
+@functools.lru_cache(maxsize=256)
 def parse(src: str) -> Expr:
     """The tree of ``src``.  The trees of the last 256 texts are kept, as
     trees are frozen, so parsing a text again is a lookup; a bad text
     raises afresh every time."""
-    if type(src) is str:
-        return _parse_text(src)
-    return parse_expression(tokenize(src))
-
-
-@functools.lru_cache(maxsize=256)
-def _parse_text(src: str) -> Expr:
     return parse_expression(tokenize(src))
 
 
@@ -502,28 +496,18 @@ def state_free_subtrees(e: Expr, state: Iterable[str]) -> tuple:
     in ``t`` and constants alone: on fixed nodes their values do not change
     from one evaluation to the next (see ``_generate``'s ``hoisted``).
     """
-    state = frozenset(state) - CONSTANTS.keys()
+    state = frozenset(state)
     found = []
 
-    def reads_state(node: Expr) -> bool:
-        # one walk, bottom up: a child that reads no state is listed as soon
-        # as it is walked, and unlisted again with its siblings' entries when
-        # its parent turns out to read none either
-        if isinstance(node, Var):
-            return node.name in state
-        mark = len(found)
-        reads = False
+    def walk(node: Expr) -> None:
+        if state.isdisjoint(free_variables(node)):
+            if _children(node):
+                found.append(node)
+            return
         for child in _children(node):
-            if reads_state(child):
-                reads = True
-            elif _children(child):
-                found.append(child)
-        if not reads:
-            del found[mark:]
-        return reads
+            walk(child)
 
-    if not reads_state(e) and _children(e):
-        return (e,)
+    walk(e)
     return tuple(found)
 
 

@@ -11,10 +11,6 @@ solver's nodal update as it was before its weights were planned once per
 solve: it derives every weight afresh on each call, allocates its own
 temporaries, and the solver must match it bit for bit.
 
-``state_free_subtrees`` is ``expr.state_free_subtrees`` as first written:
-top down, it collects the free variables of every subtree it visits, which
-costs O(size x depth) where the package's one walk costs O(size).
-
 ``compile_array`` is no oracle: it is the package's own code generator,
 ``expr._generate``, reading each variable from a dict.  No code in the
 package calls it, so it lives here, for the tests of the generator.
@@ -25,18 +21,7 @@ import math
 import numpy as np
 
 from ivim.engine import _BLOCK_EXPONENT
-from ivim.expr import (
-    _NP_FUNCS,
-    CONSTANTS,
-    BinOp,
-    Call,
-    Const,
-    Neg,
-    Var,
-    _children,
-    _generate,
-    free_variables,
-)
+from ivim.expr import _NP_FUNCS, CONSTANTS, BinOp, Call, Const, Neg, Var, _generate
 
 
 def naive_step(alphas, rhs_list, t, h, U, mode):
@@ -274,21 +259,3 @@ def compile_array(e):
 
 def _read_env(name, const):
     return f"env[{name!r}]" if const is None else f"env.get({name!r}, {const})"
-
-
-def state_free_subtrees(e, state):
-    """The maximal subtrees of ``e`` that read no variable in ``state`` and
-    apply at least one operator or call, left to right, found top down."""
-    state = frozenset(state)
-    found = []
-
-    def walk(node):
-        if state.isdisjoint(free_variables(node)):
-            if _children(node):
-                found.append(node)
-            return
-        for child in _children(node):
-            walk(child)
-
-    walk(e)
-    return tuple(found)

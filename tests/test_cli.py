@@ -901,7 +901,7 @@ def test_help_exits_0(capsys):
 
 def _clear_caches():
     ivim.cli._parser.cache_clear()
-    expr._parse_text.cache_clear()
+    expr.parse.cache_clear()
     expr._code.cache_clear()
 
 

@@ -315,7 +315,7 @@ def test_a_rhs_of_a_known_shape_evaluates_its_own_constants():
     assert g.__code__ is f.__code__
     warm = values(g)
     assert not np.array_equal(warm[0], values(f)[0])
-    expr._parse_text.cache_clear()
+    expr.parse.cache_clear()
     expr._code.cache_clear()
     cold = problem_from_dict(other).rhs[0]
     assert cold.__code__ is not f.__code__

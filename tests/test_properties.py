@@ -6,7 +6,6 @@ so the suite draws the same examples on every run and host.
 """
 
 import dataclasses
-import functools
 import math
 
 import numpy as np
@@ -41,7 +40,6 @@ from ivim.expr import (
 from ivim.problems import problem_from_dict
 
 from _oracles import blocked_scan, closure_compile, compile_array, naive_step, rk4_march
-from _oracles import state_free_subtrees as top_down_state_free_subtrees
 
 _CAP = 1e12  # the nodal max norm past which solve reports divergence
 
@@ -319,18 +317,6 @@ def test_compiled_expression_equals_the_closure_tree_bit_for_bit(tree, seed, sha
         for i in range(values.size):
             scalars = {name: np.float64(v[i]) for name, v in env.items()}
             assert _same_bits(got(scalars), want(scalars))
-
-
-@_settings(300)
-@given(st.lists(_any_tree, min_size=1, max_size=4), st.sets(st.sampled_from(["t", "u", "pi", "e"])))
-def test_state_free_subtrees_are_those_of_the_top_down_walk(parts, state):
-    # ((p1 + u) * p2 + u) * p3 ...: with u in state, several parts may each
-    # hold maximal subtrees, so their order is tested too
-    tree = functools.reduce(lambda acc, part: BinOp("*", BinOp("+", acc, Var("u")), part), parts)
-    got = state_free_subtrees(tree, state)
-    want = top_down_state_free_subtrees(tree, state)
-    # the same node objects: the generator matches hoisted subtrees by identity
-    assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
 
 
 @_settings(300)
