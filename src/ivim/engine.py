@@ -42,8 +42,9 @@ spare one, which holds ``w + u_a`` until the update overwrites it, and one
 coefficient array serves every sweep.  The right-hand sides are called on
 chunks of about ``_CHUNK`` nodes, so no sweep maps and faults in fresh
 memory.  The update is one multiply, one in-place cumulative sum and one
-multiply-add per node.  A non-finite sweep shows in the nodal max norm that
-the divergence cap needs anyway; only then are the equation and node searched.
+multiply-add per node.  Divergence is a non-finite update: the iterate is
+finite, so a sweep that went wrong shows in the successive difference that
+the stopping rule takes anyway; only then are the equation and node searched.
 """
 
 from __future__ import annotations
@@ -74,8 +75,6 @@ __all__ = [
 # overflow.
 _BLOCK_EXPONENT = 30.0
 _GROWTH_EXPONENT_LIMIT = 700.0
-# A sweep whose nodal max norm exceeds this is reported as divergence.
-_DIVERGENCE_CAP = 1e12
 # Nodes per chunk of a coefficient evaluation: 64 KiB temporaries stay
 # below glibc's 128 KiB mmap threshold, so they are never unmapped.
 _CHUNK = 8192
@@ -86,7 +85,7 @@ MODES = tuple(_FIRST_WEIGHT)
 
 
 class DivergenceError(RuntimeError):
-    """Iteration produced a non-finite or unboundedly large value."""
+    """An iteration sweep produced a non-finite update."""
 
 
 def exp_multiplier(alpha: float) -> float:
@@ -411,14 +410,14 @@ def _reject_nan_coefficient(
 
 def _sweep(
     W: np.ndarray, sys: IvpSystem, grid: Grid, plan: tuple, new: np.ndarray, C: np.ndarray
-) -> tuple:
+) -> float:
     """One interpolated iteration sweep over all equations.
 
-    ``W`` is the previous iterate ``u - u_a``, (k, n) and zero in its first
-    column; ``plan`` is ``_plan(sys, grid, mode)``.  The new iterate goes
-    into ``new``, the coefficients into ``C``.  Returns the new nodal max
-    norm, which is finite (a non-finite update raises here), and the
-    successive difference ``max |new - W|``, taken in the spent ``C``.
+    ``W`` is the previous iterate ``u - u_a``, finite, (k, n) and zero in its
+    first column; ``plan`` is ``_plan(sys, grid, mode)``.  The new iterate
+    goes into ``new``, the coefficients into ``C``.  Returns the successive
+    difference ``max |new - W|``, taken in the spent ``C``.  A non-finite
+    ``new`` raises here; a finite one whose difference overflowed returns it.
     """
     t = grid.nodes
     _coefficients(sys, plan, t, W, C, new)  # new holds the state until the update
@@ -426,19 +425,19 @@ def _sweep(
         np.multiply(C, 0.5 * grid.h, out=new)
         for j, eq in enumerate(plan):
             _update(eq, C[j], new[j])
-    new[:, 0] = 0.0
-    biggest = max(float(new.max()), -float(new.min()))
-    if not np.isfinite(biggest):
-        for j, row in enumerate(new):
-            bad = np.flatnonzero(~np.isfinite(row))
-            if bad.size:
-                i = int(bad[0])  # c(t_1) is read only under a nonzero first weight
-                _reject_nan_coefficient(sys, j, C[j], W, t, 0 if plan[j].first else 1, i)
-                raise DivergenceError(
-                    f"non-finite update in equation {j + 1} at node {i + 1} (t={t[i]})"
-                )
-    np.subtract(new, W, out=C)
-    return biggest, float(np.max(np.abs(C, out=C)))
+        new[:, 0] = 0.0
+        diff = float(np.max(np.abs(np.subtract(new, W, out=C), out=C)))
+    if not np.isfinite(diff):
+        bad = np.argwhere(~np.isfinite(new))
+        if bad.size:
+            j, i = (int(x) for x in bad[0])
+            _coefficients(sys, plan, t, W, C, new)  # C held the difference: refill it
+            # c(t_1) is read only under a nonzero first weight
+            _reject_nan_coefficient(sys, j, C[j], W, t, 0 if plan[j].first else 1, i)
+            raise DivergenceError(
+                f"non-finite update in equation {j + 1} at node {i + 1} (t={t[i]})"
+            )
+    return diff
 
 
 def _nodal_array(state: Sequence[PiecewiseLinear], sys: IvpSystem, grid: Grid) -> np.ndarray:
@@ -507,8 +506,10 @@ def solve(sys: IvpSystem, cfg: SolveConfig) -> SolveReport:
     from zero for an equation without one; to start elsewhere, pass a system
     with another ``guess`` (``dataclasses.replace(sys, guess=None)`` starts
     from zero).  With ``cfg.stop_tol > 0`` the loop exits early once the
-    successive-difference max norm drops to the tolerance.  Identical inputs
-    produce bit-identical reports.
+    successive-difference max norm drops to the tolerance.  A non-finite
+    update raises ``DivergenceError`` naming the sweep; a finite iterate that
+    has not converged is returned after ``cfg.m_max`` sweeps.  Identical
+    inputs produce bit-identical reports.
     """
     start = time.perf_counter()
     grid = make_grid(sys.a, sys.T, cfg.n)
@@ -522,14 +523,14 @@ def solve(sys: IvpSystem, cfg: SolveConfig) -> SolveReport:
     spare, C = np.empty_like(W), np.empty_like(W)
     diffs: list[float] = []
     history: Optional[list] = [] if cfg.keep_history else None
-    for _ in range(cfg.m_max):
-        biggest, diff = _sweep(W, sys, grid, plan, spare, C)
+    for sweep in range(1, cfg.m_max + 1):
+        try:
+            diff = _sweep(W, sys, grid, plan, spare, C)
+            if not np.isfinite(diff):
+                raise DivergenceError("non-finite update: the successive difference overflowed")
+        except DivergenceError as exc:
+            raise DivergenceError(f"{exc} at iteration {sweep}") from None
         diffs.append(diff)
-        if biggest > _DIVERGENCE_CAP:
-            raise DivergenceError(
-                f"nodal max norm {biggest} exceeded divergence cap "
-                f"{_DIVERGENCE_CAP} at iteration {len(diffs)}"
-            )
         W, spare = spare, W
         if history is not None:
             history.append(W.copy())

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .engine import DivergenceError, IvpSystem, SolveReport
-from .problems import BUILTIN_PROBLEMS
+from .problems import BUILTIN_PROBLEMS, problem_from_dict
 
 __all__ = [
     "ReferenceSolution",
@@ -27,10 +27,6 @@ __all__ = [
     "error_metrics",
     "empirical_order",
 ]
-
-_SQRT2 = math.sqrt(2.0)
-_EX1_PHASE = 0.5 * math.log((_SQRT2 - 1.0) / (_SQRT2 + 1.0))
-
 
 @dataclass(frozen=True)
 class ReferenceSolution:
@@ -198,14 +194,10 @@ def _reject_nan_stage(rhs, t: float, y: list, h: float) -> None:
 
 
 def exact_builtin_eval(name: str, t: float) -> np.ndarray:
-    """Closed-form solution of a built-in problem at ``t``.
+    """Closed-form solution of a built-in problem at ``t``, shape (k,).
 
-    ex1: Riccati ``u' = 2u - u^2 + 1`` on [0, 1],
-         ``u = 1 + sqrt(2) tanh(sqrt(2) t + atanh(-1/sqrt(2)))``.
-    ex2: ``u' = 5/3 * (u^2)^(1/5) * cos t`` on [0, 3], ``u = (sin t)^(5/3)``
-         taken through the odd-root convention.
-    ex3: second-order problem reduced to (u, v = u'); exact
-         ``(t - sin t, 1 - cos t)`` on [0, 1.5].
+    The values are those of the problem's compiled ``exact`` expressions,
+    written once in ``BUILTIN_PROBLEMS``.
     """
     if name not in BUILTIN_PROBLEMS:
         raise ValueError(f"unknown built-in problem {name!r}")
@@ -214,12 +206,7 @@ def exact_builtin_eval(name: str, t: float) -> np.ndarray:
     t = float(t)
     if not a <= t <= T:  # False for nan
         raise ValueError(f"t={t} outside [{a}, {T}] for {name}")
-    if name == "ex1":
-        return np.array([1.0 + _SQRT2 * math.tanh(_SQRT2 * t + _EX1_PHASE)])
-    if name == "ex2":
-        s = math.sin(t)
-        return np.array([math.copysign(abs(s) ** (5.0 / 3.0), s)])
-    return np.array([t - math.sin(t), 1.0 - math.cos(t)])
+    return problem_from_dict(BUILTIN_PROBLEMS[name]).exact(np.array([t]))[:, 0]
 
 
 def error_metrics(sol: SolveReport, ref: ReferenceSolution) -> ErrorMetrics:

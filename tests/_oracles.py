@@ -3,8 +3,9 @@
 Nothing here shares code with the package's solver paths: the nodal update
 is a literal double loop over math.exp calls, the quadrature check is a
 plain composite trapezoid sum, the trapezoid march solves one node at a time
-with scalar fixed-point iterations, the RK4 march steps one whole state
-array at a time, and the hat functions are evaluated piece by piece from
+with scalar fixed-point iterations, the Crank-Nicolson march steps a linear
+system through one k x k step matrix, the RK4 march steps one whole
+state array at a time, and the hat functions are evaluated piece by piece from
 their definition.  ``closure_compile`` evaluates an expression as a tree of
 closures, one per node, with no generated code.  ``blocked_scan`` is the
 solver's nodal update as it was before its weights were planned once per
@@ -128,6 +129,25 @@ def trapezoid_march(f_scalar, a, T, n):
             raise ArithmeticError(f"trapezoid march did not settle at node {i + 1}")
         u[i] = nxt
     return np.array(u)
+
+
+def crank_nicolson_march(A, u0, a, T, n):
+    """The trapezoid rule for the linear system u' = A u, u(a) = u0, on n nodes.
+
+    Each step solves ``(I - h/2 A) u_{i+1} = (I + h/2 A) u_i`` through the
+    step matrix, formed once.  For alpha = 0 this is the converged fixed
+    point of the interpolated iteration in ``full_trapezoid`` mode.
+    Returns the nodal values, (k, n).
+    """
+    A = np.asarray(A, dtype=float)
+    h = (T - a) / (n - 1)
+    eye = np.eye(len(A))
+    step = np.linalg.solve(eye - 0.5 * h * A, eye + 0.5 * h * A)
+    u = np.empty((len(A), n))
+    u[:, 0] = u0
+    for i in range(1, n):
+        u[:, i] = step @ u[:, i - 1]
+    return u
 
 
 def rk4_march(sys, nsteps):

@@ -168,7 +168,7 @@ def test_non_finite_update_in_the_third_chunk_names_node():
             lambda t, U: np.divide(1.0, 20000.0 - t) + U[0],
         ),
     )
-    message = "non-finite update in equation 2 at node 20001 (t=20000.0)"
+    message = "non-finite update in equation 2 at node 20001 (t=20000.0) at iteration 1"
     with pytest.raises(DivergenceError, match=re.escape(message) + "$"):
         solve(sys_, SolveConfig(n=_N3, m_max=3))
 

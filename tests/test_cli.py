@@ -13,6 +13,7 @@ import ivim.cli
 from ivim import (
     ReferenceSolution,
     SolveConfig,
+    builtin_problem_dict,
     error_metrics,
     expr,
     get_problem,
@@ -211,7 +212,10 @@ def test_divergence_exits_2(tmp_path, capsys):
     code = _run("solve", "--problem", str(path), "--n", "64", "--m", "60",
                 "--out-dir", str(tmp_path / "out"))
     assert code == 2
-    assert "divergence" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "ivim: divergence: non-finite update in equation 1 at node 60 "
+        "(t=0.9365079365079365) at iteration 12\n"
+    )
 
 
 def test_growth_past_limit_exits_1(tmp_path, capsys):
@@ -474,6 +478,49 @@ def test_overflowing_number_literal_exits_1_without_traceback(tmp_path, field, t
     assert "Traceback" not in err
     assert err == f"ivim: error: {message}\n"
     assert not out.exists()
+
+
+# u1' = u2, u2' = -u1 on [0, 40]: the iterates rise past 1e12 before they
+# contract, and stay finite
+_OSCILLATOR = {
+    "name": "oscillator",
+    "interval": {"a": 0.0, "T": 40.0},
+    "equations": [{"alpha": 0.0, "rhs": "u2"}, {"alpha": 0.0, "rhs": "-u1"}],
+    "initial": [1.0, 0.0],
+    "exact": ["cos(t)", "-sin(t)"],
+}
+
+
+@pytest.mark.parametrize("m, error_above, error_below", [(16, 1e12, 1e13), (140, 0.0, 1e-4)])
+def test_long_oscillator_solve_exits_0(tmp_path, m, error_above, error_below):
+    # at m = 16 the finite iterate is far from converged and is reported so
+    path = _write_problem(tmp_path, _OSCILLATOR)
+    out = tmp_path / "out"
+    code = _run("solve", "--problem", str(path), "--n", "8001", "--m", str(m),
+                "--mode", "full_trapezoid", "--out-dir", str(out))
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert summary["iterations_run"] == m
+    assert error_above < summary["max_abs_error"] < error_below
+
+
+@pytest.mark.parametrize(
+    "doc, n, message",
+    [
+        ({"interval": {"a": 0.0, "T": 1.0}, "equations": [{"alpha": 0.0, "rhs": "u^2"}],
+          "initial": [2.0]}, 4097, "node 3796 (t=0.926513671875) at iteration 12"),
+        ({**builtin_problem_dict("ex1"), "interval": {"a": 0.0, "T": 3.0}}, 257,
+         "node 220 (t=2.56640625) at iteration 9"),
+    ],
+    ids=["u^2-4097", "ex1-on-0-3"],
+)
+def test_blow_up_exits_2_naming_the_sweep(tmp_path, capsys, doc, n, message):
+    path = _write_problem(tmp_path, doc)
+    code = _run("solve", "--problem", str(path), "--n", str(n), "--m", "60",
+                "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"ivim: divergence: non-finite update in equation 1 at {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -23,7 +23,7 @@ from ivim import (
 )
 
 
-from _oracles import naive_step
+from _oracles import crank_nicolson_march, naive_step
 
 
 def _zero_state(grid, k):
@@ -407,12 +407,55 @@ def test_step_rejects_multipliers_of_other_alphas():
 
 
 def test_solve_divergence_cap():
+    # u' = u^2, u(0) = 2 blows up at t = 1/2; solve raises on the sweep where
+    # the ivim_step chain first turns non-finite, and says which
     sys_ = IvpSystem(
         alphas=(0.0,), a=0.0, T=1.0, initial=(2.0,),
         rhs=(lambda t, U: U[0] ** 2,),
     )
-    with pytest.raises(DivergenceError):
-        solve(sys_, SolveConfig(n=64, m_max=60))
+    for n in (64, 4097):
+        grid = make_grid(0.0, 1.0, n)
+        state = _zero_state(grid, 1)
+        with pytest.raises(DivergenceError, match="^non-finite update in equation 1") as chained:
+            for sweep in range(1, 61):
+                state = ivim_step(state, sys_, grid, [exp_multiplier(0.0)])
+        message = f"{chained.value} at iteration {sweep}"
+        with pytest.raises(DivergenceError, match=re.escape(message) + "$"):
+            solve(sys_, SolveConfig(n=n, m_max=60))
+
+
+def test_overflowed_difference_of_finite_iterates_diverges_in_solve_only():
+    # c = -+1.5e308 by the sign of u; on two nodes with h = 2 a sweep's
+    # iterate at t = 2 is c, so sweep 2 moves it by 3e308, past float64
+    sys_ = IvpSystem(
+        alphas=(0.0,), a=0.0, T=2.0, initial=(1.0,),
+        rhs=(lambda t, U: np.where(U[0] > 0.0, -1.5e308, 1.5e308),),
+    )
+    grid = make_grid(0.0, 2.0, 2)
+    state = _zero_state(grid, 1)
+    for want in (-1.5e308, 1.5e308):  # ivim_step returns each finite sweep
+        state = ivim_step(state, sys_, grid, [exp_multiplier(0.0)])
+        assert state[0].values.tolist() == [0.0, want]
+    message = "non-finite update: the successive difference overflowed at iteration 2"
+    with pytest.raises(DivergenceError, match=re.escape(message) + "$"):
+        solve(sys_, SolveConfig(n=2, m_max=3))
+
+
+@pytest.mark.parametrize("T, sweeps", [(30.0, 106), (40.0, 133)])
+def test_long_oscillator_converges_to_the_crank_nicolson_march(T, sweeps):
+    # the Picard transient T^m / m! lifts the successive difference to 1.5e16
+    # at T = 40 before it contracts; the iterate stays finite, so the solve
+    # runs on to the trapezoid march that is its fixed point
+    sys_ = problem_from_dict({
+        "interval": {"a": 0.0, "T": T},
+        "equations": [{"alpha": 0.0, "rhs": "u2"}, {"alpha": 0.0, "rhs": "-u1"}],
+        "initial": [1.0, 0.0],
+    })
+    n = int(200 * T) + 1
+    rep = solve(sys_, SolveConfig(n=n, m_max=400, mode="full_trapezoid", stop_tol=1e-13))
+    assert rep.iterations_run == sweeps
+    march = crank_nicolson_march([[0.0, 1.0], [-1.0, 0.0]], [1.0, 0.0], 0.0, T, n)
+    assert np.max(np.abs(rep.nodal_values() - march)) <= 1e-12
 
 
 def test_step_divergence_reports_node():
