@@ -268,7 +268,7 @@ def _write_csv(path: Path, header: list, rows: Iterable[bytes]) -> None:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    _write_atomic(path, [(json.dumps(doc, indent=2) + "\n").encode("utf-8")])
+    _write_atomic(path, [(json.dumps(doc, indent=2, allow_nan=False) + "\n").encode("utf-8")])
 
 
 def _config(args, n: int, m: int) -> SolveConfig:
@@ -292,6 +292,18 @@ def _parse_int_list(text: str, what: str) -> list:
     return values
 
 
+def _overflow(what, report, ref):
+    """The ``ValueError`` for ``|u - ref|`` past float64, where ``u`` is the
+    solution of ``report`` and ``ref`` is finite, (k, n): it names the first
+    component and ``t`` where the difference overflows."""
+    values = report.nodal_values()
+    j, i = np.argwhere(~np.isfinite(values - ref))[0]
+    return ValueError(
+        f"{what} of component {j + 1} overflows float64 at t={report.grid.nodes[i]} "
+        f"({values[j, i]} against {ref[j, i]})"
+    )
+
+
 def _cmd_solve(args) -> int:
     system, _ = get_problem(args.problem)
     report = solve(system, _config(args, args.n, args.m))
@@ -305,15 +317,15 @@ def _cmd_solve(args) -> int:
     max_abs = None
     if report.exact is not None:
         ReferenceSolution(nodes, report.exact, ("closed_form", system.name))  # checks it is finite
+        max_abs = float(np.max(report.errors))
+        if not math.isfinite(max_abs):
+            raise _overflow("error", report, report.exact)
         errs = np.subtract(values, report.exact)
         np.abs(errs, out=errs)
-        with np.errstate(divide="ignore"):  # an exact zero is -inf
-            log_err = np.log10(report.errors)
         header += [f"exact{j + 1}" for j in range(k)]
         header += [f"abs_err{j + 1}" for j in range(k)]
         header += ["log10_err"]
-        columns += [report.exact, errs, log_err]
-        max_abs = float(np.max(report.errors))
+        columns += [report.exact, errs, np.log10(report.errors)]  # an exact zero is -inf
     _write_csv(out_dir / "solution.csv", header, _float_rows(columns))
 
     _write_summary(args, system, {
@@ -358,6 +370,8 @@ def _cmd_converge(args) -> int:
         if rk4 is None:  # checks the closed form is finite, naming where
             ReferenceSolution(report.grid.nodes, report.exact, ("closed_form", system.name))
         max_abs = error_metrics(report, rk4).max_abs if rk4 else float(np.max(report.errors))
+        if not math.isfinite(max_abs):
+            raise _overflow("error", report, rk4.at(report.grid.nodes) if rk4 else report.exact)
         order = ""
         if prev is not None and prev[0] * 2 == n - 1 and max_abs > 0.0 and prev[1] > 0.0:
             order = _FLOAT % empirical_order(prev[1], max_abs)
@@ -388,6 +402,9 @@ def _cmd_compare(args) -> int:
     ivim_vals = report.nodal_values()
     rk_vals = ref.at(nodes)
     gaps = np.abs(ivim_vals - rk_vals)
+    max_gap = float(np.max(gaps))
+    if not math.isfinite(max_gap):
+        raise _overflow("gap", report, rk_vals)
 
     header = (
         ["t"]
@@ -402,7 +419,7 @@ def _cmd_compare(args) -> int:
         "m": args.m,
         "mode": args.mode,
         "rk4_step": args.rk4_step,
-        "max_gap": float(np.max(gaps)),
+        "max_gap": max_gap,
         "wall_time_ivim_s": round(report.wall_time, 3),
         "wall_time_rk4_s": round(rk_wall, 3),
     })
@@ -471,7 +488,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # a non-finite value is classified where it arises
+            return args.func(args)
     except DivergenceError as exc:
         print(f"ivim: divergence: {exc}", file=sys.stderr)
         return 2

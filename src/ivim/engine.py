@@ -45,6 +45,8 @@ memory.  The update is one multiply, one in-place cumulative sum and one
 multiply-add per node.  Divergence is a non-finite update: the iterate is
 finite, so a sweep that went wrong shows in the successive difference that
 the stopping rule takes anyway; only then are the equation and node searched.
+``solve``, ``ivim_step`` and ``successive_diff_norm`` each turn numpy's
+floating-point warnings off once; the helpers run under that state.
 """
 
 from __future__ import annotations
@@ -85,7 +87,8 @@ MODES = tuple(_FIRST_WEIGHT)
 
 
 class DivergenceError(RuntimeError):
-    """An iteration sweep produced a non-finite update."""
+    """An iteration sweep (``solve``, ``ivim_step``) produced a non-finite
+    update, or an ``rk4_reference`` step a non-finite state."""
 
 
 def exp_multiplier(alpha: float) -> float:
@@ -319,16 +322,15 @@ def _plan(sys: IvpSystem, grid: Grid, mode: str) -> tuple:
     equations = []
     for j, (alpha, blocks) in enumerate(zip(sys.alphas, scans)):
         fixed, rhs, args = None, sys.rhs[j], ((),) * len(chunks)
-        with np.errstate(all="ignore"):  # a non-finite value is classified by the sweep
-            if sys.forcing is not None and sys.forcing[j] is not None:
-                fixed = np.broadcast_to(sys.forcing[j](t) - alpha * ua[j], t.shape)
-            elif hasattr(rhs, "split"):
-                pre, rhs = rhs.split
-                values = pre(t)
-                for value in values:
-                    if isinstance(value, np.ndarray):
-                        value.flags.writeable = False
-                args = tuple((tuple(v[s:e] if np.ndim(v) else v for v in values),) for s, e in chunks)
+        if sys.forcing is not None and sys.forcing[j] is not None:
+            fixed = np.broadcast_to(sys.forcing[j](t) - alpha * ua[j], t.shape)
+        elif hasattr(rhs, "split"):
+            pre, rhs = rhs.split
+            values = pre(t)
+            for value in values:
+                if isinstance(value, np.ndarray):
+                    value.flags.writeable = False
+            args = tuple((tuple(v[s:e] if np.ndim(v) else v for v in values),) for s, e in chunks)
         equations.append(_Equation(alpha, fixed, rhs, args, blocks, first, prefix))
     return tuple(equations)
 
@@ -342,16 +344,15 @@ def _coefficients(
     A non-finite c passes silently, to the caller's check on the update.
     """
     ua = np.asarray(sys.initial)[:, None]
-    with np.errstate(all="ignore"):
-        for c, (s, e) in enumerate(_chunks(t.size)):
-            U_c = np.add(W[:, s:e], ua, out=U[:, s:e])
-            for j, eq in enumerate(plan):
-                row = C[j, s:e]
-                if eq.fixed is not None:
-                    row[...] = eq.fixed[s:e]
-                else:
-                    np.multiply(eq.alpha, W[j, s:e], out=row)
-                    row += eq.rhs(t[s:e], U_c, *eq.args[c])
+    for c, (s, e) in enumerate(_chunks(t.size)):
+        U_c = np.add(W[:, s:e], ua, out=U[:, s:e])
+        for j, eq in enumerate(plan):
+            row = C[j, s:e]
+            if eq.fixed is not None:
+                row[...] = eq.fixed[s:e]
+            else:
+                np.multiply(eq.alpha, W[j, s:e], out=row)
+                row += eq.rhs(t[s:e], U_c, *eq.args[c])
 
 
 def _update(eq: _Equation, c: np.ndarray, out: np.ndarray) -> None:
@@ -421,12 +422,11 @@ def _sweep(
     """
     t = grid.nodes
     _coefficients(sys, plan, t, W, C, new)  # new holds the state until the update
-    with np.errstate(all="ignore"):  # a non-finite update is classified below
-        np.multiply(C, 0.5 * grid.h, out=new)
-        for j, eq in enumerate(plan):
-            _update(eq, C[j], new[j])
-        new[:, 0] = 0.0
-        diff = float(np.max(np.abs(np.subtract(new, W, out=C), out=C)))
+    np.multiply(C, 0.5 * grid.h, out=new)
+    for j, eq in enumerate(plan):
+        _update(eq, C[j], new[j])
+    new[:, 0] = 0.0
+    diff = float(np.max(np.abs(np.subtract(new, W, out=C), out=C)))
     if not np.isfinite(diff):
         bad = np.argwhere(~np.isfinite(new))
         if bad.size:
@@ -482,19 +482,21 @@ def ivim_step(
     if alphas != list(sys.alphas):
         raise ValueError(f"mults carry alphas {alphas}, the equations {list(sys.alphas)}")
     new = np.empty_like(W)
-    _sweep(W, sys, grid, _plan(sys, grid, mode), new, np.empty_like(W))
+    with np.errstate(all="ignore"):
+        _sweep(W, sys, grid, _plan(sys, grid, mode), new, np.empty_like(W))
     return [PiecewiseLinear(grid, row) for row in new]
 
 
 def successive_diff_norm(s1: Sequence[PiecewiseLinear], s2: Sequence[PiecewiseLinear]) -> float:
-    """Max over components and nodes of the absolute nodal difference."""
+    """Max over components and nodes of the absolute nodal difference (inf if it overflows)."""
     if len(s1) != len(s2):
         raise ValueError(f"component count mismatch: {len(s1)} vs {len(s2)}")
     worst = 0.0
-    for p1, p2 in zip(s1, s2):
-        if p1.values.shape != p2.values.shape:
-            raise ValueError("nodal shapes do not match")
-        worst = max(worst, float(np.max(np.abs(p1.values - p2.values))))
+    with np.errstate(all="ignore"):
+        for p1, p2 in zip(s1, s2):
+            if p1.values.shape != p2.values.shape:
+                raise ValueError("nodal shapes do not match")
+            worst = max(worst, float(np.max(np.abs(p1.values - p2.values))))
     return worst
 
 
@@ -514,39 +516,38 @@ def solve(sys: IvpSystem, cfg: SolveConfig) -> SolveReport:
     start = time.perf_counter()
     grid = make_grid(sys.a, sys.T, cfg.n)
     W = np.zeros((sys.k, grid.n))
-    for j, g in enumerate(sys.guess or ()):
-        if g is not None:
-            with np.errstate(all="ignore"):  # project_samples names a non-finite sample
+    with np.errstate(all="ignore"):
+        for j, g in enumerate(sys.guess or ()):
+            if g is not None:
                 W[j] = project_samples(grid, lambda t: g(t) - sys.initial[j]).values
 
-    plan = _plan(sys, grid, cfg.mode)
-    spare, C = np.empty_like(W), np.empty_like(W)
-    diffs: list[float] = []
-    history: Optional[list] = [] if cfg.keep_history else None
-    for sweep in range(1, cfg.m_max + 1):
-        try:
-            diff = _sweep(W, sys, grid, plan, spare, C)
-            if not np.isfinite(diff):
-                raise DivergenceError("non-finite update: the successive difference overflowed")
-        except DivergenceError as exc:
-            raise DivergenceError(f"{exc} at iteration {sweep}") from None
-        diffs.append(diff)
-        W, spare = spare, W
-        if history is not None:
-            history.append(W.copy())
-            history[-1].flags.writeable = False
-        if cfg.stop_tol > 0.0 and diff <= cfg.stop_tol:
-            break
-    del plan, spare, C  # before the closed form, so that the peak does not rise
-    W = history[-1] if history else W  # the iterate is the last snapshot
-    W.flags.writeable = False
+        plan = _plan(sys, grid, cfg.mode)
+        spare, C = np.empty_like(W), np.empty_like(W)
+        diffs: list[float] = []
+        history: Optional[list] = [] if cfg.keep_history else None
+        for sweep in range(1, cfg.m_max + 1):
+            try:
+                diff = _sweep(W, sys, grid, plan, spare, C)
+                if not np.isfinite(diff):
+                    raise DivergenceError("non-finite update: the successive difference overflowed")
+            except DivergenceError as exc:
+                raise DivergenceError(f"{exc} at iteration {sweep}") from None
+            diffs.append(diff)
+            W, spare = spare, W
+            if history is not None:
+                history.append(W.copy())
+                history[-1].flags.writeable = False
+            if cfg.stop_tol > 0.0 and diff <= cfg.stop_tol:
+                break
+        del plan, spare, C  # before the closed form, so that the peak does not rise
+        W = history[-1] if history else W  # the iterate is the last snapshot
+        W.flags.writeable = False
 
-    exact = errors = None
-    if sys.exact is not None:
-        with np.errstate(all="ignore"):  # a non-finite closed form gives non-finite errors
+        exact = errors = None
+        if sys.exact is not None:
             exact = np.atleast_2d(sys.exact(grid.nodes))
             errors = np.max(np.abs((W + np.asarray(sys.initial)[:, None]) - exact), axis=0)
-        exact.flags.writeable = False
+            exact.flags.writeable = False
 
     return SolveReport(
         iterate=W,

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Union
 
@@ -539,15 +538,6 @@ _NAMESPACE = {
     "_quotient": _quotient,
 }
 
-# The names a generated function binds its constants to, interned for the
-# life of the process.  Otherwise each compile of a new shape adds them to
-# CPython's table of interned strings, and freeing its code object and
-# functions removes them again; the deleted entries fill the table until it
-# is rebuilt, and a rebuild can double it (about 1 MiB of peak RSS, seen
-# after 300 to 1,000 compiles in one process).  Loading a problem again
-# reuses its code objects (``_code``) and compiles nothing.
-_CONST_NAMES = tuple(sys.intern(f"c{i}") for i in range(256))
-
 # np.divide, not '/', so 1/0 on two Python floats is inf
 _BINOPS = {
     "+": "({} + {})",
@@ -600,8 +590,7 @@ def _generate(e: Expr, params: tuple, read: Callable, label: str, hoisted: tuple
     slots: dict = {}  # id of a hoisted node -> its index in p, while main is written
 
     def bind(value) -> str:
-        i = len(consts)
-        name = _CONST_NAMES[i] if i < len(_CONST_NAMES) else f"c{i}"
+        name = f"c{len(consts)}"
         consts[name] = value
         return name
 

@@ -132,10 +132,11 @@ def project_samples(grid: Grid, sampler: Callable[[np.ndarray], np.ndarray]) -> 
     vectorized function of ``t``, such as a compiled expression).  The value
     at the first node is pinned to 0, since every element of the space
     vanishes there.  A non-finite sample raises ``ValueError`` naming the
-    first such node and its ``t``.
+    first such node and its ``t``, with numpy's floating-point warnings off.
     """
     values = np.zeros(grid.n)
-    values[1:] = sampler(grid.nodes[1:])
+    with np.errstate(all="ignore"):
+        values[1:] = sampler(grid.nodes[1:])
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         idx = int(bad[0])

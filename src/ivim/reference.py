@@ -41,8 +41,12 @@ class ReferenceSolution:
         values = np.atleast_2d(np.ascontiguousarray(self.values, dtype=float))
         if values.shape[1] != nodes.size:
             raise ValueError("values and nodes do not line up")
-        if np.any(np.diff(nodes) <= 0):
-            raise ValueError("nodes must be strictly increasing")
+        if not np.isfinite(nodes).all():
+            i = int(np.flatnonzero(~np.isfinite(nodes))[0])
+            raise ValueError(f"reference nodes must be finite: node {i + 1} is {nodes[i]}")
+        with np.errstate(all="ignore"):  # the step between finite nodes may overflow
+            if np.any(np.diff(nodes) <= 0):
+                raise ValueError("nodes must be strictly increasing")
         if not np.isfinite(values).all():
             j, i = np.argwhere(~np.isfinite(values))[0]
             raise ValueError(
@@ -214,8 +218,9 @@ def error_metrics(sol: SolveReport, ref: ReferenceSolution) -> ErrorMetrics:
 
     The reference must cover the solution nodes and be at least as dense;
     ``ref.at`` puts it on the solution grid.  The log10 of an exact zero is
-    -inf and of a NaN error NaN.  ``ivim converge`` reads a closed form's
-    error from ``report.errors``, which has the bits of ``per_node_abs``.
+    -inf and of a NaN error NaN; an error past float64 is inf.  ``ivim
+    converge`` reads a closed form's error from ``report.errors``, which has
+    the bits of ``per_node_abs``.
     """
     nodes = sol.grid.nodes
     k = len(sol.iterate)
@@ -229,8 +234,8 @@ def error_metrics(sol: SolveReport, ref: ReferenceSolution) -> ErrorMetrics:
     pad = 1e-12 * (sol.grid.T - sol.grid.a)
     if ref.nodes[0] > sol.grid.a + pad or ref.nodes[-1] < sol.grid.T - pad:
         raise ValueError("reference does not cover the solution interval")
-    per_node = np.max(np.abs(sol.nodal_values() - ref.at(nodes)), axis=0)
-    with np.errstate(divide="ignore"):  # an exact zero is -inf
+    with np.errstate(all="ignore"):
+        per_node = np.max(np.abs(sol.nodal_values() - ref.at(nodes)), axis=0)
         per_log = np.log10(per_node)
     return ErrorMetrics(
         max_abs=float(np.max(per_node)),

@@ -271,8 +271,9 @@ def compile_array(e):
     arithmetic, so domain violations and division by zero produce nan/inf
     rather than raising.  ``fn`` does not touch numpy's error state: numpy
     reports those nan/inf as ``RuntimeWarning`` unless the caller evaluates
-    under ``np.errstate(all="ignore")``, as the solver sweep, the guess and
-    exact evaluations and the RK4 reference each do once per call.
+    under ``np.errstate(all="ignore")``, as each public entry point of the
+    package (``solve``, ``ivim_step``, ``project_samples``,
+    ``rk4_reference``, ``cli.main`` and the rest) does once per call.
     """
     return _generate(e, ("env",), _read_env, "expression")
 

@@ -802,6 +802,58 @@ def test_compare_constant_problem_gaps_zero(tmp_path):
     assert "wall_time_ivim_s" in summary and "wall_time_rk4_s" in summary
 
 
+# 1e307 t against the closed form -1.79e308 t: both finite, their difference
+# past float64 at t = 1
+_HUGE = {
+    "name": "huge",
+    "interval": {"a": 0.0, "T": 1.0},
+    "equations": [{"alpha": 0.0, "rhs": "1e307"}],
+    "initial": [0.0],
+    "exact": ["-1.79e308*t"],
+}
+# no closed form: IVIM samples the cosine at its crests, where it is
+# positive, and RK4 integrates it to -8e306 t
+_APART = {
+    "name": "apart",
+    "interval": {"a": 0.0, "T": 20.0},
+    "equations": [{"alpha": 0.0, "rhs": "1.3e307*cos(pi*t/5) - 8e306"}],
+    "initial": [0.0],
+}
+
+
+@pytest.mark.parametrize(
+    "doc, argv, message",
+    [
+        (_HUGE, ["solve", "--n", "3", "--m", "1"],
+         "error of component 1 overflows float64 at t=1.0 (7.5e+306 against -1.79e+308)"),
+        (_HUGE, ["converge", "--n-list", "3,5", "--m", "1"],
+         "error of component 1 overflows float64 at t=1.0 (7.5e+306 against -1.79e+308)"),
+        (_APART, ["converge", "--n-list", "3,5", "--m", "1"],
+         "error of component 1 overflows float64 at t=20.0 "
+         "(7.499999999999998e+307 against -1.6000000000000002e+308)"),
+        (_APART, ["compare", "--n", "3", "--m", "1", "--rk4-step", "0.01"],
+         "gap of component 1 overflows float64 at t=20.0 "
+         "(7.499999999999998e+307 against -1.600000000000001e+308)"),
+    ],
+    ids=["solve", "converge-closed-form", "converge-rk4", "compare"],
+)
+def test_error_past_float64_exits_1_without_outputs(tmp_path, capsys, doc, argv, message):
+    # once written as "Infinity", which is not JSON
+    path = _write_problem(tmp_path, doc)
+    out = tmp_path / "out"
+    assert _run(*argv, "--problem", str(path), "--out-dir", str(out)) == 1
+    assert capsys.readouterr().err == f"ivim: error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_json_output_rejects_a_non_finite_number(tmp_path, value):
+    path = tmp_path / "summary.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        ivim.cli._write_json(path, {"max_gap": float(value)})
+    assert not path.exists()
+
+
 def test_compare_step_must_divide(tmp_path, capsys):
     code = _run("compare", "--problem", "ex1", "--n", "11", "--m", "3",
                 "--rk4-step", "0.3", "--out-dir", str(tmp_path / "x"))

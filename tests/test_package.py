@@ -1,9 +1,24 @@
+import contextlib
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import ivim
+from ivim import (
+    PiecewiseLinear,
+    ReferenceSolution,
+    SolveConfig,
+    error_metrics,
+    make_grid,
+    problem_from_dict,
+    project_samples,
+    solve,
+    successive_diff_norm,
+)
 
 # The package re-exports each module's __all__, so a name added there becomes
 # public; this list makes that a reviewed change.
@@ -67,3 +82,52 @@ def test_benchmark_hook_targets_exist(monkeypatch):
     tracer.uninstall()
     assert ivim.cli.get_problem is ivim.problems.get_problem
     assert ivim.cli.error_metrics is ivim.reference.error_metrics
+
+
+# the right-hand side 1e307 and the closed form -1.79e308 t stay finite; the
+# error at t = 1 passes float64
+HUGE = {
+    "name": "huge",
+    "interval": {"a": 0.0, "T": 1.0},
+    "equations": [{"alpha": 0.0, "rhs": "1e307"}],
+    "initial": [0.0],
+    "exact": ["-1.79e308*t"],
+}
+
+
+def _log_of_negative_samples():
+    with pytest.raises(ValueError, match=r"non-finite value nan at node 2 \(t=0\.25\)"):
+        project_samples(make_grid(0.0, 1.0, 5), lambda t: np.log(t - 2))
+
+
+def _difference_past_float64():
+    grid = make_grid(0.0, 1.0, 3)
+    up = [PiecewiseLinear(grid, np.array([0.0, 1.5e308, 1.0]))]
+    down = [PiecewiseLinear(grid, np.array([0.0, -1.5e308, 1.0]))]
+    assert successive_diff_norm(up, down) == np.inf
+
+
+def _infinite_reference_nodes():
+    with pytest.raises(ValueError, match="reference nodes must be finite: node 2 is inf"):
+        ReferenceSolution(np.array([0.0, np.inf, np.inf]), np.zeros((1, 3)), ("rk4", 0.5))
+
+
+def _error_past_float64():
+    system = problem_from_dict(HUGE)
+    report = solve(system, SolveConfig(n=3, m_max=1))
+    closed = ReferenceSolution(report.grid.nodes, report.exact, ("closed_form", "huge"))
+    assert error_metrics(report, closed).max_abs == np.inf
+
+
+@pytest.mark.parametrize("state", ["warnings-are-errors", "errstate-raise"])
+@pytest.mark.parametrize("case", [
+    _log_of_negative_samples,
+    _difference_past_float64,
+    _infinite_reference_nodes,
+    _error_past_float64,
+], ids=lambda case: case.__name__.lstrip("_"))
+def test_no_floating_point_warning_leaves_a_public_function(case, state):
+    # the suite turns RuntimeWarning into an error; np.errstate(all="raise")
+    # is a caller's own error state, which the function must set aside too
+    with np.errstate(all="raise") if state == "errstate-raise" else contextlib.nullcontext():
+        case()

@@ -377,6 +377,10 @@ def test_error_metrics_rejects_a_mismatched_reference():
         ([0.0, 0.5, 1.0], np.zeros((1, 2)), "values and nodes do not line up"),
         ([0.0, 0.5, 0.5], np.zeros((1, 3)), "nodes must be strictly increasing"),
         ([0.0, 1.0, 0.5], np.zeros((1, 3)), "nodes must be strictly increasing"),
+        # a NaN step compares False with 0, so the order check alone let these by
+        ([0.0, np.nan, 1.0], np.zeros((1, 3)), "^reference nodes must be finite: node 2 is nan$"),
+        ([np.nan] * 3, np.zeros((1, 3)), "^reference nodes must be finite: node 1 is nan$"),
+        ([0.0, 0.5, np.inf], np.zeros((1, 3)), "^reference nodes must be finite: node 3 is inf$"),
     ],
 )
 def test_reference_solution_rejects_misaligned_or_unordered_nodes(nodes, values, message):
