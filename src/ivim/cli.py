@@ -32,7 +32,9 @@ import numpy as np
 
 from .engine import MODES, DivergenceError, SolveConfig, solve
 from .problems import builtin_names, get_problem
-from .reference import ReferenceSolution, empirical_order, error_metrics, rk4_reference
+from .reference import (
+    ReferenceSolution, _overflow, _rk4_scores, empirical_order, error_metrics, rk4_reference,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -292,18 +294,6 @@ def _parse_int_list(text: str, what: str) -> list:
     return values
 
 
-def _overflow(what, report, ref):
-    """The ``ValueError`` for ``|u - ref|`` past float64, where ``u`` is the
-    solution of ``report`` and ``ref`` is finite, (k, n): it names the first
-    component and ``t`` where the difference overflows."""
-    values = report.nodal_values()
-    j, i = np.argwhere(~np.isfinite(values - ref))[0]
-    return ValueError(
-        f"{what} of component {j + 1} overflows float64 at t={report.grid.nodes[i]} "
-        f"({values[j, i]} against {ref[j, i]})"
-    )
-
-
 def _cmd_solve(args) -> int:
     system, _ = get_problem(args.problem)
     report = solve(system, _config(args, args.n, args.m))
@@ -357,26 +347,25 @@ def _cmd_converge(args) -> int:
 
     started = time.perf_counter()
     # a closed form scores a point by report.errors; without one, every point
-    # is scored against one RK4 run, 100x finer than the finest grid
-    rk4 = None
+    # is scored against one RK4 run sized by step doubling
     if system.exact is None:
-        n_max = max(n for n, _ in points)
-        rk4 = rk4_reference(system, (system.T - system.a) / (100 * (n_max - 1)))
-    rows = []
-    errors = []
-    prev = None  # (cells, max_abs)
-    for (n, m), cfg in zip(points, configs):
-        report = solve(system, cfg)
-        if rk4 is None:  # checks the closed form is finite, naming where
+        errors, fields = _rk4_scores(system, configs, solve, rk4_reference, error_metrics)
+    else:
+        errors, fields = [], {}
+        for cfg in configs:
+            report = solve(system, cfg)
+            # checks the closed form is finite, naming where
             ReferenceSolution(report.grid.nodes, report.exact, ("closed_form", system.name))
-        max_abs = error_metrics(report, rk4).max_abs if rk4 else float(np.max(report.errors))
-        if not math.isfinite(max_abs):
-            raise _overflow("error", report, rk4.at(report.grid.nodes) if rk4 else report.exact)
+            errors.append(float(np.max(report.errors)))
+            if not math.isfinite(errors[-1]):
+                raise _overflow("error", report, report.exact)
+    rows = []
+    prev = None  # (cells, max_abs)
+    for (n, m), max_abs in zip(points, errors):
         order = ""
         if prev is not None and prev[0] * 2 == n - 1 and max_abs > 0.0 and prev[1] > 0.0:
             order = _FLOAT % empirical_order(prev[1], max_abs)
         rows.append(f"{n},{m},{_FLOAT % max_abs},{order}\n".encode("ascii"))
-        errors.append(max_abs)
         prev = (n - 1, max_abs)
 
     out_dir = Path(args.out_dir)
@@ -385,6 +374,7 @@ def _cmd_converge(args) -> int:
         "mode": args.mode,
         "points": [{"n": n, "m": m} for n, m in points],
         "max_abs": errors,
+        **fields,
         "wall_time_s": round(time.perf_counter() - started, 3),
     })
     return 0

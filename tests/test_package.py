@@ -2,6 +2,7 @@ import contextlib
 import importlib
 import importlib.util
 import sys
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,19 @@ def test_benchmark_hook_targets_exist(monkeypatch):
     tracer.uninstall()
     assert ivim.cli.get_problem is ivim.problems.get_problem
     assert ivim.cli.error_metrics is ivim.reference.error_metrics
+
+
+def test_no_module_reaches_4096_tokens():
+    # CPython 3.11 compiles a module of 4,096 or more tokens at about 250 KiB
+    # more peak memory (tracemalloc around compile(): cli.py at 4,092 tokens
+    # 1,439 KiB, at 4,112 tokens 1,671 KiB).  The benchmark imports from
+    # source without writing bytecode, so every workload's peak RSS pays it.
+    # Counted as tokenize gives them, less comments and blank lines.
+    skip = {tokenize.COMMENT, tokenize.NL}
+    for path in sorted(Path(ivim.__file__).parent.glob("*.py")):
+        with path.open("rb") as fh:
+            count = sum(1 for tok in tokenize.tokenize(fh.readline) if tok.type not in skip)
+        assert count < 4096, f"{path.name} has {count} tokens"
 
 
 # the right-hand side 1e307 and the closed form -1.79e308 t stay finite; the
