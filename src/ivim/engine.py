@@ -350,6 +350,8 @@ def _coefficients(
             row = C[j, s:e]
             if eq.fixed is not None:
                 row[...] = eq.fixed[s:e]
+            elif eq.alpha == 0.0:  # 0 w + f is f but for the sign of a zero
+                row[...] = eq.rhs(t[s:e], U_c, *eq.args[c])
             else:
                 np.multiply(eq.alpha, W[j, s:e], out=row)
                 row += eq.rhs(t[s:e], U_c, *eq.args[c])
@@ -361,25 +363,25 @@ def _update(eq: _Equation, c: np.ndarray, out: np.ndarray) -> None:
     Within a block starting at node s the sum is ``e^{-alpha(t_i - t_s)}``
     times a cumulative sum of ``e^{alpha(t_r - t_s)} c_r``, seeded with the
     carry ``sum_{r<s} e^{alpha(t_r - t_s)} c_r``.  Per node that is one
-    multiply (a copy for ``alpha = 0``), one in-place cumulative sum and one
-    multiply-add.
+    multiply (none for ``alpha = 0``, which sums ``c`` straight into the
+    prefix), one cumulative sum and one multiply-add.  ``c[0]`` is spent:
+    it is read as the endpoint term and then zeroed.
     """
     carry = 0.0
+    end = eq.first * c[0]
+    c[0] = 0.0  # node 1 enters the sums only as the endpoint term
     for s, e, decay, fwd, bwd in eq.blocks:
         prefix = eq.prefix[:e - s + 1]
         prefix[0] = carry
-        if fwd is None:
-            prefix[1:] = c[s:e]
+        if fwd is None:  # alpha = 0: one block from a +0 carry, so no sum is -0
+            np.cumsum(c, out=prefix[1:])
         else:
             np.multiply(fwd, c[s:e], out=prefix[1:])
-        if s == 0:
-            prefix[1] = 0.0
-        np.cumsum(prefix, out=prefix)  # sums over r < i
+            np.cumsum(prefix, out=prefix)  # sums over r < i
         terms = prefix[:-1]
         np.multiply(bwd, terms, out=terms)
         out[s:e] += terms
         if eq.first and s == 0:
-            end = eq.first * c[0]
             np.multiply(bwd, end, out=terms)  # the s = a endpoint,
             out[s:e] += terms
             prefix[-1] += end  # and through the carry for later blocks

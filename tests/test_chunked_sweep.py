@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from ivim import DivergenceError, IvpSystem, SolveConfig, get_problem, problem_from_dict, solve
-from ivim.engine import MODES, _CHUNK, _chunks
-from ivim.grid import make_grid, project_samples
+from ivim.engine import MODES, _CHUNK, _chunks, ivim_step
+from ivim.grid import PiecewiseLinear, make_grid, project_samples
 
-from _oracles import blocked_scan
+from _oracles import blocked_scan, naive_step
 
 SIZES = (_CHUNK + 1, 3 * _CHUNK + 5, 65537)
 
@@ -110,6 +110,28 @@ def test_chunked_solve_has_the_bits_of_whole_rows(name, n, mode):
     assert _same_bits(plain.nodal_values(), rep.nodal_values())
     if rep.errors is not None:
         assert _same_bits(plain.errors, rep.errors)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("ua", [0.0, 0.75])
+def test_alpha_zero_sweep_keeps_the_bits_of_zero_times_w_plus_f(ua, mode):
+    # an alpha = 0 row takes f, not 0 * w + f, as its coefficient and sums it
+    # straight into the prefix; the two differ only in the sign of a zero,
+    # which the +0 start of the prefix sum absorbs.  So an f of -0 at a -0
+    # state changes no bit
+    def rhs(t, U):
+        return np.where((t > 0.25) & (t < 0.6), np.cos(3.0 * t) * U[0] + 0.3, -0.0)
+
+    sys_ = IvpSystem(alphas=(0.0,), a=0.0, T=1.0, initial=(ua,), rhs=(rhs,))
+    grid = make_grid(0.0, 1.0, 33)
+    W = np.sin(5.0 * grid.nodes)[None, :]
+    W[0, 0], W[0, 3] = 0.0, -0.0
+    got = ivim_step([PiecewiseLinear(grid, W[0])], sys_, grid, [0.0], mode)[0].values
+    assert _same_bits(got, _whole_row_sweep(sys_, grid, W, mode)[0])
+    want = naive_step((0.0,), (lambda t, V: rhs(t, V + ua),), grid.nodes, grid.h, W, mode)[0]
+    assert np.count_nonzero(want == 0.0) > 3
+    # the double loop ends in -h * (+0) = -0 where the scan sums to +0
+    assert _same_bits(got, want + 0.0)
 
 
 def test_history_snapshots_are_distinct_read_only_and_kept():

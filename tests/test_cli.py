@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from ivim import (
     solve,
 )
 from ivim.cli import build_parser, main
+from ivim.csvtext import _BLOCK_ROWS
 
 from _artifacts import masked_digest
 
@@ -149,7 +151,7 @@ def test_solve_zero_error_serializes_minus_inf(tmp_path):
 
 def test_solution_csv_matches_per_cell_spelling(tmp_path):
     # several write blocks, the last one partial; cells spelled one at a time
-    n = 2 * ivim.cli._BLOCK_ROWS + 3
+    n = 2 * _BLOCK_ROWS + 3
     out = tmp_path / "run"
     assert _run("solve", "--problem", "ex1", "--n", str(n), "--m", "3",
                 "--out-dir", str(out)) == 0
@@ -167,7 +169,7 @@ def test_solution_csv_matches_per_cell_spelling(tmp_path):
 
 
 def test_compare_csv_matches_per_cell_spelling(tmp_path):
-    n = ivim.cli._BLOCK_ROWS + 5
+    n = _BLOCK_ROWS + 5
     out = tmp_path / "run"
     assert _run("compare", "--problem", "ex3", "--n", str(n), "--m", "4",
                 "--rk4-step", "0.001", "--out-dir", str(out)) == 0
@@ -182,6 +184,55 @@ def test_compare_csv_matches_per_cell_spelling(tmp_path):
     for row in np.vstack([nodes, ivim_vals, rk_vals, gaps]).T:
         expected.append(",".join(f"{x:.17g}" for x in row) + "\n")
     assert (out / "compare.csv").read_text(encoding="utf-8").splitlines(True) == expected
+
+
+def _traced_peak(run):
+    """What ``run()`` returns, and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _csv_phase_bytes(tmp_path, monkeypatch, n):
+    """Bytes that ``ivim solve`` on ex3 allocates at its peak after ``solve``
+    returns, beyond what it held then."""
+    held = []
+
+    def traced_solve(*args):
+        report = solve(*args)
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return report
+
+    monkeypatch.setattr(ivim.cli, "solve", traced_solve)
+    argv = ("solve", "--problem", "ex3", "--n", str(n), "--m", "2", "--out-dir", str(tmp_path))
+    code, peak = _traced_peak(lambda: _run(*argv))
+    assert code == 0
+    return peak - held[0]
+
+
+def test_solution_csv_is_written_in_the_memory_of_one_block(tmp_path, monkeypatch):
+    # the writer fills one block of rows at a time from the report, so what it
+    # needs does not grow with n; stacking whole-grid columns took 5.0 MiB at
+    # n = 16,385 and 6.9 MiB at 65,537
+    assert _run("solve", "--problem", "ex3", "--n", "9", "--m", "2",
+                "--out-dir", str(tmp_path)) == 0  # spelling tables, compiled code
+    small, large = (_csv_phase_bytes(tmp_path, monkeypatch, n) for n in (16385, 65537))
+    assert abs(large - small) <= 0.25 * 2**20
+
+
+def test_converge_peaks_no_higher_than_its_largest_point(tmp_path):
+    # each point's report goes before the next point is solved; holding the
+    # previous one raised the peak by 0.77 MiB here
+    system, _ = get_problem("ex3")
+    argv = ("converge", "--problem", "ex3", "--m", "2", "--out-dir", str(tmp_path))
+    assert _run(*argv, "--n-list", "9,17") == 0  # compiled code, outside the trace
+    _, alone = _traced_peak(lambda: solve(system, SolveConfig(n=32769, m_max=2)))
+    code, swept = _traced_peak(lambda: _run(*argv, "--n-list", "4097,8193,16385,32769"))
+    assert code == 0
+    assert swept <= alone + 0.25 * 2**20
 
 
 def test_malformed_problem_exits_1_without_outputs(tmp_path, capsys):
