@@ -34,7 +34,8 @@ from .csvtext import _float_rows
 from .engine import MODES, DivergenceError, SolveConfig, solve
 from .problems import builtin_names, get_problem
 from .reference import (
-    ReferenceSolution, _overflow, _rk4_scores, empirical_order, error_metrics, rk4_reference,
+    ReferenceSolution, _check_nodes, _overflow, _rk4_scores, empirical_order, error_metrics,
+    rk4_reference,
 )
 
 __all__ = ["main", "build_parser"]
@@ -97,10 +98,13 @@ def _parse_int_list(text: str, what: str) -> list:
 def _max_error(system, report) -> float:
     """The largest error of ``report`` against its closed form.
 
-    Finite errors of a finite iterate imply a finite closed form, so the
-    closed form is checked, naming where it is not finite, only when the
-    largest error is not; an error past float64 raises ``ValueError`` too.
+    The nodes must be strictly increasing, which a grid of too many nodes
+    for its endpoints' doubles is not.  Finite errors of a finite iterate
+    imply a finite closed form, so the closed form is checked, naming where
+    it is not finite, only when the largest error is not; an error past
+    float64 raises ``ValueError`` too.
     """
+    _check_nodes(report.grid.nodes)
     max_abs = float(np.max(report.errors))
     if not math.isfinite(max_abs):
         ReferenceSolution(report.grid.nodes, report.exact, ("closed_form", system.name))
@@ -114,8 +118,7 @@ def _cmd_solve(args) -> int:
     out_dir = Path(args.out_dir)
 
     k = system.k
-    nodes, W, exact = report.grid.nodes, report.iterate, report.exact
-    ua = np.asarray(report.u_a)[:, None]
+    nodes, exact = report.grid.nodes, report.exact
     header = ["t"] + [f"u{j + 1}" for j in range(k)]
     max_abs = None
     if exact is not None:
@@ -125,9 +128,9 @@ def _cmd_solve(args) -> int:
         header += ["log10_err"]
 
     def fill(block, s, e):
-        # rows s .. e-1 of nodal_values(), exact, |values - exact| and log10(errors)
+        # rows s .. e-1 of nodes, nodal values, exact, |values - exact| and log10(errors)
         block[0] = nodes[s:e]
-        values = np.add(W[:, s:e], ua, out=block[1:k + 1])
+        values = report.nodal_values(s, e, out=block[1:k + 1])
         if exact is not None:
             block[k + 1:2 * k + 1] = exact[:, s:e]
             errs = np.subtract(values, exact[:, s:e], out=block[2 * k + 1:3 * k + 1])

@@ -239,9 +239,10 @@ class SolveReport:
         """The rows of ``iterate`` as k ``PiecewiseLinear`` views."""
         return [PiecewiseLinear(self.grid, row) for row in self.iterate]
 
-    def nodal_values(self) -> np.ndarray:
-        """Unshifted solution values at the nodes, a fresh (k, n) array."""
-        return self.iterate + np.asarray(self.u_a)[:, None]
+    def nodal_values(self, s: int = 0, e: Optional[int] = None, out=None) -> np.ndarray:
+        """Unshifted solution values at nodes ``s .. e-1`` (all by default),
+        (k, e - s), written into ``out`` if given, else a fresh array."""
+        return np.add(self.iterate[:, s:e], np.asarray(self.u_a)[:, None], out=out)
 
 
 @dataclass(frozen=True)
@@ -350,8 +351,6 @@ def _coefficients(
             row = C[j, s:e]
             if eq.fixed is not None:
                 row[...] = eq.fixed[s:e]
-            elif eq.alpha == 0.0:  # 0 w + f is f but for the sign of a zero
-                row[...] = eq.rhs(t[s:e], U_c, *eq.args[c])
             else:
                 np.multiply(eq.alpha, W[j, s:e], out=row)
                 row += eq.rhs(t[s:e], U_c, *eq.args[c])

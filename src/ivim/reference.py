@@ -28,6 +28,17 @@ __all__ = [
     "empirical_order",
 ]
 
+
+def _check_nodes(nodes: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``nodes`` are finite and strictly increasing."""
+    if not np.isfinite(nodes).all():
+        i = int(np.flatnonzero(~np.isfinite(nodes))[0])
+        raise ValueError(f"reference nodes must be finite: node {i + 1} is {nodes[i]}")
+    with np.errstate(all="ignore"):  # the step between finite nodes may overflow
+        if np.any(np.diff(nodes) <= 0):
+            raise ValueError("nodes must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class ReferenceSolution:
     """Trajectory on its own nodes; ``values`` has shape (k, len(nodes))."""
@@ -41,12 +52,7 @@ class ReferenceSolution:
         values = np.atleast_2d(np.ascontiguousarray(self.values, dtype=float))
         if values.shape[1] != nodes.size:
             raise ValueError("values and nodes do not line up")
-        if not np.isfinite(nodes).all():
-            i = int(np.flatnonzero(~np.isfinite(nodes))[0])
-            raise ValueError(f"reference nodes must be finite: node {i + 1} is {nodes[i]}")
-        with np.errstate(all="ignore"):  # the step between finite nodes may overflow
-            if np.any(np.diff(nodes) <= 0):
-                raise ValueError("nodes must be strictly increasing")
+        _check_nodes(nodes)
         if not np.isfinite(values).all():
             j, i = np.argwhere(~np.isfinite(values))[0]
             raise ValueError(

@@ -115,10 +115,9 @@ def test_chunked_solve_has_the_bits_of_whole_rows(name, n, mode):
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("ua", [0.0, 0.75])
 def test_alpha_zero_sweep_keeps_the_bits_of_zero_times_w_plus_f(ua, mode):
-    # an alpha = 0 row takes f, not 0 * w + f, as its coefficient and sums it
-    # straight into the prefix; the two differ only in the sign of a zero,
-    # which the +0 start of the prefix sum absorbs.  So an f of -0 at a -0
-    # state changes no bit
+    # an alpha = 0 row sums its coefficients 0 * w + f straight into the
+    # prefix from a +0 start, which absorbs the sign of a -0 coefficient.  So
+    # an f of -0 at a -0 state changes no bit
     def rhs(t, U):
         return np.where((t > 0.25) & (t < 0.6), np.cos(3.0 * t) * U[0] + 0.3, -0.0)
 
