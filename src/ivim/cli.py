@@ -31,12 +31,9 @@ from typing import Iterable
 import numpy as np
 
 from .csvtext import _float_rows
-from .engine import MODES, DivergenceError, SolveConfig, solve
+from .engine import MODES, DivergenceError, IvpSystem, SolveConfig, solve
 from .problems import builtin_names, get_problem
-from .reference import (
-    ReferenceSolution, _check_nodes, _overflow, _rk4_scores, empirical_order, error_metrics,
-    rk4_reference,
-)
+from .reference import ReferenceSolution, empirical_order, error_metrics, rk4_reference
 
 __all__ = ["main", "build_parser"]
 
@@ -98,18 +95,93 @@ def _parse_int_list(text: str, what: str) -> list:
 def _max_error(system, report) -> float:
     """The largest error of ``report`` against its closed form.
 
-    The nodes must be strictly increasing, which a grid of too many nodes
-    for its endpoints' doubles is not.  Finite errors of a finite iterate
-    imply a finite closed form, so the closed form is checked, naming where
-    it is not finite, only when the largest error is not; an error past
-    float64 raises ``ValueError`` too.
+    The nodes are strictly increasing, or ``make_grid`` raised before the
+    solve.  Finite errors of a finite iterate imply a finite closed form, so
+    the closed form is checked, naming where it is not finite, only when the
+    largest error is not; an error past float64 raises ``ValueError`` too.
     """
-    _check_nodes(report.grid.nodes)
     max_abs = float(np.max(report.errors))
     if not math.isfinite(max_abs):
         ReferenceSolution(report.grid.nodes, report.exact, ("closed_form", system.name))
         raise _overflow("error", report, report.exact)
     return max_abs
+
+
+def _overflow(what, report, ref):
+    """The ``ValueError`` for ``|u - ref|`` past float64, where ``u`` is the
+    solution of ``report`` and ``ref`` is finite, (k, n): it names the first
+    component and ``t`` where the difference overflows."""
+    values = report.nodal_values()
+    j, i = np.argwhere(~np.isfinite(values - ref))[0]
+    return ValueError(
+        f"{what} of component {j + 1} overflows float64 at t={report.grid.nodes[i]} "
+        f"({values[j, i]} against {ref[j, i]})"
+    )
+
+
+def _rk4_scores(system: IvpSystem, configs: list) -> tuple:
+    """``ivim converge`` without a closed form: solve each config in turn and
+    return ``(errors, fields)``, each point's ``max_abs`` against one RK4 run
+    and the summary fields ``rk4_steps`` and ``rk4_error_estimate``.
+
+    The run is sized by step doubling (Richardson; Hairer, Norsett and
+    Wanner, *Solving ODEs I*, II.4).  Before any solve it runs ``N = n_max -
+    1`` and ``2N`` steps, then scores every point against the ``2N`` run.  It
+    stops once ``max|y_2N - y_N| / 15`` at the nodes of the finest grid, the
+    estimate of the ``2N`` run's error, is at most 1e-6 times the smallest
+    error; otherwise it doubles ``N`` and scores again.  Every ``n - 1`` must
+    divide ``n_max - 1``, so every grid node is a node of every run.
+
+    Otherwise one run of ``100 (n_max - 1)`` steps is the reference, with no
+    estimate: when an ``n - 1`` does not divide ``n_max - 1``, a candidate run
+    raises, an error against one is zero or not finite, or the next run would
+    pass ``100 (n_max - 1)`` steps.  At worst that is ``(1 + 2 + ... + 64)
+    (n_max - 1)`` candidate steps and ``100 (n_max - 1)`` more.  An error past
+    float64 against that run raises ``ValueError`` at the first such point,
+    before the next is solved.
+    """
+    reports = []
+
+    def errors(ref) -> list:
+        # each point's error in turn, solving it on first use; stops after
+        # the first one past float64
+        found = []
+        for i, cfg in enumerate(configs):
+            if i == len(reports):
+                reports.append(solve(system, cfg))
+            found.append(error_metrics(reports[i], ref).max_abs)
+            if not math.isfinite(found[-1]):
+                break
+        return found
+
+    def candidate(steps: int):
+        try:
+            return rk4_reference(system, length / steps)
+        except Exception:  # the fixed run raises it again, or succeeds
+            return None
+
+    length = system.T - system.a
+    cells = max(cfg.n for cfg in configs) - 1
+    steps, fixed = cells, 100 * cells
+    coarse = candidate(steps) if all(cells % (cfg.n - 1) == 0 for cfg in configs) else None
+    while coarse is not None and 2 * steps <= fixed:
+        fine = candidate(2 * steps)
+        if fine is None:
+            break
+        found = errors(fine)
+        if not all(0.0 < e < math.inf for e in found):
+            break
+        stride = steps // cells
+        est = float(np.max(np.abs(fine.values[:, ::2 * stride] - coarse.values[:, ::stride]))) / 15
+        if est <= 1e-6 * min(found):
+            return found, {"rk4_steps": 2 * steps, "rk4_error_estimate": est}
+        coarse, steps = fine, 2 * steps
+    ref = rk4_reference(system, length / fixed)
+    found = errors(ref)
+    if not math.isfinite(found[-1]):
+        report = reports[len(found) - 1]
+        raise _overflow("error", report, ref.at(report.grid.nodes))
+    return found, {"rk4_steps": fixed, "rk4_error_estimate": None}
 
 
 def _cmd_solve(args) -> int:
@@ -170,7 +242,7 @@ def _cmd_converge(args) -> int:
     # a closed form scores a point by report.errors; without one, every point
     # is scored against one RK4 run sized by step doubling
     if system.exact is None:
-        errors, fields = _rk4_scores(system, configs, solve, rk4_reference, error_metrics)
+        errors, fields = _rk4_scores(system, configs)
     else:
         # each report is dropped before the next point is solved
         errors, fields = [_max_error(system, solve(system, cfg)) for cfg in configs], {}

@@ -40,7 +40,8 @@ class Grid:
     h : float
         Cell width ``(T - a) / (n - 1)``.
     nodes : ndarray of shape (n,)
-        ``nodes[i] = a + i * h`` (0-based), with the endpoints exact.
+        ``nodes[i] = a + i * h`` (0-based), with the endpoints exact;
+        strictly increasing, or ``make_grid`` raises.
     """
 
     a: float
@@ -71,7 +72,9 @@ def make_grid(a: float, T: float, n: int) -> Grid:
     ------
     ValueError
         If an endpoint or ``T - a`` is not finite, ``T <= a`` (invalid
-        interval), ``n`` is not an integer or ``n < 2`` (too few nodes).
+        interval), ``n`` is not an integer, ``n < 2`` (too few nodes) or
+        the nodes are not strictly increasing, which they are not when
+        ``h`` is below the spacing of the doubles near the endpoints.
     """
     a = float(a)
     T = float(T)
@@ -86,6 +89,8 @@ def make_grid(a: float, T: float, n: int) -> Grid:
         raise ValueError(f"too few nodes: n={n}, need at least 2")
     h = (T - a) / (n - 1)
     nodes = np.linspace(a, T, n)
+    if not (nodes[1:] > nodes[:-1]).all():
+        raise ValueError("nodes must be strictly increasing")
     return Grid(a=a, T=T, n=n, h=h, nodes=nodes)
 
 

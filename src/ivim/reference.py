@@ -2,9 +2,8 @@
 
 Classical fixed-step RK4 and the closed-form solutions of the built-in
 benchmark problems serve as oracles for the interpolated iteration.  When a
-closed form exists it is the reference; otherwise ``ivim converge`` sizes an
-RK4 run by step doubling until its estimated error is at most a millionth of
-the smallest error it scores (``_rk4_scores``).
+closed form exists it is the reference; otherwise ``ivim converge`` scores
+against an RK4 run.
 """
 
 from __future__ import annotations
@@ -29,16 +28,6 @@ __all__ = [
 ]
 
 
-def _check_nodes(nodes: np.ndarray) -> None:
-    """Raise ``ValueError`` unless ``nodes`` are finite and strictly increasing."""
-    if not np.isfinite(nodes).all():
-        i = int(np.flatnonzero(~np.isfinite(nodes))[0])
-        raise ValueError(f"reference nodes must be finite: node {i + 1} is {nodes[i]}")
-    with np.errstate(all="ignore"):  # the step between finite nodes may overflow
-        if np.any(np.diff(nodes) <= 0):
-            raise ValueError("nodes must be strictly increasing")
-
-
 @dataclass(frozen=True)
 class ReferenceSolution:
     """Trajectory on its own nodes; ``values`` has shape (k, len(nodes))."""
@@ -52,7 +41,12 @@ class ReferenceSolution:
         values = np.atleast_2d(np.ascontiguousarray(self.values, dtype=float))
         if values.shape[1] != nodes.size:
             raise ValueError("values and nodes do not line up")
-        _check_nodes(nodes)
+        if not np.isfinite(nodes).all():
+            i = int(np.flatnonzero(~np.isfinite(nodes))[0])
+            raise ValueError(f"reference nodes must be finite: node {i + 1} is {nodes[i]}")
+        with np.errstate(all="ignore"):  # the step between finite nodes may overflow
+            if np.any(np.diff(nodes) <= 0):
+                raise ValueError("nodes must be strictly increasing")
         if not np.isfinite(values).all():
             j, i = np.argwhere(~np.isfinite(values))[0]
             raise ValueError(
@@ -248,87 +242,6 @@ def error_metrics(sol: SolveReport, ref: ReferenceSolution) -> ErrorMetrics:
         per_node_abs=per_node,
         per_node_log10=per_log,
     )
-
-
-def _overflow(what, report, ref):
-    """The ``ValueError`` for ``|u - ref|`` past float64, where ``u`` is the
-    solution of ``report`` and ``ref`` is finite, (k, n): it names the first
-    component and ``t`` where the difference overflows."""
-    values = report.nodal_values()
-    j, i = np.argwhere(~np.isfinite(values - ref))[0]
-    return ValueError(
-        f"{what} of component {j + 1} overflows float64 at t={report.grid.nodes[i]} "
-        f"({values[j, i]} against {ref[j, i]})"
-    )
-
-
-def _rk4_scores(system: IvpSystem, configs: list, solve, run, score) -> tuple:
-    """``ivim converge`` without a closed form: solve each config in turn and
-    return ``(errors, fields)``, each point's ``max_abs`` against one RK4 run
-    and the summary fields ``rk4_steps`` and ``rk4_error_estimate``.
-
-    The run is sized by step doubling (Richardson; Hairer, Norsett and
-    Wanner, *Solving ODEs I*, II.4).  Before any solve it runs ``N = n_max -
-    1`` and ``2N`` steps, then scores every point against the ``2N`` run.  It
-    stops once ``max|y_2N - y_N| / 15`` at the nodes of the finest grid, the
-    estimate of the ``2N`` run's error, is at most 1e-6 times the smallest
-    error; otherwise it doubles ``N`` and scores again.  Every ``n - 1`` must
-    divide ``n_max - 1``, so every grid node is a node of every run.
-
-    Otherwise one run of ``100 (n_max - 1)`` steps is the reference, with no
-    estimate: when an ``n - 1`` does not divide ``n_max - 1``, a candidate run
-    raises, an error against one is zero or not finite, or the next run would
-    pass ``100 (n_max - 1)`` steps.  At worst that is ``(1 + 2 + ... + 64)
-    (n_max - 1)`` candidate steps and ``100 (n_max - 1)`` more.  An error past
-    float64 against that run raises ``ValueError`` at the first such point,
-    before the next is solved.
-
-    ``solve``, ``run`` and ``score`` are the caller's ``solve``,
-    ``rk4_reference`` and ``error_metrics``, so a wrapper around the caller's
-    names sees every call.
-    """
-    reports = []
-
-    def errors(ref) -> list:
-        # each point's error in turn, solving it on first use; stops after
-        # the first one past float64
-        found = []
-        for i, cfg in enumerate(configs):
-            if i == len(reports):
-                reports.append(solve(system, cfg))
-            found.append(score(reports[i], ref).max_abs)
-            if not math.isfinite(found[-1]):
-                break
-        return found
-
-    def candidate(steps: int):
-        try:
-            return run(system, length / steps)
-        except Exception:  # the fixed run raises it again, or succeeds
-            return None
-
-    length = system.T - system.a
-    cells = max(cfg.n for cfg in configs) - 1
-    steps, fixed = cells, 100 * cells
-    coarse = candidate(steps) if all(cells % (cfg.n - 1) == 0 for cfg in configs) else None
-    while coarse is not None and 2 * steps <= fixed:
-        fine = candidate(2 * steps)
-        if fine is None:
-            break
-        found = errors(fine)
-        if not all(0.0 < e < math.inf for e in found):
-            break
-        stride = steps // cells
-        est = float(np.max(np.abs(fine.values[:, ::2 * stride] - coarse.values[:, ::stride]))) / 15
-        if est <= 1e-6 * min(found):
-            return found, {"rk4_steps": 2 * steps, "rk4_error_estimate": est}
-        coarse, steps = fine, 2 * steps
-    ref = run(system, length / fixed)
-    found = errors(ref)
-    if not math.isfinite(found[-1]):
-        report = reports[len(found) - 1]
-        raise _overflow("error", report, ref.at(report.grid.nodes))
-    return found, {"rk4_steps": fixed, "rk4_error_estimate": None}
 
 
 def empirical_order(err_coarse: float, err_fine: float) -> float:

@@ -313,9 +313,9 @@ def test_solve_nonfinite_exact_exits_1_without_outputs(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_collapsed_nodes_with_a_closed_form_exit_1_without_outputs(tmp_path, capsys):
+def test_collapsed_nodes_exit_1_without_outputs(tmp_path, capsys):
     # doubles near 1e16 are 2 apart, so 9 nodes on [1e16, 1e16 + 4] repeat;
-    # scoring against the closed form rejects them, even with finite errors
+    # make_grid rejects them, with or without a closed form to score against
     doc = {
         "name": "collapsed",
         "interval": {"a": 1e16, "T": 1e16 + 4},
@@ -323,12 +323,18 @@ def test_collapsed_nodes_with_a_closed_form_exit_1_without_outputs(tmp_path, cap
         "initial": [1.0],
         "exact": ["1"],
     }
-    path = _write_problem(tmp_path, doc)
-    for argv in (["solve", "--n", "9", "--m", "1"], ["converge", "--n-list", "3,9", "--m", "1"]):
-        out = tmp_path / argv[0]
-        assert _run(*argv, "--problem", str(path), "--out-dir", str(out)) == 1
-        assert capsys.readouterr().err == "ivim: error: nodes must be strictly increasing\n"
-        assert not out.exists()
+    no_exact = {key: value for key, value in doc.items() if key != "exact"}
+    for name, problem in [("exact", doc), ("no_exact", no_exact)]:
+        path = _write_problem(tmp_path, problem, f"{name}.json")
+        for argv in (
+            ["solve", "--n", "9", "--m", "1"],
+            ["converge", "--n-list", "3,9", "--m", "1"],
+            ["compare", "--n", "9", "--m", "1", "--rk4-step", "0.5"],
+        ):
+            out = tmp_path / f"{name}_{argv[0]}"
+            assert _run(*argv, "--problem", str(path), "--out-dir", str(out)) == 1
+            assert capsys.readouterr().err == "ivim: error: nodes must be strictly increasing\n"
+            assert not out.exists()
 
 
 def test_each_closed_form_is_evaluated_once_per_solve(tmp_path, monkeypatch):

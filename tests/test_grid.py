@@ -56,6 +56,13 @@ def test_make_grid_nonfinite_endpoints(a, T):
         make_grid(a, T, 5)
 
 
+def test_make_grid_rejects_collapsed_nodes():
+    # doubles near 1e16 are 2 apart, so 9 nodes 0.5 apart cannot all differ
+    with pytest.raises(ValueError, match="^nodes must be strictly increasing$"):
+        make_grid(1e16, 1e16 + 4, 9)
+    assert list(make_grid(1e16, 1e16 + 4, 3).nodes) == [1e16, 1e16 + 2, 1e16 + 4]
+
+
 def test_make_grid_too_few_nodes():
     with pytest.raises(ValueError, match="too few nodes"):
         make_grid(0, 1, 1)
