@@ -31,7 +31,8 @@ from typing import Iterable
 import numpy as np
 
 from .csvtext import _float_rows
-from .engine import MODES, DivergenceError, IvpSystem, SolveConfig, solve
+from .engine import MODES, DivergenceError, IvpSystem, SolveConfig, solve, solve_each
+from .grid import make_grid
 from .problems import builtin_names, get_problem
 from .reference import ReferenceSolution, empirical_order, error_metrics, rk4_reference
 
@@ -120,9 +121,11 @@ def _overflow(what, report, ref):
 
 
 def _rk4_scores(system: IvpSystem, configs: list) -> tuple:
-    """``ivim converge`` without a closed form: solve each config in turn and
-    return ``(errors, fields)``, each point's ``max_abs`` against one RK4 run
-    and the summary fields ``rk4_steps`` and ``rk4_error_estimate``.
+    """``ivim converge`` without a closed form: solve each config in turn, as
+    ``solve_each`` yields it, and return ``(errors, fields)``, each point's
+    ``max_abs`` against one RK4 run and the summary fields ``rk4_steps`` and
+    ``rk4_error_estimate``.  Every point's grid is built first, so a grid
+    whose nodes collapse is rejected before any RK4 run.
 
     The run is sized by step doubling (Richardson; Hairer, Norsett and
     Wanner, *Solving ODEs I*, II.4).  Before any solve it runs ``N = n_max -
@@ -140,15 +143,15 @@ def _rk4_scores(system: IvpSystem, configs: list) -> tuple:
     float64 against that run raises ``ValueError`` at the first such point,
     before the next is solved.
     """
-    reports = []
+    reports, points = [], solve_each(system, configs)
 
     def errors(ref) -> list:
         # each point's error in turn, solving it on first use; stops after
         # the first one past float64
         found = []
-        for i, cfg in enumerate(configs):
+        for i in range(len(configs)):
             if i == len(reports):
-                reports.append(solve(system, cfg))
+                reports.append(next(points))
             found.append(error_metrics(reports[i], ref).max_abs)
             if not math.isfinite(found[-1]):
                 break
@@ -160,6 +163,8 @@ def _rk4_scores(system: IvpSystem, configs: list) -> tuple:
         except Exception:  # the fixed run raises it again, or succeeds
             return None
 
+    for n in dict.fromkeys(cfg.n for cfg in configs):
+        make_grid(system.a, system.T, n)
     length = system.T - system.a
     cells = max(cfg.n for cfg in configs) - 1
     steps, fixed = cells, 100 * cells
@@ -244,8 +249,10 @@ def _cmd_converge(args) -> int:
     if system.exact is None:
         errors, fields = _rk4_scores(system, configs)
     else:
-        # each report is dropped before the next point is solved
-        errors, fields = [_max_error(system, solve(system, cfg)) for cfg in configs], {}
+        # an --m-list is one run; each report is dropped once scored, and
+        # an error past float64 raises before the next point is solved
+        score = functools.partial(_max_error, system)
+        errors, fields = list(map(score, solve_each(system, configs))), {}
     rows = []
     prev = None  # (cells, max_abs)
     for (n, m), max_abs in zip(points, errors):

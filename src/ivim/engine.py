@@ -32,29 +32,41 @@ interval, so ``-alpha (T - a)`` is limited to 700 to keep them finite.
 
 The weights depend only on ``alpha``, the grid and the mode, and the parts
 of a right-hand side in ``t`` alone only on the grid, so ``_plan`` builds
-both once per solve, after checking the growth limit.  A right-hand side
-compiled by ``problems`` carries ``split = (pre, main)``: ``pre(nodes)``
-gives its state-free subtrees (ex2's ``5/3`` and ``cos(t)``) for each
-sweep's ``main(nodes, U, p)``; any other callable is called whole.
+both once per solve, after checking the growth limit, with the other
+invariants of a sweep: the chunk bounds and the ``u_a`` column.  A
+right-hand side compiled by ``problems`` carries ``split = (pre, main)``:
+``pre(nodes)`` gives its state-free subtrees (ex2's ``5/3`` and ``cos(t)``)
+for each sweep's ``main(nodes, U, p)``; any other callable is called whole.
 
 A solve allocates its (k, n) arrays once: the iterate alternates with a
 spare one, which holds ``w + u_a`` until the update overwrites it, and one
 coefficient array serves every sweep.  The right-hand sides are called on
 chunks of about ``_CHUNK`` nodes, so no sweep maps and faults in fresh
-memory.  The update is one multiply, one in-place cumulative sum and one
-multiply-add per node.  Divergence is a non-finite update: the iterate is
-finite, so a sweep that went wrong shows in the successive difference that
-the stopping rule takes anyway; only then are the equation and node searched.
-``solve``, ``ivim_step`` and ``successive_diff_norm`` each turn numpy's
-floating-point warnings off once; the helpers run under that state.
+memory.  The update is one multiply, one in-place cumulative sum
+(``np.add.accumulate``) and one multiply-add per node.  Divergence is a
+non-finite update: the iterate is finite, so a sweep that went wrong shows
+in the successive difference that the stopping rule takes anyway; only then
+are the equation and node searched.
+``solve_each``, ``ivim_step`` and ``successive_diff_norm`` turn numpy's
+floating-point warnings off; the helpers run under that state.
+
+The iterates of a solve form one sequence, each computed from the one
+before, so the solve to ``m`` sweeps is a prefix of the solve to any larger
+``m``.  ``solve_each`` is a generator over a list of configs: consecutive
+configs that differ only in an ascending ``m_max`` share one run (one grid,
+one plan, one sweep loop and one evaluation of the closed form), and it
+yields each config's report once that run reaches it, with the bits that
+``solve`` gives it alone.  ``solve`` is its one-config case, so there is one
+sweep loop.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Real
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -68,6 +80,7 @@ __all__ = [
     "SolveReport",
     "ivim_step",
     "solve",
+    "solve_each",
     "successive_diff_norm",
     "eval_solution",
 ]
@@ -251,7 +264,7 @@ class _Equation:
 
     The coefficient is ``fixed`` when it does not depend on the state (a
     ``forcing`` equation: ``g - alpha*u_a``), else ``alpha*w`` plus
-    ``rhs(t, U, *args[c])`` on chunk ``c`` of ``_chunks``: a right-hand side
+    ``rhs(t, U, *args[c])`` on chunk ``c`` of the plan: a right-hand side
     with ``split = (pre, main)`` is ``main`` with ``args[c]`` holding
     ``pre(t)`` sliced to the chunk, any other is called as it is.
 
@@ -299,7 +312,18 @@ def _chunks(n: int) -> tuple:
     return tuple(zip(starts, starts[1:] + [n]))
 
 
-def _plan(sys: IvpSystem, grid: Grid, mode: str) -> tuple:
+class _Plan(NamedTuple):
+    """What every sweep of a solve reuses: one ``_Equation`` per equation,
+    the chunk bounds ``_chunks(n)`` and the initial values as a (k, 1) column.
+    A named tuple, not a dataclass, since ``import ivim`` builds it in a
+    seventh of the time."""
+
+    equations: tuple
+    chunks: tuple
+    ua: np.ndarray
+
+
+def _plan(sys: IvpSystem, grid: Grid, mode: str) -> _Plan:
     """The scan and coefficient of each equation of ``sys`` on ``grid``,
     built once per solve.
 
@@ -333,21 +357,18 @@ def _plan(sys: IvpSystem, grid: Grid, mode: str) -> tuple:
                     value.flags.writeable = False
             args = tuple((tuple(v[s:e] if np.ndim(v) else v for v in values),) for s, e in chunks)
         equations.append(_Equation(alpha, fixed, rhs, args, blocks, first, prefix))
-    return tuple(equations)
+    return _Plan(tuple(equations), chunks, ua[:, None])
 
 
-def _coefficients(
-    sys: IvpSystem, plan: tuple, t: np.ndarray, W: np.ndarray, C: np.ndarray, U: np.ndarray
-) -> None:
+def _coefficients(plan: _Plan, t: np.ndarray, W: np.ndarray, C: np.ndarray, U: np.ndarray) -> None:
     """Integrand coefficients c into ``C``, (k, n); H(s,t) = -e^{alpha(s-t)} c(s).
 
     The right-hand sides see ``W + u_a``, written into ``U`` chunk by chunk.
     A non-finite c passes silently, to the caller's check on the update.
     """
-    ua = np.asarray(sys.initial)[:, None]
-    for c, (s, e) in enumerate(_chunks(t.size)):
-        U_c = np.add(W[:, s:e], ua, out=U[:, s:e])
-        for j, eq in enumerate(plan):
+    for c, (s, e) in enumerate(plan.chunks):
+        U_c = np.add(W[:, s:e], plan.ua, out=U[:, s:e])
+        for j, eq in enumerate(plan.equations):
             row = C[j, s:e]
             if eq.fixed is not None:
                 row[...] = eq.fixed[s:e]
@@ -373,10 +394,10 @@ def _update(eq: _Equation, c: np.ndarray, out: np.ndarray) -> None:
         prefix = eq.prefix[:e - s + 1]
         prefix[0] = carry
         if fwd is None:  # alpha = 0: one block from a +0 carry, so no sum is -0
-            np.cumsum(c, out=prefix[1:])
+            np.add.accumulate(c, out=prefix[1:])
         else:
             np.multiply(fwd, c[s:e], out=prefix[1:])
-            np.cumsum(prefix, out=prefix)  # sums over r < i
+            np.add.accumulate(prefix, out=prefix)  # sums over r < i
         terms = prefix[:-1]
         np.multiply(bwd, terms, out=terms)
         out[s:e] += terms
@@ -389,7 +410,7 @@ def _update(eq: _Equation, c: np.ndarray, out: np.ndarray) -> None:
 
 
 def _reject_nan_coefficient(
-    sys: IvpSystem, j: int, c: np.ndarray, W: np.ndarray, t: np.ndarray, first: int, last: int
+    plan: _Plan, j: int, c: np.ndarray, W: np.ndarray, t: np.ndarray, first: int, last: int
 ) -> None:
     """Raise ``ValueError`` if ``c[first..last]`` holds a NaN at a finite state.
 
@@ -398,7 +419,7 @@ def _reject_nan_coefficient(
     means ``f`` left its domain: an input error, not divergence.  An infinite
     coefficient, or one at a non-finite state, is left to the caller.
     """
-    U = W[:, first:last + 1] + np.asarray(sys.initial)[:, None]
+    U = W[:, first:last + 1] + plan.ua
     nan = np.isnan(c[first:last + 1]) & np.isfinite(U).all(axis=0)
     if nan.any():
         i = int(np.flatnonzero(nan)[0])
@@ -410,9 +431,7 @@ def _reject_nan_coefficient(
         )
 
 
-def _sweep(
-    W: np.ndarray, sys: IvpSystem, grid: Grid, plan: tuple, new: np.ndarray, C: np.ndarray
-) -> float:
+def _sweep(W: np.ndarray, grid: Grid, plan: _Plan, new: np.ndarray, C: np.ndarray) -> float:
     """One interpolated iteration sweep over all equations.
 
     ``W`` is the previous iterate ``u - u_a``, finite, (k, n) and zero in its
@@ -422,19 +441,19 @@ def _sweep(
     ``new`` raises here; a finite one whose difference overflowed returns it.
     """
     t = grid.nodes
-    _coefficients(sys, plan, t, W, C, new)  # new holds the state until the update
+    _coefficients(plan, t, W, C, new)  # new holds the state until the update
     np.multiply(C, 0.5 * grid.h, out=new)
-    for j, eq in enumerate(plan):
+    for j, eq in enumerate(plan.equations):
         _update(eq, C[j], new[j])
     new[:, 0] = 0.0
-    diff = float(np.max(np.abs(np.subtract(new, W, out=C), out=C)))
-    if not np.isfinite(diff):
+    diff = float(np.maximum.reduce(np.abs(np.subtract(new, W, out=C), out=C), axis=None))
+    if not math.isfinite(diff):
         bad = np.argwhere(~np.isfinite(new))
         if bad.size:
             j, i = (int(x) for x in bad[0])
-            _coefficients(sys, plan, t, W, C, new)  # C held the difference: refill it
+            _coefficients(plan, t, W, C, new)  # C held the difference: refill it
             # c(t_1) is read only under a nonzero first weight
-            _reject_nan_coefficient(sys, j, C[j], W, t, 0 if plan[j].first else 1, i)
+            _reject_nan_coefficient(plan, j, C[j], W, t, 0 if plan.equations[j].first else 1, i)
             raise DivergenceError(
                 f"non-finite update in equation {j + 1} at node {i + 1} (t={t[i]})"
             )
@@ -484,7 +503,7 @@ def ivim_step(
         raise ValueError(f"mults carry alphas {alphas}, the equations {list(sys.alphas)}")
     new = np.empty_like(W)
     with np.errstate(all="ignore"):
-        _sweep(W, sys, grid, _plan(sys, grid, mode), new, np.empty_like(W))
+        _sweep(W, grid, _plan(sys, grid, mode), new, np.empty_like(W))
     return [PiecewiseLinear(grid, row) for row in new]
 
 
@@ -512,55 +531,104 @@ def solve(sys: IvpSystem, cfg: SolveConfig) -> SolveReport:
     successive-difference max norm drops to the tolerance.  A non-finite
     update raises ``DivergenceError`` naming the sweep; a finite iterate that
     has not converged is returned after ``cfg.m_max`` sweeps.  Identical
-    inputs produce bit-identical reports.
+    inputs produce bit-identical reports.  It is ``solve_each`` of ``[cfg]``.
+    """
+    return next(solve_each(sys, [cfg]))
+
+
+def solve_each(sys: IvpSystem, configs: Iterable[SolveConfig]) -> Iterator[SolveReport]:
+    """Yield, in order, the report ``solve(sys, cfg)`` returns for each of ``configs``.
+
+    The iterates form one sequence, so consecutive configs that differ only
+    in an ascending ``m_max`` share one run: one grid, one ``_plan``, one
+    sweep loop up to the largest ``m_max`` and one evaluation of the closed
+    form.  Each such report is built once its own sweeps have run: its
+    ``iterate`` is a read-only copy (the last report of the run takes the
+    array itself, and with ``keep_history`` each takes its last snapshot),
+    its ``diffs``, ``iterations_run`` and ``history`` are prefixes of the
+    run's and its ``errors`` its own.  A ``stop_tol`` stop gives every later
+    config of the run the report at the stop.  The run goes on only when the
+    next report is asked for, so an error at a sweep past one report's
+    ``m_max`` is raised, as ``solve`` raises it, after that report.
+    """
+    group: list = []
+    for cfg in configs:
+        if group and not (
+            cfg.m_max > group[-1].m_max and replace(cfg, m_max=group[-1].m_max) == group[-1]
+        ):
+            yield from _run(sys, group)
+            group = []
+        group.append(cfg)
+    if group:
+        yield from _run(sys, group)
+
+
+def _run(sys: IvpSystem, group: list) -> Iterator[SolveReport]:
+    """The reports of ``group``, configs that differ only in an ascending
+    ``m_max``, from one sweep loop (``solve_each``).
+
+    Numpy's floating-point warnings are off around the work for each report,
+    not across a ``yield``, so the caller's error state holds between them.
     """
     start = time.perf_counter()
+    cfg = group[-1]
     grid = make_grid(sys.a, sys.T, cfg.n)
     W = np.zeros((sys.k, grid.n))
     with np.errstate(all="ignore"):
         for j, g in enumerate(sys.guess or ()):
             if g is not None:
                 W[j] = project_samples(grid, lambda t: g(t) - sys.initial[j]).values
-
         plan = _plan(sys, grid, cfg.mode)
-        spare, C = np.empty_like(W), np.empty_like(W)
-        diffs: list[float] = []
-        history: Optional[list] = [] if cfg.keep_history else None
-        for sweep in range(1, cfg.m_max + 1):
-            try:
-                diff = _sweep(W, sys, grid, plan, spare, C)
-                if not np.isfinite(diff):
-                    raise DivergenceError("non-finite update: the successive difference overflowed")
-            except DivergenceError as exc:
-                raise DivergenceError(f"{exc} at iteration {sweep}") from None
-            diffs.append(diff)
-            W, spare = spare, W
-            if history is not None:
-                history.append(W.copy())
-                history[-1].flags.writeable = False
-            if cfg.stop_tol > 0.0 and diff <= cfg.stop_tol:
-                break
-        del plan, spare, C  # before the closed form, so that the peak does not rise
-        W = history[-1] if history else W  # the iterate is the last snapshot
-        W.flags.writeable = False
+    spare, C = np.empty_like(W), np.empty_like(W)
+    diffs: list[float] = []
+    history: Optional[list] = [] if cfg.keep_history else None
+    exact = errors = None
+    stopped = False
+    for point in group:
+        with np.errstate(all="ignore"):
+            while len(diffs) < point.m_max and not stopped:
+                sweep = len(diffs) + 1
+                try:
+                    diff = _sweep(W, grid, plan, spare, C)
+                    if not math.isfinite(diff):
+                        raise DivergenceError(
+                            "non-finite update: the successive difference overflowed"
+                        )
+                except DivergenceError as exc:
+                    raise DivergenceError(f"{exc} at iteration {sweep}") from None
+                diffs.append(diff)
+                W, spare = spare, W
+                if history is not None:
+                    history.append(W.copy())
+                    history[-1].flags.writeable = False
+                stopped = cfg.stop_tol > 0.0 and diff <= cfg.stop_tol
+            if point is cfg:
+                del plan, spare, C  # before the closed form, so that the peak does not rise
+            if history:
+                iterate = history[-1]
+            elif point is cfg or stopped:  # no sweep writes W after these
+                iterate = W
+            else:
+                iterate = W.copy()
+            iterate.flags.writeable = False
 
-        exact = errors = None
-        if sys.exact is not None:
-            exact = np.atleast_2d(sys.exact(grid.nodes))
-            errors = np.max(np.abs((W + np.asarray(sys.initial)[:, None]) - exact), axis=0)
-            exact.flags.writeable = False
-
-    return SolveReport(
-        iterate=W,
-        u_a=sys.initial,
-        grid=grid,
-        diffs=diffs,
-        iterations_run=len(diffs),
-        wall_time=time.perf_counter() - start,
-        exact=exact,
-        errors=errors,
-        history=history,
-    )
+            if sys.exact is not None:
+                if exact is None:
+                    exact = np.atleast_2d(sys.exact(grid.nodes))
+                    exact.flags.writeable = False
+                ua = np.asarray(sys.initial)[:, None]
+                errors = np.max(np.abs((iterate + ua) - exact), axis=0)
+        yield SolveReport(
+            iterate=iterate,
+            u_a=sys.initial,
+            grid=grid,
+            diffs=diffs[:],
+            iterations_run=len(diffs),
+            wall_time=time.perf_counter() - start,
+            exact=exact,
+            errors=errors,
+            history=None if history is None else history[:],
+        )
 
 
 def eval_solution(report: SolveReport, t: float) -> np.ndarray:

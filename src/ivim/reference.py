@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .engine import DivergenceError, IvpSystem, SolveReport
+from .grid import make_grid
 from .problems import BUILTIN_PROBLEMS, problem_from_dict
 
 __all__ = [
@@ -91,7 +92,8 @@ def rk4_reference(sys: IvpSystem, step: float) -> ReferenceSolution:
     run.  A step that turns the state non-finite raises ``ValueError`` naming
     the equation and ``t`` if a stage of it returned NaN at a finite state
     (``f`` outside its domain), and ``DivergenceError`` naming ``t``
-    otherwise.
+    otherwise.  A step whose nodes float64 cannot tell apart raises
+    ``ValueError`` naming the step and the interval, before the first step.
     """
     step = float(step)
     if step <= 0.0:
@@ -114,6 +116,13 @@ def rk4_reference(sys: IvpSystem, step: float) -> ReferenceSolution:
         raise ValueError(
             f"step {step} gives {ratio:.3g} RK4 steps, too many for one array: {exc}"
         ) from None
+    try:
+        nodes = make_grid(sys.a, sys.T, nsteps + 1).nodes
+    except ValueError:  # the interval and the count are valid, so the nodes collapse
+        raise ValueError(
+            f"RK4 step {step} puts {nsteps + 1} nodes on [{sys.a}, {sys.T}], "
+            f"closer than float64 can separate"
+        ) from None
     values[:, 0] = sys.initial
     with np.errstate(all="ignore"):
         rhs = tuple(getattr(f, "scalar", None) for f in sys.rhs)
@@ -124,7 +133,6 @@ def rk4_reference(sys: IvpSystem, step: float) -> ReferenceSolution:
         if i is not None:
             _reject_nan_stage(sys.rhs, sys.a + i * h, list(values[:, i]), h)
             raise DivergenceError(f"RK4 state became non-finite at t={sys.a + (i + 1) * h}")
-    nodes = np.linspace(sys.a, sys.T, nsteps + 1)
     return ReferenceSolution(nodes=nodes, values=values, source=("rk4", step))
 
 

@@ -337,6 +337,86 @@ def test_collapsed_nodes_exit_1_without_outputs(tmp_path, capsys):
             assert not out.exists()
 
 
+def test_collapsed_grid_is_rejected_before_any_rk4_run(tmp_path, monkeypatch, capsys):
+    # n = 3 on [1e16, 1e16 + 4] is a valid grid and n = 10001 is not; every
+    # grid is built before the first RK4 candidate, so none runs
+    steps = _counting_rk4(monkeypatch)
+    doc = {
+        "interval": {"a": 1e16, "T": 1e16 + 4},
+        "equations": [{"alpha": 0.0, "rhs": "-u1"}],
+        "initial": [1.0],
+    }
+    path = _write_problem(tmp_path, doc)
+    out = tmp_path / "out"
+    assert _run("converge", "--problem", str(path), "--n-list", "3,10001", "--m", "1",
+                "--out-dir", str(out)) == 1
+    assert capsys.readouterr().err == "ivim: error: nodes must be strictly increasing\n"
+    assert steps == []
+    assert not out.exists()
+
+
+def test_rk4_reference_names_its_own_collapsed_nodes(tmp_path, capsys):
+    # the grids of 5 and 9 nodes on [1e16, 1e16 + 400] are valid, but the
+    # fixed 800-step run puts nodes 0.5 apart where doubles are 2 apart
+    doc = {
+        "interval": {"a": 1e16, "T": 1e16 + 400},
+        "equations": [{"alpha": 0.0, "rhs": "-u1"}],
+        "initial": [1.0],
+    }
+    path = _write_problem(tmp_path, doc)
+    out = tmp_path / "out"
+    assert _run("converge", "--problem", str(path), "--n-list", "5,9", "--m", "1",
+                "--out-dir", str(out)) == 1
+    assert capsys.readouterr().err == (
+        "ivim: error: RK4 step 0.5 puts 801 nodes on [1e+16, 1.00000000000004e+16], "
+        "closer than float64 can separate\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("problem", ["ex1", "pendulum"])
+def test_converge_m_list_runs_the_sweeps_of_its_largest_m(tmp_path, monkeypatch, problem):
+    # the points of an m-list are prefixes of one run: 16 sweeps, not 1 + 4 + 16
+    calls = []
+    sweep = ivim.engine._sweep
+    monkeypatch.setattr(ivim.engine, "_sweep", lambda *args: calls.append(1) or sweep(*args))
+    source = "ex1" if problem == "ex1" else str(_write_problem(tmp_path, _PENDULUM))
+    out = tmp_path / "out"
+    assert _run("converge", "--problem", source, "--n", "33", "--m-list", "1,4,16",
+                "--out-dir", str(out)) == 0
+    assert len(calls) == 16
+    system, _ = get_problem(source)
+    max_abs = json.loads((out / "summary.json").read_text())["max_abs"]
+    if problem == "ex1":
+        assert max_abs == [float(np.max(solve(system, SolveConfig(n=33, m_max=m)).errors))
+                           for m in (1, 4, 16)]
+
+
+@pytest.mark.parametrize("mode, node, t", [
+    ("paper", 60, "0.9365079365079365"),
+    ("full_trapezoid", 59, "0.9206349206349206"),
+])
+def test_converge_m_list_diverges_at_the_sweep_that_blows_up(tmp_path, capsys, mode, node, t):
+    # u' = u^2 from 2 blows up at t = 1/2; its closed form is finite on the
+    # 64 nodes.  Points 3, 5 and 8 are scored, then sweep 12 of point 13 is
+    # non-finite, with the message of its own solve
+    doc = {
+        "interval": {"a": 0, "T": 1},
+        "equations": [{"alpha": 0, "rhs": "u1^2"}],
+        "initial": [2.0],
+        "exact": ["2/(1-2*t)"],
+    }
+    path = _write_problem(tmp_path, doc)
+    out = tmp_path / "out"
+    assert _run("converge", "--problem", str(path), "--mode", mode, "--n", "64",
+                "--m-list", "3,5,8,13,20", "--out-dir", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"ivim: divergence: non-finite update in equation 1 at node {node} (t={t}) "
+        "at iteration 12\n"
+    )
+    assert not out.exists()
+
+
 def test_each_closed_form_is_evaluated_once_per_solve(tmp_path, monkeypatch):
     calls = []
     system, doc = get_problem("ex3")
@@ -345,7 +425,7 @@ def test_each_closed_form_is_evaluated_once_per_solve(tmp_path, monkeypatch):
     for argv, sizes in [
         (["solve", "--n", "17", "--m", "2"], [17]),
         (["converge", "--n-list", "9,17,33", "--m", "2"], [9, 17, 33]),
-        (["converge", "--m-list", "1,2", "--n", "9"], [9, 9]),
+        (["converge", "--m-list", "1,2", "--n", "9"], [9]),  # one run for the m-list
     ]:
         calls.clear()
         assert _run(*argv, "--problem", "ex3", "--out-dir", str(tmp_path / argv[0])) == 0

@@ -1,9 +1,12 @@
 import dataclasses
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ivim.engine
 from ivim import (
     DivergenceError,
     IvpSystem,
@@ -19,6 +22,7 @@ from ivim import (
     make_grid,
     rk4_reference,
     solve,
+    solve_each,
     successive_diff_norm,
 )
 
@@ -702,3 +706,109 @@ def test_history_snapshots_are_the_carried_iterates():
     assert not any(snap.flags.writeable for snap in rep.history)
     assert all(np.shares_memory(rep.history[-1], pl.values) for pl in rep.final)
     assert rep.iterations_run == len(rep.diffs) == 3
+
+
+# --- solve_each ---------------------------------------------------------------------
+
+def _same_bits(a, b):
+    if a is None or b is None:
+        return a is b
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_same_report(got, want):
+    assert _same_bits(got.iterate, want.iterate) and not got.iterate.flags.writeable
+    assert _same_bits(got.grid.nodes, want.grid.nodes) and got.u_a == want.u_a
+    assert _same_bits(got.diffs, want.diffs) and got.iterations_run == want.iterations_run
+    assert _same_bits(got.exact, want.exact) and _same_bits(got.errors, want.errors)
+    if want.history is None:
+        assert got.history is None
+    else:
+        assert len(got.history) == len(want.history)
+        assert all(_same_bits(g, w) for g, w in zip(got.history, want.history))
+        assert got.iterate is got.history[-1]
+
+
+_SOLVE_EACH_PROBLEMS = {
+    "ex1": "ex1",
+    "ex2": "ex2",
+    "ex3": "ex3",
+    "rotation": str(Path(__file__).with_name("rotation.json")),
+}
+_M_LIST = (1, 3, 6, 10, 15)
+
+
+@pytest.mark.parametrize("keep_history", [False, True])
+@pytest.mark.parametrize("stop", [False, True], ids=["no-stop", "stop-inside"])
+@pytest.mark.parametrize("mode", ["paper", "full_trapezoid"])
+@pytest.mark.parametrize("name", list(_SOLVE_EACH_PROBLEMS))
+def test_solve_each_reports_are_the_independent_solves(name, mode, stop, keep_history):
+    # an ascending m-list is one run; every report, taken once the run is
+    # over, has the bits of its own solve on every field
+    sys_, _ = get_problem(_SOLVE_EACH_PROBLEMS[name])
+    tol = 0.0
+    if stop:  # the difference of sweep 5 stops the run between m = 3 and m = 6
+        tol = solve(sys_, SolveConfig(n=33, m_max=5, mode=mode)).diffs[-1]
+    configs = [SolveConfig(n=33, m_max=m, mode=mode, stop_tol=tol, keep_history=keep_history)
+               for m in _M_LIST]
+    reports = list(solve_each(sys_, configs))
+    assert len(reports) == len(configs)
+    for got, cfg in zip(reports, configs):
+        _assert_same_report(got, solve(sys_, cfg))
+    runs = [rep.iterations_run for rep in reports]
+    assert runs == ([1, 3, 5, 5, 5] if stop else list(_M_LIST))
+
+
+def test_solve_each_runs_only_what_extends_the_previous_config(monkeypatch):
+    # a new n, mode or tolerance, or an m_max that does not ascend, starts a
+    # new run; each report still has the bits of its own solve
+    sys_, _ = get_problem("ex3")
+    configs = [
+        SolveConfig(n=9, m_max=1), SolveConfig(n=9, m_max=3), SolveConfig(n=17, m_max=2),
+        SolveConfig(n=17, m_max=2), SolveConfig(n=17, m_max=1),
+        SolveConfig(n=17, m_max=4, mode="full_trapezoid"), SolveConfig(n=17, m_max=5),
+        SolveConfig(n=17, m_max=6, stop_tol=1e-3),
+    ]
+    stop = solve(sys_, configs[-1]).iterations_run
+    calls = []
+    sweep = ivim.engine._sweep
+    monkeypatch.setattr(ivim.engine, "_sweep", lambda *args: calls.append(1) or sweep(*args))
+    reports = list(solve_each(sys_, configs))
+    assert len(calls) == 3 + 2 + 2 + 1 + 4 + 5 + stop
+    monkeypatch.undo()
+    for got, cfg in zip(reports, configs, strict=True):
+        _assert_same_report(got, solve(sys_, cfg))
+    assert list(solve_each(sys_, [])) == []
+
+
+def test_solve_each_raises_the_divergence_of_the_point_it_reaches():
+    # u' = u^2 from 2 blows up at t = 1/2; at n = 64 sweep 12 is non-finite,
+    # so the points 3, 5 and 8 are yielded and 13 raises solve's error
+    sys_ = problem_from_dict({
+        "interval": {"a": 0, "T": 1}, "equations": [{"alpha": 0, "rhs": "u1^2"}],
+        "initial": [2.0],
+    })
+    configs = [SolveConfig(n=64, m_max=m) for m in (3, 5, 8, 13, 20)]
+    points = solve_each(sys_, configs)
+    for cfg in configs[:3]:
+        _assert_same_report(next(points), solve(sys_, cfg))
+    with pytest.raises(DivergenceError) as independent:
+        solve(sys_, configs[3])
+    assert str(independent.value).endswith("at iteration 12")
+    with pytest.raises(DivergenceError) as shared:
+        next(points)
+    assert str(shared.value) == str(independent.value)
+    with pytest.raises(StopIteration):
+        next(points)
+
+
+def test_solve_each_leaves_the_callers_error_state_between_reports():
+    # the warnings are off around each report's work, not across a yield
+    sys_, _ = get_problem("ex1")
+    with np.errstate(all="raise"):
+        points = solve_each(sys_, [SolveConfig(n=9, m_max=m) for m in (1, 2, 3)])
+        for _ in points:
+            assert np.geterr()["over"] == "raise"
+            with pytest.raises(FloatingPointError):
+                np.float64(1e308) * 10

@@ -33,6 +33,7 @@ _PUBLIC = {
         "SolveReport",
         "ivim_step",
         "solve",
+        "solve_each",
         "successive_diff_norm",
         "eval_solution",
     ],
@@ -58,7 +59,7 @@ _PUBLIC = {
 
 def test_public_names_are_the_modules_exports():
     names = [name for module_names in _PUBLIC.values() for name in module_names]
-    assert len(names) == 30
+    assert len(names) == 31
     assert sorted(ivim.__all__) == sorted(names + ["__version__"])
     for module_name, module_names in _PUBLIC.items():
         module = importlib.import_module(f"ivim.{module_name}")

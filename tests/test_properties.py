@@ -180,7 +180,7 @@ def test_zero_alpha_scans_with_scalar_weights_bit_for_bit(zero, mode, data):
     alphas = st.tuples(st.just(zero)) | st.tuples(st.just(zero), _scan_alpha)
     sys_, _, n, _, seed = data.draw(_problems(alphas, 600))
     grid = make_grid(sys_.a, sys_.T, n)
-    assert _plan(sys_, grid, mode)[0].blocks == ((0, n, None, None, grid.h),)
+    assert _plan(sys_, grid, mode).equations[0].blocks == ((0, n, None, None, grid.h),)
     _assert_step_is_the_oracle_sweep(sys_, n, mode, seed)
 
 

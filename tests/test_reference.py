@@ -79,6 +79,20 @@ def test_rk4_step_must_divide_interval():
         rk4_reference(sys_, -0.1)
 
 
+def test_rk4_rejects_a_step_whose_nodes_collapse():
+    # doubles near 1e16 are 2 apart, so 0.5 steps repeat nodes; the message
+    # names the step and the interval, and no step is marched
+    calls = []
+    sys_ = _scalar_system(lambda t, U: calls.append(t) or -U[0], 1e16, 1e16 + 400, 1.0)
+    with pytest.raises(ValueError, match=re.escape(
+        "RK4 step 0.5 puts 801 nodes on [1e+16, 1.00000000000004e+16], "
+        "closer than float64 can separate"
+    )):
+        rk4_reference(sys_, 0.5)
+    assert calls == []
+    assert rk4_reference(sys_, 2.0).nodes.size == 201
+
+
 def test_rk4_divergence_reports_time():
     # u' = u^2, u(0) = 1 blows up at t = 1
     sys_ = _scalar_system(lambda t, U: U[0] ** 2, 0.0, 2.0, 1.0)
