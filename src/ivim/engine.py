@@ -258,8 +258,7 @@ class SolveReport:
         return np.add(self.iterate[:, s:e], np.asarray(self.u_a)[:, None], out=out)
 
 
-@dataclass(frozen=True)
-class _Equation:
+class _Equation(NamedTuple):
     """One equation's part of a solve's plan: what every sweep reuses.
 
     The coefficient is ``fixed`` when it does not depend on the state (a

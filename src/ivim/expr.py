@@ -209,8 +209,8 @@ class _Cursor:
         tok = self.peek()
         if tok is not None:
             return tok.position
-        last = self.tokens[-1] if self.tokens else None
-        return last.position + len(last.lexeme) if last else 0
+        last = self.tokens[-1]
+        return last.position + len(last.lexeme)
 
     def next(self) -> Token:
         tok = self.peek()

@@ -13,12 +13,15 @@ A problem file is a JSON document:
 
 Any other key, at the top level, in ``interval`` or in an equation, is an
 input error that names it: a misspelt ``"exacts"`` is not silently ignored.
+Nor is a key given twice in one object of a file: that is an input error
+naming the key and the file, where ``json.load`` would keep the last value.
 
 Right-hand sides may reference ``t`` and the components ``u1 .. uk`` (plus
 the alias ``u`` for single equations); ``exact`` and ``guess`` are functions
 of ``t`` alone.  Built-ins are defined through the same expressions and the
 same compilation path as loaded files, so exporting a built-in and loading
-it back is exact.
+it back is exact.  ``exact_builtin_eval`` evaluates a built-in's closed
+form at one ``t``.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ __all__ = [
     "problem_from_dict",
     "load_problem_file",
     "get_problem",
+    "exact_builtin_eval",
 ]
 
 
@@ -91,6 +95,22 @@ def builtin_problem_dict(name: str) -> dict:
             f"unknown built-in problem {name!r}; available: {', '.join(builtin_names())}"
         )
     return copy.deepcopy(BUILTIN_PROBLEMS[name])
+
+
+def exact_builtin_eval(name: str, t: float) -> np.ndarray:
+    """Closed-form solution of a built-in problem at ``t``, shape (k,).
+
+    The values are those of the problem's compiled ``exact`` expressions,
+    written once in ``BUILTIN_PROBLEMS``.
+    """
+    if name not in BUILTIN_PROBLEMS:
+        raise ValueError(f"unknown built-in problem {name!r}")
+    interval = BUILTIN_PROBLEMS[name]["interval"]
+    a, T = interval["a"], interval["T"]
+    t = float(t)
+    if not a <= t <= T:  # False for nan
+        raise ValueError(f"t={t} outside [{a}, {T}] for {name}")
+    return problem_from_dict(BUILTIN_PROBLEMS[name]).exact(np.array([t]))[:, 0]
 
 
 def _must_be(what: str, kind: str, value) -> ValueError:
@@ -208,16 +228,34 @@ def problem_from_dict(doc: dict) -> IvpSystem:
     )
 
 
+class _DuplicateKey(Exception):
+    """A key given twice in one JSON object; not a ``ValueError``, so
+    ``load_problem_file`` does not report it as unreadable JSON."""
+
+
+def _distinct_keys(pairs: list) -> dict:
+    """``json.load``'s ``object_pairs_hook``: raise ``_DuplicateKey`` on a
+    repeated key, which ``json.load`` alone would let overwrite the first."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise _DuplicateKey(key)
+        obj[key] = value
+    return obj
+
+
 def load_problem_file(path) -> tuple:
     """Load a JSON problem file; returns ``(system, document)``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_distinct_keys)
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed JSON in {path}: {exc}") from exc
         except (ValueError, RecursionError) as exc:
             # not UTF-8, an integer too long to convert, or nested too deep
             raise ValueError(f"cannot read {path} as JSON: {exc}") from exc
+        except _DuplicateKey as exc:
+            raise ValueError(f"duplicate key {exc.args[0]!r} in {path}") from None
     return problem_from_dict(doc), doc
 
 

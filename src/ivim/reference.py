@@ -1,9 +1,11 @@
-"""Independent reference solutions and error/convergence analytics.
+"""Independent reference solutions and the scores against them.
 
-Classical fixed-step RK4 and the closed-form solutions of the built-in
-benchmark problems serve as oracles for the interpolated iteration.  When a
-closed form exists it is the reference; otherwise ``ivim converge`` scores
-against an RK4 run.
+Classical fixed-step RK4 and a problem's closed form, each held as a
+``ReferenceSolution``, serve as oracles for the interpolated iteration;
+``error_metrics`` and ``empirical_order`` score a solve against them.  When
+a closed form exists it is the reference; otherwise ``ivim converge``
+scores against an RK4 run.  A built-in's closed form at one ``t`` is
+``problems.exact_builtin_eval``.
 """
 
 from __future__ import annotations
@@ -17,13 +19,11 @@ import numpy as np
 
 from .engine import DivergenceError, IvpSystem, SolveReport
 from .grid import make_grid
-from .problems import BUILTIN_PROBLEMS, problem_from_dict
 
 __all__ = [
     "ReferenceSolution",
     "ErrorMetrics",
     "rk4_reference",
-    "exact_builtin_eval",
     "error_metrics",
     "empirical_order",
 ]
@@ -45,9 +45,8 @@ class ReferenceSolution:
         if not np.isfinite(nodes).all():
             i = int(np.flatnonzero(~np.isfinite(nodes))[0])
             raise ValueError(f"reference nodes must be finite: node {i + 1} is {nodes[i]}")
-        with np.errstate(all="ignore"):  # the step between finite nodes may overflow
-            if np.any(np.diff(nodes) <= 0):
-                raise ValueError("nodes must be strictly increasing")
+        if not (nodes[1:] > nodes[:-1]).all():
+            raise ValueError("nodes must be strictly increasing")
         if not np.isfinite(values).all():
             j, i = np.argwhere(~np.isfinite(values))[0]
             raise ValueError(
@@ -68,7 +67,6 @@ class ReferenceSolution:
 class ErrorMetrics:
     max_abs: float
     per_node_abs: np.ndarray
-    per_node_log10: np.ndarray
 
 
 def rk4_reference(sys: IvpSystem, step: float) -> ReferenceSolution:
@@ -205,30 +203,13 @@ def _reject_nan_stage(rhs, t: float, y: list, h: float) -> None:
                 )
 
 
-def exact_builtin_eval(name: str, t: float) -> np.ndarray:
-    """Closed-form solution of a built-in problem at ``t``, shape (k,).
-
-    The values are those of the problem's compiled ``exact`` expressions,
-    written once in ``BUILTIN_PROBLEMS``.
-    """
-    if name not in BUILTIN_PROBLEMS:
-        raise ValueError(f"unknown built-in problem {name!r}")
-    interval = BUILTIN_PROBLEMS[name]["interval"]
-    a, T = interval["a"], interval["T"]
-    t = float(t)
-    if not a <= t <= T:  # False for nan
-        raise ValueError(f"t={t} outside [{a}, {T}] for {name}")
-    return problem_from_dict(BUILTIN_PROBLEMS[name]).exact(np.array([t]))[:, 0]
-
-
 def error_metrics(sol: SolveReport, ref: ReferenceSolution) -> ErrorMetrics:
-    """Per-node absolute error (max over components) and its log10.
+    """Per-node absolute error, the max over components.
 
     The reference must cover the solution nodes and be at least as dense;
-    ``ref.at`` puts it on the solution grid.  The log10 of an exact zero is
-    -inf and of a NaN error NaN; an error past float64 is inf.  ``ivim
-    converge`` reads a closed form's error from ``report.errors``, which has
-    the bits of ``per_node_abs``.
+    ``ref.at`` puts it on the solution grid.  A NaN error stays NaN; an
+    error past float64 is inf.  ``ivim converge`` reads a closed form's
+    error from ``report.errors``, which has the bits of ``per_node_abs``.
     """
     nodes = sol.grid.nodes
     k = len(sol.iterate)
@@ -244,12 +225,7 @@ def error_metrics(sol: SolveReport, ref: ReferenceSolution) -> ErrorMetrics:
         raise ValueError("reference does not cover the solution interval")
     with np.errstate(all="ignore"):
         per_node = np.max(np.abs(sol.nodal_values() - ref.at(nodes)), axis=0)
-        per_log = np.log10(per_node)
-    return ErrorMetrics(
-        max_abs=float(np.max(per_node)),
-        per_node_abs=per_node,
-        per_node_log10=per_log,
-    )
+    return ErrorMetrics(max_abs=float(np.max(per_node)), per_node_abs=per_node)
 
 
 def empirical_order(err_coarse: float, err_fine: float) -> float:

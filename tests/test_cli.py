@@ -544,6 +544,32 @@ def test_unreadable_problem_file_exits_1_naming_it(tmp_path, content, cause):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "export"])
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"name": "dup", "interval": {"a": 0.0, "T": 1.0, "T": 2.0}, '
+         '"equations": [{"alpha": 0.0, "rhs": "1"}], "initial": [0.0]}', "T"),
+        ('{"name": "dup", "interval": {"a": 0.0, "T": 1.0}, '
+         '"equations": [{"alpha": 0.0, "rhs": "1", "rhs": "u"}], "initial": [0.0]}', "rhs"),
+    ],
+    ids=["interval", "equation"],
+)
+def test_key_given_twice_exits_1_naming_it(tmp_path, capsys, command, text, key):
+    # json.load alone keeps the last value, so the file would solve on
+    # [0, 2] or with rhs u, and export would write the collapsed document
+    path = tmp_path / "problem.json"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    if command == "export":
+        argv = ("export", "--problem", str(path), "--out", str(out / "problem.json"))
+    else:
+        argv = ("solve", "--problem", str(path), "--n", "5", "--m", "2", "--out-dir", str(out))
+    assert _run(*argv) == 1
+    assert capsys.readouterr().err == f"ivim: error: duplicate key {key!r} in {path}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "where, value, message",
     [

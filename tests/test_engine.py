@@ -395,6 +395,14 @@ def test_step_rejects_unknown_mode_and_wrong_state_length():
         ivim_step(_zero_state(grid, 1), sys_, grid, mults)
 
 
+@pytest.mark.parametrize("other", [(0.0, 2.0, 9), (0.0, 1.0, 17)], ids=["interval", "n"])
+def test_step_rejects_a_state_on_another_grid(other):
+    sys_ = IvpSystem(**_TWO)
+    grid = make_grid(0.0, 1.0, 9)
+    with pytest.raises(ValueError, match="state grids do not match the solve grid"):
+        ivim_step(_zero_state(make_grid(*other), 2), sys_, grid, [exp_multiplier(0.0)] * 2)
+
+
 def test_step_rejects_multipliers_of_other_alphas():
     # the weights and the coefficient must share alpha, or the sweep would
     # iterate towards another fixed point

@@ -42,7 +42,6 @@ _PUBLIC = {
         "ReferenceSolution",
         "ErrorMetrics",
         "rk4_reference",
-        "exact_builtin_eval",
         "error_metrics",
         "empirical_order",
     ],
@@ -53,6 +52,7 @@ _PUBLIC = {
         "problem_from_dict",
         "load_problem_file",
         "get_problem",
+        "exact_builtin_eval",
     ],
 }
 
@@ -127,6 +127,11 @@ def _infinite_reference_nodes():
         ReferenceSolution(np.array([0.0, np.inf, np.inf]), np.zeros((1, 3)), ("rk4", 0.5))
 
 
+def _reference_step_past_float64():
+    # finite nodes whose step overflows are still in order
+    ReferenceSolution(np.array([-1.5e308, 1.5e308]), np.zeros((1, 2)), ("rk4", 1.0))
+
+
 def _error_past_float64():
     system = problem_from_dict(HUGE)
     report = solve(system, SolveConfig(n=3, m_max=1))
@@ -139,6 +144,7 @@ def _error_past_float64():
     _log_of_negative_samples,
     _difference_past_float64,
     _infinite_reference_nodes,
+    _reference_step_past_float64,
     _error_past_float64,
 ], ids=lambda case: case.__name__.lstrip("_"))
 def test_no_floating_point_warning_leaves_a_public_function(case, state):

@@ -1,9 +1,12 @@
 import cProfile
 import copy
+import importlib.util
 import json
 import math
 import pstats
+import sys
 import traceback
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +189,27 @@ def test_load_problem_file_roundtrip(tmp_path):
     sys_, loaded = load_problem_file(path)
     assert loaded == doc
     assert sys_.k == 2
+
+
+_BENCH_FILES = [f"{kind}-{seed}" for kind in ("stiff", "pendulum") for seed in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("source", builtin_names() + _BENCH_FILES)
+def test_problem_files_with_distinct_keys_still_load(tmp_path, monkeypatch, source):
+    # the duplicate-key check passes every file the package and its benchmark write
+    if source in builtin_names():
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(builtin_problem_dict(source)), encoding="utf-8")
+    else:  # bench/inputs.py writes it, loaded without writing bytecode there
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        script = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+        spec = importlib.util.spec_from_file_location("_bench_inputs", script)
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        kind, seed = source.split("-")
+        path = inputs.write_problem(kind, int(seed), tmp_path)
+    _, doc = load_problem_file(path)
+    assert doc == json.loads(path.read_text(encoding="utf-8"))
 
 
 def test_load_malformed_json(tmp_path):

@@ -313,7 +313,6 @@ def test_error_metrics_identical():
     m = error_metrics(rep, ref)
     assert m.max_abs == 0.0
     assert np.all(m.per_node_abs == 0.0)
-    assert np.all(np.isneginf(m.per_node_log10))
 
 
 def test_error_metrics_single_offset():
@@ -325,15 +324,13 @@ def test_error_metrics_single_offset():
     ref = ReferenceSolution(nodes=grid.nodes, values=refv, source=("closed_form", "x"))
     m = error_metrics(rep, ref)
     assert m.max_abs == pytest.approx(1e-3, rel=1e-12)
-    assert m.per_node_log10[2] == pytest.approx(-3.0, abs=1e-12)
-    # a NaN error stays NaN in log10, as in ivim solve, not the -inf of an
-    # exact match
+    # a NaN error stays NaN, and the exact nodes around it stay 0
     bad = sol.copy()
     bad[0, 2] = np.nan
     m = error_metrics(_report_from_values(grid, bad), ref)
     assert np.isnan(m.max_abs)
-    assert np.isnan(m.per_node_log10[2])
-    assert np.array_equal(np.delete(m.per_node_log10, 2), np.full(4, -np.inf))
+    assert np.isnan(m.per_node_abs[2])
+    assert np.array_equal(np.delete(m.per_node_abs, 2), np.zeros(4))
 
 
 def test_error_metrics_component_max():
@@ -391,7 +388,10 @@ def test_error_metrics_rejects_a_mismatched_reference():
         ([0.0, 0.5, 1.0], np.zeros((1, 2)), "values and nodes do not line up"),
         ([0.0, 0.5, 0.5], np.zeros((1, 3)), "nodes must be strictly increasing"),
         ([0.0, 1.0, 0.5], np.zeros((1, 3)), "nodes must be strictly increasing"),
-        # a NaN step compares False with 0, so the order check alone let these by
+        # finite nodes whose step passes float64
+        ([1.5e308, -1.5e308], np.zeros((1, 2)), "nodes must be strictly increasing"),
+        # the finiteness check runs first, so these name the node rather than
+        # fail the order check
         ([0.0, np.nan, 1.0], np.zeros((1, 3)), "^reference nodes must be finite: node 2 is nan$"),
         ([np.nan] * 3, np.zeros((1, 3)), "^reference nodes must be finite: node 1 is nan$"),
         ([0.0, 0.5, np.inf], np.zeros((1, 3)), "^reference nodes must be finite: node 3 is inf$"),
