@@ -175,12 +175,13 @@ CONSTANTS = {"pi": math.pi, "e": math.e}
 # call, unary minus and exponent opens a level) and in its syntax tree (every
 # operator or call on top of a subexpression adds one, so does each further
 # term of a chain such as a + b + c).  The parser spends up to six frames a
-# level (nested calls), the tree walkers one to three; 100 levels keep the
-# deepest case near 650 frames under Python's default limit of 1000.  The
-# generated source nests up to two bracket levels per operator or call (a
-# call inside float() in the scalar form of a right-hand side) and one for a
-# leaf ``s[j]``: 2 * 99 + 1 = 199 at this depth, one below the 200 nested
-# brackets that CPython rejects, so this cannot grow.
+# level (nested calls), the tree walkers (pretty, tree comparison, the code
+# generator) one to three; 100 levels keep the deepest case near 650 frames
+# under Python's default limit of 1000.  The generated source nests up to two
+# bracket levels per operator or call (a call inside float() in the scalar
+# form of a right-hand side) and one for a leaf ``s[j]``: 2 * 99 + 1 = 199 at
+# this depth, where CPython compiles at most 200 nested brackets, so this
+# cannot grow.
 MAX_DEPTH = 100
 
 
@@ -404,69 +405,16 @@ def pretty(e: Expr) -> str:
 # --- evaluation -------------------------------------------------------------
 
 def eval_expr(e: Expr, env: dict[str, float]) -> float:
-    """Evaluate with all free variables bound in ``env``.
-
-    Raises ExprError for unbound variables, domain errors (naming the
-    offending subexpression and arguments) and non-finite results.
-    """
-    result = _eval(e, env)
+    """Evaluate a tree as ``parse`` makes it by the code the solver runs, with
+    its bits and IEEE semantics.  An unbound variable or a non-finite result
+    raises ``ExprError``.  A hand-built tree deeper than 200 levels fails in
+    CPython, as every generated function does."""
+    validate_vars(e, env)
+    with np.errstate(all="ignore"):
+        result = float(_generate(e, ("env",), _read_env, "eval_expr")(env))
     if not math.isfinite(result):
         raise ExprError(f"non-finite result {result!r} from {pretty(e)!r}")
     return result
-
-
-def _eval(e: Expr, env: dict[str, float]) -> float:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        if e.name in env:
-            return float(env[e.name])
-        if e.name in CONSTANTS:
-            return CONSTANTS[e.name]
-        raise ExprError(f"unbound variable {e.name!r}", e.pos)
-    if isinstance(e, Neg):
-        return -_eval(e.operand, env)
-    if isinstance(e, BinOp):
-        a = _eval(e.left, env)
-        b = _eval(e.right, env)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if b == 0.0:
-                raise ExprError(f"division by zero in {pretty(e)!r}", e.pos)
-            return a / b
-        return _math_call(e, "pow", math.pow, a, b)
-    if isinstance(e, Call):
-        x = _eval(e.args[0], env)
-        if e.fn == "nthroot":
-            return _nthroot(x, e.k, e)
-        return _math_call(e, e.fn, abs if e.fn == "abs" else getattr(math, e.fn), x)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _math_call(e: Expr, name: str, fn: Callable, *args: float) -> float:
-    """``fn(*args)`` as a float; a math error names ``e`` and the call ``name(args)``."""
-    try:
-        return float(fn(*args))
-    except ValueError:
-        kind = "domain error"
-    except OverflowError:
-        kind = "overflow"
-    raise ExprError(f"{kind} in {pretty(e)!r}: {name}({', '.join(map(repr, args))})", e.pos)
-
-
-def _nthroot(x: float, k: int, node: Call) -> float:
-    if k % 2 == 0:
-        if x < 0.0:
-            raise ExprError(
-                f"domain error in {pretty(node)!r}: even root of {x!r}", node.pos
-            )
-        return x ** (1.0 / k)
-    return math.copysign(abs(x) ** (1.0 / k), x)
 
 
 def free_variables(e: Expr) -> dict[str, int]:
@@ -530,6 +478,11 @@ def _odd_root(x, inv):
 def _quotient(a, b):
     """``a / b`` on Python floats; numpy's inf or NaN, as a float, for a zero ``b``."""
     return a / b if b else float(np.divide(a, b))
+
+
+def _read_env(name, const):
+    """``_generate``'s ``read`` from a dict ``env``; ``pi`` and ``e`` where it binds them."""
+    return f"env[{name!r}]" if const is None else f"env.get({name!r}, {const})"
 
 
 # the globals of a generated function: the callables its source names

@@ -7,10 +7,12 @@ with scalar fixed-point iterations, the Crank-Nicolson march steps a linear
 system through one k x k step matrix, the RK4 march steps one whole
 state array at a time, and the hat functions are evaluated piece by piece from
 their definition.  ``closure_compile`` evaluates an expression as a tree of
-closures, one per node, with no generated code.  ``blocked_scan`` is the
-solver's nodal update as it was before its weights were planned once per
-solve: it derives every weight afresh on each call, allocates its own
-temporaries, and the solver must match it bit for bit.
+closures, one per node, with no generated code.  ``stack_eval`` runs a tree
+as a postfix program on a stack of Python floats through the math module,
+so it agrees with generated code to a few ulps, not bit for bit.
+``blocked_scan`` is the solver's nodal update as it was before its weights
+were planned once per solve: it derives every weight afresh on each call,
+allocates its own temporaries, and the solver must match it bit for bit.
 
 ``compile_array`` is no oracle: it is the package's own code generator,
 ``expr._generate``, reading each variable from a dict.  No code in the
@@ -22,7 +24,7 @@ import math
 import numpy as np
 
 from ivim.engine import _BLOCK_EXPONENT
-from ivim.expr import _NP_FUNCS, CONSTANTS, BinOp, Call, Const, Neg, Var, _generate
+from ivim.expr import _NP_FUNCS, CONSTANTS, BinOp, Call, Const, Neg, Var, _generate, _read_env
 
 
 def naive_step(alphas, rhs_list, t, h, U, mode):
@@ -278,5 +280,71 @@ def compile_array(e):
     return _generate(e, ("env",), _read_env, "expression")
 
 
-def _read_env(name, const):
-    return f"env[{name!r}]" if const is None else f"env.get({name!r}, {const})"
+def _flatten(e, program):
+    """Postorder flattening; execution order is the oracle's own."""
+    if isinstance(e, Const):
+        program.append(("push", e.value))
+    elif isinstance(e, Var):
+        program.append(("load", e.name))
+    elif isinstance(e, Neg):
+        _flatten(e.operand, program)
+        program.append(("neg", None))
+    elif isinstance(e, BinOp):
+        _flatten(e.left, program)
+        _flatten(e.right, program)
+        program.append(("bin", e.op))
+    elif isinstance(e, Call):
+        for a in e.args:
+            _flatten(a, program)
+        program.append(("call", (e.fn, e.k)))
+    else:
+        raise TypeError(e)
+
+
+def stack_eval(e, env):
+    """Evaluate a tree on Python floats with the math module, as a stack machine.
+
+    ``^`` is ``math.pow``, an even root ``x ** (1/k)`` and an odd root
+    ``copysign(|x| ** (1/k), x)``.  Where the math module refuses an
+    argument this raises its ``ValueError``, ``OverflowError`` or
+    ``ZeroDivisionError`` rather than returning inf or NaN.
+    """
+    program = []
+    _flatten(e, program)
+    stack = []
+    for op, payload in program:
+        if op == "push":
+            stack.append(payload)
+        elif op == "load":
+            stack.append(env[payload] if payload in env else CONSTANTS[payload])
+        elif op == "neg":
+            stack.append(-stack.pop())
+        elif op == "bin":
+            b = stack.pop()
+            a = stack.pop()
+            if payload == "+":
+                stack.append(a + b)
+            elif payload == "-":
+                stack.append(a - b)
+            elif payload == "*":
+                stack.append(a * b)
+            elif payload == "/":
+                stack.append(a / b)
+            else:
+                stack.append(math.pow(a, b))
+        else:
+            fn, k = payload
+            x = stack.pop()
+            if fn == "nthroot":
+                if k % 2 == 0:
+                    if x < 0:
+                        raise ValueError("even root of negative")
+                    stack.append(x ** (1.0 / k))
+                else:
+                    stack.append(math.copysign(abs(x) ** (1.0 / k), x))
+            elif fn == "abs":
+                stack.append(abs(x))
+            else:
+                stack.append(getattr(math, fn)(x))
+    assert len(stack) == 1
+    return stack[0]
