@@ -32,7 +32,8 @@ import json
 import numpy as np
 
 from .engine import IvpSystem
-from .expr import ExprError, _generate, parse, state_free_subtrees, validate_vars
+from .codegen import _generate
+from .expr import ExprError, parse, state_free_subtrees, validate_vars
 
 __all__ = [
     "BUILTIN_PROBLEMS",
@@ -101,7 +102,8 @@ def exact_builtin_eval(name: str, t: float) -> np.ndarray:
     """Closed-form solution of a built-in problem at ``t``, shape (k,).
 
     The values are those of the problem's compiled ``exact`` expressions,
-    written once in ``BUILTIN_PROBLEMS``.
+    written once in ``BUILTIN_PROBLEMS``; only they are compiled, stacked as
+    ``problem_from_dict`` stacks them.
     """
     if name not in BUILTIN_PROBLEMS:
         raise ValueError(f"unknown built-in problem {name!r}")
@@ -110,7 +112,9 @@ def exact_builtin_eval(name: str, t: float) -> np.ndarray:
     t = float(t)
     if not a <= t <= T:  # False for nan
         raise ValueError(f"t={t} outside [{a}, {T}] for {name}")
-    return problem_from_dict(BUILTIN_PROBLEMS[name]).exact(np.array([t]))[:, 0]
+    doc = BUILTIN_PROBLEMS[name]
+    exact = _stacked(_expressions_in_t(doc, "exact", len(doc["equations"])))
+    return exact(np.array([t]))[:, 0]
 
 
 def _must_be(what: str, kind: str, value) -> ValueError:
@@ -126,7 +130,7 @@ def _compile(src, what: str, k: int = 0):
     A right-hand side carries ``f.scalar``, its form on Python floats for
     ``rk4_reference``; one with parts in ``t`` alone also carries
     ``f.split = (pre, main)``, so a solve on fixed nodes evaluates those
-    parts once (see ``expr._generate``).
+    parts once (see ``codegen._generate``).
     """
     if not isinstance(src, str):
         raise _must_be(what, "a string", src)
@@ -171,6 +175,18 @@ def _expressions_in_t(doc: dict, key: str, k: int):
     return tuple(_compile(s, f"{key} {j + 1}") for j, s in enumerate(texts))
 
 
+def _stacked(fns):
+    """The closed form ``t -> (k, n)`` of the k compiled expressions ``fns``; None without them."""
+    if fns is None:
+        return None
+
+    def exact(t):
+        t = np.asarray(t, dtype=float)
+        return np.vstack([np.broadcast_to(f(t), t.shape) for f in fns])
+
+    return exact
+
+
 def problem_from_dict(doc: dict) -> IvpSystem:
     """Validate a problem document and compile it into a system."""
     if not isinstance(doc, dict):
@@ -208,21 +224,13 @@ def problem_from_dict(doc: dict) -> IvpSystem:
         alphas.append(_number(eq["alpha"], f"alpha of equation {idx + 1}"))
         rhs.append(_compile(eq["rhs"], f"rhs of equation {idx + 1}", k))
 
-    exact = None
-    fns = _expressions_in_t(doc, "exact", k)
-    if fns is not None:
-
-        def exact(t):
-            t = np.asarray(t, dtype=float)
-            return np.vstack([np.broadcast_to(f(t), t.shape) for f in fns])
-
     return IvpSystem(
         alphas=tuple(alphas),
         a=a,
         T=T,
         initial=initial,
         rhs=tuple(rhs),
-        exact=exact,
+        exact=_stacked(_expressions_in_t(doc, "exact", k)),
         guess=_expressions_in_t(doc, "guess", k),
         name=name,
     )

@@ -10,12 +10,13 @@ their definition.  ``closure_compile`` evaluates an expression as a tree of
 closures, one per node, with no generated code.  ``stack_eval`` runs a tree
 as a postfix program on a stack of Python floats through the math module,
 so it agrees with generated code to a few ulps, not bit for bit.
-``blocked_scan`` is the solver's nodal update as it was before its weights
-were planned once per solve: it derives every weight afresh on each call,
-allocates its own temporaries, and the solver must match it bit for bit.
+``blocked_scan`` is the solver's nodal update (``sweep._update``) as it was
+before its weights were planned once per solve: it derives every weight
+afresh on each call, allocates its own temporaries, and the solver must
+match it bit for bit.
 
 ``compile_array`` is no oracle: it is the package's own code generator,
-``expr._generate``, reading each variable from a dict.  No code in the
+``codegen._generate``, reading each variable from a dict.  No code in the
 package calls it, so it lives here, for the tests of the generator.
 """
 
@@ -23,8 +24,9 @@ import math
 
 import numpy as np
 
-from ivim.engine import _BLOCK_EXPONENT
-from ivim.expr import _NP_FUNCS, CONSTANTS, BinOp, Call, Const, Neg, Var, _generate, _read_env
+from ivim.codegen import _generate, _read_env
+from ivim.expr import _NP_FUNCS, CONSTANTS, BinOp, Call, Const, Neg, Var
+from ivim.sweep import _BLOCK_EXPONENT
 
 
 def naive_step(alphas, rhs_list, t, h, U, mode):

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from ivim import DivergenceError, IvpSystem, SolveConfig, get_problem, problem_from_dict, solve
-from ivim.engine import MODES, _CHUNK, _chunks, ivim_step
+from ivim.engine import MODES, ivim_step
 from ivim.grid import PiecewiseLinear, make_grid, project_samples
+from ivim.sweep import _CHUNK, _chunks
 
 from _oracles import blocked_scan, naive_step
 

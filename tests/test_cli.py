@@ -16,6 +16,7 @@ from ivim import (
     ReferenceSolution,
     SolveConfig,
     builtin_problem_dict,
+    codegen,
     error_metrics,
     expr,
     get_problem,
@@ -714,6 +715,9 @@ def test_blow_up_exits_2_naming_the_sweep(tmp_path, capsys, doc, n, message):
         ("1/t", ("compare", "--n", "33", "--m", "3", "--rk4-step", "0.01"),
          "RK4 state became non-finite at t="),
         ("u + 1/0", ("solve", "--n", "33", "--m", "3"), "non-finite update"),
+        # a pole of f at the finite state u(0) = 0 is divergence, not a domain error
+        ("1/u", ("solve", "--n", "33", "--m", "3"),
+         "non-finite update in equation 1 at node 2 (t=0.03125) at iteration 1"),
     ],
 )
 def test_division_by_zero_exits_2_without_traceback(tmp_path, rhs, argv, message):
@@ -1295,7 +1299,7 @@ def test_help_exits_0(capsys):
 def _clear_caches():
     ivim.cli._parser.cache_clear()
     expr.parse.cache_clear()
-    expr._code.cache_clear()
+    codegen._code.cache_clear()
 
 
 def _outcome(capsys, out, *argv):

@@ -790,6 +790,22 @@ def test_solve_each_runs_only_what_extends_the_previous_config(monkeypatch):
     assert list(solve_each(sys_, [])) == []
 
 
+def test_solve_projects_the_guess_through_the_engine_global(monkeypatch):
+    # the traced benchmark times the projection by patching this name, so a
+    # solve must look it up in ivim.engine; ex2 has one equation with a guess
+    sys_, _ = get_problem("ex2")
+    cfg = SolveConfig(n=33, m_max=3)
+    calls = []
+    project = ivim.engine.project_samples
+    monkeypatch.setattr(
+        ivim.engine, "project_samples", lambda *args: calls.append(1) or project(*args)
+    )
+    got = solve(sys_, cfg)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    _assert_same_report(got, solve(sys_, cfg))
+
+
 def test_solve_each_raises_the_divergence_of_the_point_it_reaches():
     # u' = u^2 from 2 blows up at t = 1/2; at n = 64 sweep 12 is non-finite,
     # so the points 3, 5 and 8 are yielded and 13 raises solve's error

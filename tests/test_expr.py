@@ -25,7 +25,8 @@ from ivim.expr import (
 
 import numpy as np
 
-from ivim.expr import _children, _generate
+from ivim.codegen import _generate
+from ivim.expr import _children
 from ivim.problems import problem_from_dict
 
 from _oracles import compile_array, stack_eval

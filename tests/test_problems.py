@@ -15,6 +15,7 @@ from ivim import (
     SolveConfig,
     builtin_names,
     builtin_problem_dict,
+    codegen,
     exact_builtin_eval,
     expr,
     get_problem,
@@ -353,7 +354,7 @@ def test_a_rhs_of_a_known_shape_evaluates_its_own_constants():
     warm = values(g)
     assert not np.array_equal(warm[0], values(f)[0])
     expr.parse.cache_clear()
-    expr._code.cache_clear()
+    codegen._code.cache_clear()
     cold = problem_from_dict(other).rhs[0]
     assert cold.__code__ is not f.__code__
     for got, want in zip(warm, values(cold)):

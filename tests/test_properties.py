@@ -25,18 +25,19 @@ from ivim import (
     solve,
     successive_diff_norm,
 )
-from ivim.engine import MODES, _plan
+from ivim.codegen import _generate
+from ivim.engine import MODES
 from ivim.expr import (
     BinOp,
     Call,
     Const,
     Neg,
     Var,
-    _generate,
     pretty,
     state_free_subtrees,
 )
 from ivim.problems import problem_from_dict
+from ivim.sweep import _plan
 
 from _oracles import (
     blocked_scan,
