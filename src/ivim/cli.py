@@ -189,32 +189,36 @@ def _rk4_scores(system: IvpSystem, configs: list) -> tuple:
     return found, {"rk4_steps": fixed, "rk4_error_estimate": None}
 
 
+def _write_solution(path: Path, report, names: tuple, ref=None, errors=None) -> None:
+    """Write ``report`` as a CSV, one block of rows at a time: ``t``, the
+    nodal values, then, given ``ref`` (k, n), ``ref`` and ``|values - ref|``
+    per component, then ``log10(errors)`` if given (an exact zero is
+    ``-inf``).  ``names`` prefixes the values, ``ref`` and difference columns.
+    """
+    nodes, k = report.grid.nodes, len(report.iterate)
+    named = names if ref is not None else names[:1]
+    header = ["t"] + [f"{name}{j + 1}" for name in named for j in range(k)]
+    header += [] if errors is None else ["log10_err"]
+
+    def fill(block, s, e):
+        block[0] = nodes[s:e]
+        values = report.nodal_values(s, e, out=block[1:k + 1])
+        if ref is not None:
+            block[k + 1:2 * k + 1] = ref[:, s:e]
+            gaps = np.subtract(values, ref[:, s:e], out=block[2 * k + 1:3 * k + 1])
+            np.abs(gaps, out=gaps)
+        if errors is not None:
+            np.log10(errors[s:e], out=block[-1])
+
+    _write_csv(path, header, _float_rows(len(header), nodes.size, fill))
+
+
 def _cmd_solve(args) -> int:
     system, _ = get_problem(args.problem)
     report = solve(system, _config(args, args.n, args.m))
-    out_dir = Path(args.out_dir)
-
-    k = system.k
-    nodes, exact = report.grid.nodes, report.exact
-    header = ["t"] + [f"u{j + 1}" for j in range(k)]
-    max_abs = None
-    if exact is not None:
-        max_abs = _max_error(system, report)
-        header += [f"exact{j + 1}" for j in range(k)]
-        header += [f"abs_err{j + 1}" for j in range(k)]
-        header += ["log10_err"]
-
-    def fill(block, s, e):
-        # rows s .. e-1 of nodes, nodal values, exact, |values - exact| and log10(errors)
-        block[0] = nodes[s:e]
-        values = report.nodal_values(s, e, out=block[1:k + 1])
-        if exact is not None:
-            block[k + 1:2 * k + 1] = exact[:, s:e]
-            errs = np.subtract(values, exact[:, s:e], out=block[2 * k + 1:3 * k + 1])
-            np.abs(errs, out=errs)
-            np.log10(report.errors[s:e], out=block[-1])  # an exact zero is -inf
-
-    _write_csv(out_dir / "solution.csv", header, _float_rows(len(header), nodes.size, fill))
+    max_abs = None if report.exact is None else _max_error(system, report)
+    _write_solution(Path(args.out_dir) / "solution.csv", report, ("u", "exact", "abs_err"),
+                    report.exact, report.errors)
 
     _write_summary(args, system, {
         "n": args.n,
@@ -281,28 +285,11 @@ def _cmd_compare(args) -> int:
     ref = rk4_reference(system, args.rk4_step)
     rk_wall = time.perf_counter() - rk_started
 
-    k = system.k
-    nodes = report.grid.nodes
-    ivim_vals = report.nodal_values()
-    rk_vals = ref.at(nodes)
-    gaps = np.abs(ivim_vals - rk_vals)
-    max_gap = float(np.max(gaps))
+    rk_vals = ref.at(report.grid.nodes)
+    max_gap = float(np.max(np.abs(report.nodal_values() - rk_vals)))
     if not math.isfinite(max_gap):
         raise _overflow("gap", report, rk_vals)
-
-    header = (
-        ["t"]
-        + [f"ivim{j + 1}" for j in range(k)]
-        + [f"rk4_{j + 1}" for j in range(k)]
-        + [f"gap{j + 1}" for j in range(k)]
-    )
-    columns = [nodes[None], ivim_vals, rk_vals, gaps]
-
-    def fill(block, s, e):
-        np.concatenate([col[:, s:e] for col in columns], out=block)
-
-    out_dir = Path(args.out_dir)
-    _write_csv(out_dir / "compare.csv", header, _float_rows(len(header), nodes.size, fill))
+    _write_solution(Path(args.out_dir) / "compare.csv", report, ("ivim", "rk4_", "gap"), rk_vals)
     _write_summary(args, system, {
         "n": args.n,
         "m": args.m,

@@ -225,16 +225,17 @@ def _update(eq: _Equation, c: np.ndarray, out: np.ndarray) -> None:
 
 
 def _reject_nan_coefficient(
-    plan: _Plan, j: int, c: np.ndarray, W: np.ndarray, t: np.ndarray, first: int, last: int
+    j: int, c: np.ndarray, U: np.ndarray, t: np.ndarray, first: int, last: int
 ) -> None:
     """Raise ``ValueError`` if ``c[first..last]`` holds a NaN at a finite state.
 
     Called only once an update has turned non-finite at node ``last``, with
-    the coefficients that fed it.  A NaN that ``f`` returns at a finite state
-    means ``f`` left its domain: an input error, not divergence.  An infinite
+    the coefficients that fed it and the state ``U = W + u_a`` that they were
+    evaluated at.  A NaN that ``f`` returns at a finite state means ``f``
+    left its domain: an input error, not divergence.  An infinite
     coefficient, or one at a non-finite state, is left to the caller.
     """
-    U = W[:, first:last + 1] + plan.ua
+    U = U[:, first:last + 1]
     nan = np.isnan(c[first:last + 1]) & np.isfinite(U).all(axis=0)
     if nan.any():
         i = int(np.flatnonzero(nan)[0])
@@ -266,9 +267,9 @@ def _sweep(W: np.ndarray, grid: Grid, plan: _Plan, new: np.ndarray, C: np.ndarra
         bad = np.argwhere(~np.isfinite(new))
         if bad.size:
             j, i = (int(x) for x in bad[0])
-            _coefficients(plan, t, W, C, new)  # C held the difference: refill it
+            _coefficients(plan, t, W, C, new)  # C held the difference: refill it; new gets W + u_a
             # c(t_1) is read only under a nonzero first weight
-            _reject_nan_coefficient(plan, j, C[j], W, t, 0 if plan.equations[j].first else 1, i)
+            _reject_nan_coefficient(j, C[j], new, t, 0 if plan.equations[j].first else 1, i)
             raise DivergenceError(
                 f"non-finite update in equation {j + 1} at node {i + 1} (t={t[i]})"
             )

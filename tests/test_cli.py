@@ -187,6 +187,26 @@ def test_compare_csv_matches_per_cell_spelling(tmp_path):
     assert (out / "compare.csv").read_text(encoding="utf-8").splitlines(True) == expected
 
 
+def test_compare_with_rk4_coarser_than_the_grid(tmp_path):
+    # 9 RK4 nodes for 33 grid nodes: too sparse for error_metrics, which
+    # wants a reference at least as dense as the grid, but compare
+    # interpolates it onto the nodes
+    out = tmp_path / "run"
+    assert _run("compare", "--problem", "ex1", "--n", "33", "--m", "3",
+                "--rk4-step", "0.125", "--out-dir", str(out)) == 0
+    system, _ = get_problem("ex1")
+    report = solve(system, SolveConfig(n=33, m_max=3))
+    ref = rk4_reference(system, 0.125)
+    assert ref.nodes.size == 9
+    rows = [line.split(",") for line in _read_lines(out / "compare.csv")[1:]]
+    ivim_vals, rk_vals, gaps = (np.array([float(r[c]) for r in rows]) for c in (1, 2, 3))
+    rk4 = np.interp(report.grid.nodes, ref.nodes, ref.values[0])
+    assert [r[2] for r in rows] == [f"{x:.17g}" for x in rk4]
+    assert np.array_equal(gaps, np.abs(ivim_vals - rk_vals))
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["max_gap"] == gaps.max() > 0.0
+
+
 def _traced_peak(run):
     """What ``run()`` returns, and the peak bytes traced while it ran."""
     tracemalloc.start()
@@ -196,8 +216,8 @@ def _traced_peak(run):
         tracemalloc.stop()
 
 
-def _csv_phase_bytes(tmp_path, monkeypatch, n):
-    """Bytes that ``ivim solve`` on ex3 allocates at its peak after ``solve``
+def _csv_phase_bytes(tmp_path, monkeypatch, argv):
+    """Bytes that the command ``argv`` allocates at its peak after ``solve``
     returns, beyond what it held then."""
     held = []
 
@@ -208,20 +228,28 @@ def _csv_phase_bytes(tmp_path, monkeypatch, n):
         return report
 
     monkeypatch.setattr(ivim.cli, "solve", traced_solve)
-    argv = ("solve", "--problem", "ex3", "--n", str(n), "--m", "2", "--out-dir", str(tmp_path))
-    code, peak = _traced_peak(lambda: _run(*argv))
+    code, peak = _traced_peak(lambda: _run(*argv, "--out-dir", str(tmp_path)))
     assert code == 0
     return peak - held[0]
 
 
-def test_solution_csv_is_written_in_the_memory_of_one_block(tmp_path, monkeypatch):
-    # the writer fills one block of rows at a time from the report, so what it
-    # needs does not grow with n; stacking whole-grid columns took 5.0 MiB at
-    # n = 16,385 and 6.9 MiB at 65,537
-    assert _run("solve", "--problem", "ex3", "--n", "9", "--m", "2",
-                "--out-dir", str(tmp_path)) == 0  # spelling tables, compiled code
-    small, large = (_csv_phase_bytes(tmp_path, monkeypatch, n) for n in (16385, 65537))
-    assert abs(large - small) <= 0.25 * 2**20
+@pytest.mark.parametrize("command, bound", [
+    (("solve",), 0.25),
+    # a fixed RK4 run, so only the grid grows: its interpolation onto the
+    # nodes is the one (k, n) array held beyond the report
+    (("compare", "--rk4-step", str(1.5 / 4096)), 1.0),
+], ids=["solve", "compare"])
+def test_solution_csv_is_written_in_the_memory_of_one_block(tmp_path, monkeypatch, command, bound):
+    # the writer fills one block of rows at a time from the report, so what
+    # it needs does not grow with n; stacking whole-grid columns took 5.0 MiB
+    # at n = 16,385 and 6.9 MiB at 65,537 for solve, and 2.25 MiB more at the
+    # larger n for compare
+    argv = (*command, "--problem", "ex3", "--m", "2")
+    code = _run(*argv, "--n", "9", "--out-dir", str(tmp_path))  # spelling tables, compiled code
+    assert code == 0
+    small, large = (_csv_phase_bytes(tmp_path, monkeypatch, (*argv, "--n", str(n)))
+                    for n in (16385, 65537))
+    assert abs(large - small) <= bound * 2**20
 
 
 def test_converge_peaks_no_higher_than_its_largest_point(tmp_path):
