@@ -286,7 +286,10 @@ def _cmd_compare(args) -> int:
     rk_wall = time.perf_counter() - rk_started
 
     rk_vals = ref.at(report.grid.nodes)
-    max_gap = float(np.max(np.abs(report.nodal_values() - rk_vals)))
+    gaps = report.nodal_values()
+    gaps -= rk_vals
+    max_gap = float(np.max(np.abs(gaps, out=gaps)))
+    del gaps  # the CSV is written holding one (k, n) array, the run
     if not math.isfinite(max_gap):
         raise _overflow("gap", report, rk_vals)
     _write_solution(Path(args.out_dir) / "compare.csv", report, ("ivim", "rk4_", "gap"), rk_vals)

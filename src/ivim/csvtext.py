@@ -37,13 +37,18 @@ digits (%g drops trailing zeros and a bare point).  The row lists, for each
 output byte, a byte of the cell's 28-byte source: its 17 digits, the four
 digits of |X| and the constants.  It is padded with NUL to 24 bytes, the
 longest %.17g, and ends with the separator; one ``bytes.translate`` drops the
-padding of a whole block.
+padding of a whole block.  The source is seven table words, four digits or
+four constant bytes each, written by one gather; the first digit then takes
+its byte.  The row number is a table's entry for X (its class and 17
+digits), less the trailing zeros, plus the offset of a negative sign.  Most
+cells need only the zeros of their last four digits; the groups before are
+read only where those are all zero.
 
 ``_float_rows`` asks its caller to fill one reused block of rows at a time,
 so a writer holds no column of the whole grid beyond what it already has.
 Its memory is the block buffer, the speller's work arrays and their
-temporaries, whatever the row count: tracemalloc traces 4.4 MiB for blocks
-of 1024 rows of 8 columns.
+temporaries, whatever the row count: tracemalloc traces 3.2 MiB for blocks
+of 768 rows of 8 columns (4.4 MiB for 1024).
 """
 
 from __future__ import annotations
@@ -56,17 +61,19 @@ import numpy as np
 
 # Rows per spelled block.  A block holds about 320 bytes of reused work
 # arrays a cell, and as much again in temporaries.  On the benchmark's
-# solve_csv (8 columns) 1024 rows were faster than 512 or 768; 512 would
-# hold about 0.8 MiB less there.
-_BLOCK_ROWS = 1024
+# solve_csv (8 columns) 768 rows ran as fast as 1024 (op_s_p50 0.1317 and
+# 0.1315 s, medians of 10) at 0.9 MiB less peak RSS; 512 were slower.
+_BLOCK_ROWS = 768
 
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
 _P_MIN, _P_MAX = 16 - 290, 16 + 291  # p for e in [-291, 290], log10's range
 _WIDTH = 24
 _FALLBACK = "%-24.17g"  # %.17g padded with spaces, which translate drops
 # A cell's 28-byte source is seven 4-byte words: d1..d16, |X| as four digits,
-# then d0 (over the NUL) with ".0-", and "e+", the separator and a NUL.
-_LEAD = b"\0.0-"
+# then d0 (over the NUL) with ".0-", and "e+", the separator and a NUL.  The
+# last three are rows _LEAD_ROW.. of the quads table, after the 10**4 digit quads.
+_LEAD_ROW = 10**4
+_WORDS = b"\0.0-" + b"e+,\0" + b"e+\n\0"
 _DIGIT = (20,) + tuple(range(16))  # the source byte of digit k
 _EXP3 = (17, 18, 19)  # |X| as three digits; as two, the last two
 _DOT, _ZERO, _MINUS, _E, _PLUS, _SEP, _NUL = range(21, 28)
@@ -94,12 +101,14 @@ def _layout(neg: bool, xclass: int, sig: int) -> list:
 
 @functools.cache
 def _spelling_tables() -> tuple:
-    """(powers, quads, zeros, layout), built once per process on first use.
+    """(powers, quads, zeros, layout, kinds), built once per process on first use.
 
     Row p - _P_MIN of ``powers`` is 10**p as the double-double (hi, lo) and
     hi's Veltkamp halves.  ``quads[g]`` is g < 10**4 as four ASCII digits in
-    one uint32 and ``zeros[g]`` its count of trailing zero digits.  Row
-    ``(neg * 25 + xclass) * 17 + sig - 1`` of ``layout`` is ``_layout``'s.
+    one uint32, then the source's three constant words, and ``zeros[g]`` the
+    count of g's trailing zero digits.  Row ``(neg * 25 + xclass) * 17 +
+    sig - 1`` of ``layout`` is ``_layout``'s; ``kinds[r]``, for the row r of
+    ``powers`` that scales a cell, is that row for neg = 0 and sig = 17.
     """
     powers = []
     for p in range(_P_MIN, _P_MAX + 1):
@@ -117,27 +126,32 @@ def _spelling_tables() -> tuple:
         powers.append((hi, lo, math.ldexp(m_hi, ex), math.ldexp(m - m_hi, ex)))
     digits = np.indices((10,) * 4, np.uint8).reshape(4, -1).T  # row g: the digits of g
     quads = np.ascontiguousarray(digits + ord("0")).view(np.uint32).ravel()
+    quads = np.concatenate([quads, np.frombuffer(_WORDS, np.uint32)])
     zeros = (digits[:, ::-1] == 0).cumprod(axis=1).sum(axis=1, dtype=np.uint8)
     layout = [_layout(neg, xclass, sig) for neg in (False, True)
               for xclass in range(25) for sig in range(1, 18)]
-    return np.array(powers), quads, zeros, np.array(layout, np.intp)
+    X = 16 - np.arange(_P_MIN, _P_MAX + 1)
+    xclass = np.where((X >= -4) & (X < 17), X + 4, 21 + (X > -100) + (X >= 17) + (X >= 100))
+    return np.array(powers), quads, zeros, np.array(layout, np.intp), xclass * 17 + 16
 
 
 class _Speller:
     """Spells rows of ``c`` cells, at most ``cells`` cells a call, as CSV bytes.
 
-    Its work arrays of more than eight bytes a cell are made once and reused.
+    A row of ``groups`` holds the quads rows of a cell's seven source words:
+    d1..d4 .. d13..d16, |X|, the lead and the tail (a comma, or a newline on
+    a row's last cell).  The last two do not change, and are written once.
+    The work arrays of more than eight bytes a cell are made once and reused.
     Made afresh for each block, they went back to the system and were faulted
     in again as new pages, which about doubled the time of a solve_csv op.
     """
 
     def __init__(self, cells: int, c: int):
-        self.groups = np.empty((cells, 5), np.intp)  # d1..d4 .. d13..d16, |X|
-        self.quads = np.empty((cells, 5), np.uint32)
+        self.groups = np.empty((cells, 7), np.intp)
+        self.groups[:, 5] = _LEAD_ROW
+        self.groups[:, 6] = _LEAD_ROW + 1
+        self.groups[c - 1::c, 6] = _LEAD_ROW + 2  # a row's last cell ends it
         self.source = np.empty((cells, 7), np.uint32)
-        self.source[:, 5] = np.frombuffer(_LEAD, np.uint32)
-        tails = b"e+,\0" * (c - 1) + b"e+\n\0"
-        self.source.reshape(-1, c, 7)[:, :, 6] = np.frombuffer(tails, np.uint32)
         self.offsets = np.arange(0, 7 * 4 * cells, 7 * 4)[:, None]  # of each source row
         self.at = np.empty((cells, _WIDTH + 1), np.intp)
         self.text = np.empty((cells, _WIDTH + 1), np.uint8)
@@ -145,13 +159,15 @@ class _Speller:
     def __call__(self, x: np.ndarray) -> bytes:
         """The rows of the flat float64 array ``x``, comma-separated and
         newline-terminated, each cell the bytes of ``"%.17g" % cell``."""
-        powers, quads, zeros, layout = _spelling_tables()
+        powers, quads, zeros, layout, kinds = _spelling_tables()
         n = x.size
         a = np.abs(x)
         fast = (a >= 1e-290) & (a < 1e290)  # False for nan
-        a[~fast] = 1.0  # keeps log10 and the products quiet
+        if not fast.all():
+            a[~fast] = 1.0  # keeps log10 and the products quiet
         e = np.floor(np.log10(a)).astype(np.intp)
-        p_hi, p_lo, h_hi, h_lo = powers.take(16 - _P_MIN - e, axis=0).T
+        r = 16 - _P_MIN - e  # the row of powers, for p = 16 - e
+        p_hi, p_lo, h_hi, h_lo = powers.take(r, axis=0).T
         s = a * _SPLIT
         a_hi = s - (s - a)
         a_lo = a - a_hi
@@ -165,30 +181,30 @@ class _Speller:
         slow = ~fast | (~exact & (np.abs(frac - 0.5) < 2.0**-20)) | (D < 10**16)
         D += (frac > 0.5) | ((frac == 0.5) & exact & ((D & 1) == 1))
         slow |= D >= 10**17
-        X = e
-        D[slow] = 10**16  # any valid digits; the fallback replaces the text
-        X[slow] = 0
+        # a slow cell's D and e may be off, but its groups and kind stay in
+        # the tables and the fallback replaces its text
 
         G = self.groups[:n]
         top, low = np.divmod(D, 10**8)
         d0, mid = np.divmod(top, 10**8)
         np.divmod(mid, 10**4, out=(G[:, 0], G[:, 1]))
         np.divmod(low, 10**4, out=(G[:, 2], G[:, 3]))
-        np.abs(X, out=G[:, 4])
-        source = self.source[:n]
+        np.abs(e, out=G[:, 4])
         # take into an out array fills a temporary first unless mode="clip";
         # every index here is in range
-        source[:, :5] = quads.take(G, out=self.quads[:n], mode="clip")
-        src = source.view(np.uint8)
+        src = quads.take(G, out=self.source[:n], mode="clip").view(np.uint8)
         src[:, 20] = d0 + ord("0")
 
-        z = zeros.take(G[:, :4])
-        tz = z[:, 3].astype(np.intp)  # trailing zeros of d1..d16
-        for j in (2, 1, 0):  # four zeros carry the count into the group before
-            tz += (tz == 12 - 4 * j) * z[:, j]
-        fixed = (X >= -4) & (X < 17)
-        xclass = np.where(fixed, X + 4, 21 + (X > -100) + (X >= 17) + (X >= 100))
-        kind = ((x < 0) * 25 + xclass) * 17 + (16 - tz)
+        tz = zeros.take(G[:, 3])  # trailing zeros of d1..d16
+        i = np.flatnonzero(tz == 4)
+        if i.size:  # four zeros carry the count into the group before
+            z, t = zeros.take(G[i, :3]), tz[i]
+            for j in (2, 1, 0):
+                t += (t == 12 - 4 * j) * z[:, j]
+            tz[i] = t
+        kind = kinds.take(r)
+        kind -= tz
+        kind += 25 * 17 * (x < 0)
         at = layout.take(kind, axis=0, out=self.at[:n], mode="clip")
         at += self.offsets[:n]
         text = src.ravel().take(at, out=self.text[:n], mode="clip")

@@ -127,6 +127,60 @@ def test_float_rows_stack_one_block_at_a_time():
     assert b"".join(chunks) == _per_cell(columns.T.ravel().tolist(), 4)
 
 
+def _trailing_zeros(x):
+    """The count of trailing zeros among the 17 digits of ``"%.17g" % x``."""
+    digits = ("%.16e" % abs(x)).split("e")[0].replace(".", "")
+    return len(digits) - len(digits.rstrip("0"))
+
+
+def _with_trailing_zeros(k):
+    """Doubles whose 17 digits end in exactly ``k`` zeros, with X from about
+    -120 to 120: those nearest to decimals of 17 - k digits that keep them."""
+    s = 17 - k
+    rng = np.random.default_rng(k)
+    Ns = rng.integers(10 ** (s - 1), 10**s, 8) // 10 * 10 + rng.integers(1, 10, 8)
+    values = [float(f"{N}e{q}") for N in Ns.tolist() for q in range(-120 - s, 121 - s, 3)]
+    return [v for v in values if _trailing_zeros(v) == k]
+
+
+def test_blocks_where_some_cells_carry_trailing_zeros_across_groups():
+    # only cells whose last four digits are zero count zeros in the groups
+    # before; mixed here, in every row layout, with cells of 17 digits
+    short = {k: _with_trailing_zeros(k) for k in range(4, 17)}
+    assert all(short.values())
+    rng = np.random.default_rng(3)
+    full = (rng.standard_normal(200) * 10.0 ** rng.integers(-8, 20, 200)).tolist()
+    values = full + [v for vs in short.values() for v in vs]
+    values = rng.permutation(values + [-v for v in values]).tolist()
+    assert {_trailing_zeros(v) for v in values} >= {0, *range(4, 17)}
+    for c in range(1, 9):
+        _assert_spelled(values + [0.0] * (-len(values) % c), c)
+
+
+def test_every_exponent_class_edge_in_one_block():
+    # X, the exponent of %.17g, on both sides of each change of layout class
+    Xs = {-5, -4, -1, 0, 16, 17, -100, -99, 99, 100}
+    mantissas = ("1", "1.5", "1.2345678901234567", "9.8765432109876543")
+    values = [float(f"{m}e{X}") for X in Xs for m in mantissas]
+    values = [v for v in values if int(("%.16e" % v).split("e")[1]) in Xs]  # 1e99 is 9.99...e98
+    assert len(values) >= 3 * len(Xs)
+    assert {int(("%.16e" % v).split("e")[1]) for v in values} == Xs
+    values += [-v for v in values]
+    _assert_spelled(values + [0.0] * (-len(values) % 6), 6)
+
+
+def test_each_row_ends_in_a_newline_for_any_cell_count():
+    # a speller sized for one block spells shorter blocks too, and one sized
+    # for a count of cells that c does not divide spells whole rows of it
+    rng = np.random.default_rng(5)
+    for c in range(1, 9):
+        for cells in (7 * c, 7 * c + c // 2):
+            spell = _Speller(cells, c)
+            for rows in (7, 3, 1, 7):
+                x = rng.standard_normal(rows * c) * 10.0 ** rng.integers(-30, 30, rows * c)
+                assert spell(x) == _per_cell(x.tolist(), c)
+
+
 class _ShiftedLog10:
     """numpy, with log10 off by a whole ``shift``."""
 
