@@ -76,7 +76,8 @@ class IvpSystem:
     ``g - alpha*u_a`` as its coefficient, free of the state.  A missing
     ``rhs`` is synthesized from the split.
 
-    ``exact`` (optional) maps a node array to exact values, shape (k, n).
+    ``exact`` (optional) maps a node array to exact values, shape (k, n)
+    (or (n,) for k = 1); ``solve`` raises ``ValueError`` on any other shape.
     ``guess`` (optional) holds per-equation vectorized callables
     ``t -> values``, each called once on the grid nodes; minus the initial
     values they are the default initial iterate.
@@ -236,12 +237,17 @@ def ivim_step(
     """One interpolated iteration sweep over all equations.
 
     ``state`` holds the previous iterate ``u - u_a`` (k elements on
-    ``grid``, vanishing at ``a``); ``mults`` must be
-    ``exp_multiplier(alpha)`` for each of ``sys.alphas``.  Returns the next
-    iterate as k read-only elements, the sweep that ``solve`` runs.
+    ``grid``, vanishing at ``a``); ``grid`` must span the system's
+    ``[a, T]``, and ``mults`` must be ``exp_multiplier(alpha)`` for each of
+    ``sys.alphas``.  Returns the next iterate as k read-only elements, the
+    sweep that ``solve`` runs.
     """
     if mode not in MODES:
         raise ValueError(f"mode={mode!r}, choose from {MODES}")
+    if (grid.a, grid.T) != (sys.a, sys.T):
+        raise ValueError(
+            f"grid interval [{grid.a}, {grid.T}] is not the system's [{sys.a}, {sys.T}]"
+        )
     W = _nodal_array(state, sys, grid)
     alphas = [float(m) for m in mults]
     if alphas != list(sys.alphas):
@@ -360,6 +366,10 @@ def _run(sys: IvpSystem, group: list) -> Iterator[SolveReport]:
             if sys.exact is not None:
                 if exact is None:
                     exact = np.atleast_2d(sys.exact(grid.nodes))
+                    if exact.shape != W.shape:
+                        raise ValueError(
+                            f"closed form has shape {exact.shape}, need {W.shape}"
+                        )
                     exact.flags.writeable = False
                 ua = np.asarray(sys.initial)[:, None]
                 errors = np.max(np.abs((iterate + ua) - exact), axis=0)

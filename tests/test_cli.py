@@ -461,6 +461,23 @@ def test_each_closed_form_is_evaluated_once_per_solve(tmp_path, monkeypatch):
         assert calls == sizes
 
 
+def test_compare_never_evaluates_the_closed_form(tmp_path, monkeypatch):
+    # compare.csv and summary.json score against RK4 only
+    argv = ("compare", "--problem", "ex3", "--n", "33", "--m", "3", "--rk4-step", "0.015625")
+    assert _run(*argv, "--out-dir", str(tmp_path / "plain")) == 0
+    system, doc = get_problem("ex3")
+
+    def refused(t):
+        raise AssertionError("compare evaluated the closed form")
+
+    withheld = dataclasses.replace(system, exact=refused)
+    monkeypatch.setattr(ivim.cli, "get_problem", lambda source: (withheld, doc))
+    assert _run(*argv, "--out-dir", str(tmp_path / "withheld")) == 0
+    for name in ("compare.csv", "summary.json"):
+        plain, got = (masked_digest(tmp_path / d / name) for d in ("plain", "withheld"))
+        assert got == plain, name
+
+
 def test_huge_integer_alpha_exits_1(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text(

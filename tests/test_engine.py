@@ -107,6 +107,27 @@ def test_errors_are_error_metrics_against_the_kept_closed_form(mode):
     assert rep.exact is None and rep.errors is None
 
 
+@pytest.mark.parametrize("system, shape", [
+    # one row for two equations used to score both components against sin t
+    (dataclasses.replace(_ROTATION, exact=np.sin), (1, 9)),
+    # three rows for one equation used to give a (3, 9) report.exact
+    (IvpSystem(alphas=(0.0,), a=0.0, T=1.0, initial=(0.0,), rhs=(lambda t, U: np.cos(t),),
+               exact=lambda t: np.vstack([np.sin(t)] * 3)), (3, 9)),
+], ids=["one-row-for-two", "three-rows-for-one"])
+def test_solve_rejects_a_closed_form_that_is_not_k_by_n(system, shape):
+    want = (system.k, 9)
+    with pytest.raises(ValueError, match=re.escape(f"closed form has shape {shape}, need {want}")):
+        solve(system, SolveConfig(n=9, m_max=2))
+
+
+def test_a_one_equation_closed_form_may_return_a_flat_array():
+    system = IvpSystem(alphas=(0.0,), a=0.0, T=1.0, initial=(0.0,),
+                       rhs=(lambda t, U: np.cos(t),), exact=np.sin)
+    rep = solve(system, SolveConfig(n=9, m_max=2))
+    assert rep.exact.shape == (1, 9)
+    assert np.array_equal(rep.exact[0], np.sin(rep.grid.nodes))
+
+
 @pytest.mark.parametrize("keep_history", [False, True])
 def test_nodal_values_is_a_fresh_writable_array(keep_history):
     # u_a is added to the read-only iterate, which final views row by row;
@@ -393,6 +414,14 @@ def test_step_rejects_unknown_mode_and_wrong_state_length():
         ivim_step(_zero_state(grid, 2), sys_, grid, mults, "trapezoid")
     with pytest.raises(ValueError, match="state must have one element per equation"):
         ivim_step(_zero_state(grid, 1), sys_, grid, mults)
+
+
+def test_step_rejects_a_grid_off_the_system_interval():
+    # ex1 on [0, 2] instead of its [0, 1] used to step to a finite 20.53 at t = 2
+    system, _ = get_problem("ex1")
+    grid = make_grid(0.0, 2.0, 9)
+    with pytest.raises(ValueError, match=re.escape("[0.0, 2.0] is not the system's [0.0, 1.0]")):
+        ivim_step(_zero_state(grid, 1), system, grid, [exp_multiplier(a) for a in system.alphas])
 
 
 @pytest.mark.parametrize("other", [(0.0, 2.0, 9), (0.0, 1.0, 17)], ids=["interval", "n"])
