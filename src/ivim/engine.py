@@ -30,7 +30,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from numbers import Real
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -175,8 +175,7 @@ class SolveConfig:
         object.__setattr__(self, "stop_tol", float(tol))
 
 
-@dataclass
-class SolveReport:
+class SolveReport(NamedTuple):
     """Solve outcome: final iterate, convergence trace, optional errors.
 
     With ``keep_history``, ``iterate`` is ``history[-1]``.  ``exact`` is the

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -47,8 +47,7 @@ class ExprError(ValueError):
 
 # --- tokens -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "number" | "identifier" | "operator" | "paren" | "comma"
     lexeme: str
     position: int

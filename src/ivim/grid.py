@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,8 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(NamedTuple):
     """Uniform partition of ``[a, T]`` into ``n - 1`` cells.
 
     Attributes
@@ -41,7 +40,7 @@ class Grid:
         Cell width ``(T - a) / (n - 1)``.
     nodes : ndarray of shape (n,)
         ``nodes[i] = a + i * h`` (0-based), with the endpoints exact;
-        strictly increasing, or ``make_grid`` raises.
+        read-only; strictly increasing, or ``make_grid`` raises.
     """
 
     a: float
@@ -49,9 +48,6 @@ class Grid:
     n: int
     h: float
     nodes: np.ndarray
-
-    def __post_init__(self):
-        self.nodes.flags.writeable = False
 
 
 def _as_size(value, invalid: str) -> int:
@@ -91,6 +87,7 @@ def make_grid(a: float, T: float, n: int) -> Grid:
     nodes = np.linspace(a, T, n)
     if not (nodes[1:] > nodes[:-1]).all():
         raise ValueError("nodes must be strictly increasing")
+    nodes.flags.writeable = False
     return Grid(a=a, T=T, n=n, h=h, nodes=nodes)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -63,8 +63,7 @@ class ReferenceSolution:
         return np.vstack([np.interp(nodes, self.nodes, row) for row in self.values])
 
 
-@dataclass(frozen=True)
-class ErrorMetrics:
+class ErrorMetrics(NamedTuple):
     max_abs: float
     per_node_abs: np.ndarray
 

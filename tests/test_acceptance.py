@@ -402,15 +402,22 @@ def test_c10_artifacts_match_recorded_digests(tmp_path):
     """The artifacts of solve, converge and compare on every built-in and on
     ``rotation.json`` (``u(a) != 0``), both modes, hash to the digests
     recorded in ``c10_digests.json`` (wall_time lines masked): the same bytes
-    before and after a refactor."""
+    before and after a refactor.  The host's own SIMD tier is checked here,
+    and each lower tier the table records in a child held to that tier."""
     table = json.loads(_artifacts.TABLE.read_text(encoding="utf-8"))
     here = _artifacts.environment()
+    host = here.pop("tier")
     recorded = {key: table[key] for key in here}
     if here != recorded:
         pytest.skip(f"digests were recorded with {recorded}, this host has {here}")
-    got = _artifacts.artifact_digests(tmp_path)
-    differ = sorted(key for key in table["digests"] if got.get(key) != table["digests"][key])
-    ok = not differ and got.keys() == table["digests"].keys()
+    if host not in table["tiers"]:
+        pytest.skip(f"no digests recorded for SIMD tier {host}")
+    lower = [tier for tier in _artifacts.tiers()[:-1] if tier in table["tiers"]]
+    got = {host: _artifacts.artifact_digests(tmp_path / host)}
+    got.update((tier, _artifacts.tier_digests(tier, tmp_path / tier)) for tier in lower)
+    differ = sorted(f"{tier}:{key}" for tier in got for key, digest in table["tiers"][tier].items()
+                    if got[tier].get(key) != digest)
+    ok = not differ and all(got[tier].keys() == table["tiers"][tier].keys() for tier in got)
     _verdict("C10 recorded digests", ok,
              f"{len(differ)} differ: {', '.join(differ[:4])}" if differ
-             else f"{len(got)} artifacts match")
+             else f"{len(got[host])} artifacts match on {', '.join(sorted(got))}")

@@ -1,10 +1,8 @@
 import dataclasses
 import json
-import os
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +25,7 @@ from ivim import (
 from ivim.cli import build_parser, main
 from ivim.csvtext import _BLOCK_ROWS
 
-from _artifacts import masked_digest
+from _artifacts import child_env, masked_digest
 
 
 def _read_lines(path):
@@ -56,9 +54,7 @@ def _run_process(*argv, address_space=None):
     ``address_space`` (bytes) caps the child's virtual memory through
     ``RLIMIT_AS``, so that no large allocation can succeed.
     """
-    env = dict(os.environ)
-    package_root = str(Path(ivim.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    env = child_env()
     cmd = [sys.executable, "-m", "ivim.cli", *argv]
     if address_space is not None:
         env["OPENBLAS_NUM_THREADS"] = "1"  # per-thread buffers count against the cap

@@ -18,6 +18,8 @@ from hypothesis import given, settings, strategies as st
 import ivim.csvtext
 from ivim.csvtext import _BLOCK_ROWS, _P_MAX, _P_MIN, _float_rows, _Speller, _spelling_tables
 
+from _artifacts import child_env
+
 
 def _settings(examples):
     return settings(derandomize=True, max_examples=examples, deadline=None, database=None)
@@ -228,5 +230,6 @@ def test_powers_table_is_the_correctly_rounded_double_double():
 def test_import_ivim_does_not_load_the_writer():
     # the benchmark's setup_s times exactly this import
     code = "import sys, ivim; print(sorted({'ivim.cli', 'ivim.csvtext'} & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=child_env())
     assert out.stdout == "[]\n"

@@ -1,6 +1,8 @@
 import contextlib
+import dataclasses
 import importlib
 import importlib.util
+import pkgutil
 import sys
 import tokenize
 from pathlib import Path
@@ -97,6 +99,48 @@ def test_no_module_reaches_4096_tokens():
         with path.open("rb") as fh:
             count = sum(1 for tok in tokenize.tokenize(fh.readline) if tok.type not in skip)
         assert count < 4096, f"{path.name} has {count} tokens"
+
+
+# A record is a named tuple unless it checks or normalises its fields on
+# construction, or keeps a field out of equality: ``import ivim`` builds a
+# named tuple in a fraction of a dataclass's time.
+_DATACLASSES = {
+    "engine.IvpSystem", "engine.SolveConfig", "grid.PiecewiseLinear",
+    "reference.ReferenceSolution",
+    "expr.Const", "expr.Var", "expr.Neg", "expr.BinOp", "expr.Call",
+}
+_RECORDS = {
+    "grid.Grid": (("a", "T", "n", "h", "nodes"), {}),
+    "engine.SolveReport": (
+        ("iterate", "u_a", "grid", "diffs", "iterations_run", "wall_time",
+         "exact", "errors", "history"),
+        {"exact": None, "errors": None, "history": None},
+    ),
+    "reference.ErrorMetrics": (("max_abs", "per_node_abs"), {}),
+    "expr.Token": (("kind", "lexeme", "position"), {}),
+}
+
+
+def test_only_the_checking_records_are_dataclasses():
+    found = set()
+    for info in pkgutil.iter_modules(ivim.__path__):
+        module = importlib.import_module(f"ivim.{info.name}")
+        found.update(f"{info.name}.{name}" for name, obj in vars(module).items()
+                     if isinstance(obj, type) and obj.__module__ == module.__name__
+                     and dataclasses.is_dataclass(obj))
+    assert found == _DATACLASSES
+    for qualname, (fields, defaults) in _RECORDS.items():
+        module_name, name = qualname.split(".")
+        record = getattr(importlib.import_module(f"ivim.{module_name}"), name)
+        assert issubclass(record, tuple) and record._fields == fields, qualname
+        assert record._field_defaults == defaults, qualname
+
+
+def test_grid_nodes_are_read_only():
+    nodes = make_grid(0, 1, 5).nodes
+    assert not nodes.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        nodes[1] = 0.5
 
 
 # the right-hand side 1e307 and the closed form -1.79e308 t stay finite; the
