@@ -1,6 +1,6 @@
 """The compiled forms of an expression: ``_generate`` turns a syntax tree of
 ``expr`` into generated numpy code, which ``problems`` and ``expr.eval_expr``
-run; a right-hand side also gets its split and scalar forms."""
+run; a right-hand side also gets its split form and its inline text."""
 
 from __future__ import annotations
 
@@ -41,11 +41,12 @@ _BINOPS = {
     "/": "divide({}, {})",
     "^": "power({}, {})",
 }
-# the scalar form: Python's '/' but for a zero divisor, and numpy's power as a float
+# the inline text: Python's '/' but for a zero divisor, and numpy's power as a float
 _SCALAR_BINOPS = {**_BINOPS, "/": "_quotient({}, {})", "^": "float(power({}, {}))"}
 
 
-def _generate(e: Expr, params: tuple, read: Callable, label: str, hoisted: tuple = ()) -> Callable:
+def _generate(e: Expr, params: tuple, read: Callable, label: str, hoisted: tuple = (),
+              inline: tuple = ()) -> Callable:
     """Compile a validated tree into ``def f(*params): return <expression>``.
 
     ``read(name, const)`` gives the source that loads variable ``name``;
@@ -69,56 +70,24 @@ def _generate(e: Expr, params: tuple, read: Callable, label: str, hoisted: tuple
     temporary array of 256 KiB or more in place, a sum or product of two
     NaNs may keep the other one's sign and payload.
 
-    A right-hand side (``params`` is ``("t", "s")``) also gets
-    ``f.scalar(t, s)``, the same expression on Python floats ``t`` and
-    ``s[j]`` for ``rk4_reference``: ``+ - *`` and negation act on the
-    floats, ``/`` is Python's but for a zero divisor (``_quotient``), and
-    each numpy call is converted back with ``float()``.  IEEE arithmetic is
-    the same on both types and ``float()`` of a float64 is exact, so it
-    returns a ``float`` with the bits of ``f`` on ``np.float64`` arguments,
-    the sign of a zero included.  The one exception is again a NaN: a sum or
-    product of two NaNs may keep the other one's sign and payload, as
-    CPython's float ``+`` and ``*`` do once the interpreter has specialized
-    them (after a few calls).
+    ``inline``, given for a right-hand side, is ``(read, prefix)``: it keeps
+    ``f.inline = (text, consts)``, the expression on Python floats as
+    ``rk4_reference`` writes it into its march.  ``text`` loads each variable
+    through this ``read`` and each constant as a name of ``consts`` that
+    starts with ``prefix``, so the texts of several equations share one
+    namespace.  ``+ - *`` and negation act on the floats, ``/`` is Python's
+    but for a zero divisor (``_quotient``), and each numpy call is converted
+    back with ``float()``.  IEEE arithmetic is the same on both types and
+    ``float()`` of a float64 is exact, so it gives a ``float`` with the bits
+    of ``f`` on ``np.float64`` arguments, the sign of a zero included.  The
+    one exception is again a NaN: a sum or product of two NaNs may keep the
+    other one's sign and payload, as CPython's float ``+`` and ``*`` do once
+    the interpreter has specialized them (after a few calls).
     """
     consts: dict = {}
     slots: dict = {}  # id of a hoisted node -> its index in p, while main is written
-
-    def bind(value) -> str:
-        name = f"c{len(consts)}"
-        consts[name] = value
-        return name
-
-    def source(node, scalar: bool = False) -> str:
-        if id(node) in slots:
-            return f"p[{slots[id(node)]}]"
-        if isinstance(node, Const):
-            return bind(node.value)
-        if isinstance(node, Var):
-            if type(node.name) is not str:
-                raise TypeError(f"variable name must be a str: {node!r}")
-            return read(node.name, bind(CONSTANTS[node.name]) if node.name in CONSTANTS else None)
-        if isinstance(node, Neg):
-            return f"(-{source(node.operand, scalar)})"
-        if isinstance(node, BinOp):
-            template = (_SCALAR_BINOPS if scalar else _BINOPS).get(node.op)
-            if template is None:
-                raise TypeError(f"not an operator: {node.op!r}")
-            return template.format(source(node.left, scalar), source(node.right, scalar))
-        if isinstance(node, Call) and node.fn == "nthroot":
-            root = "power" if node.k % 2 == 0 else "_odd_root"
-            text = f"{root}({source(node.args[0], scalar)}, {bind(1.0 / node.k)})"
-        elif isinstance(node, Call):
-            if type(node.fn) is not str or node.fn not in _NP_FUNCS:
-                raise TypeError(f"not a function: {node.fn!r}")
-            text = f"{node.fn}({source(node.args[0], scalar)})"
-        else:
-            raise TypeError(f"not an expression node: {node!r}")
-        return f"float({text})" if scalar else text
-
+    source = _writer(read, consts, slots)
     src = f"def f({', '.join(params)}):\n    return {source(e)}\n"
-    if params == ("t", "s"):
-        src += f"def scalar(t, s):\n    return {source(e, True)}\n"
     if hoisted:
         src += f"def pre(t):\n    return ({''.join(source(node) + ', ' for node in hoisted)})\n"
         slots.update((id(node), i) for i, node in enumerate(hoisted))
@@ -128,11 +97,53 @@ def _generate(e: Expr, params: tuple, read: Callable, label: str, hoisted: tuple
     # no cycle through their own globals: freed by refcount
     fn = namespace.pop("f")
     fn.__qualname__ = label
-    if params == ("t", "s"):
-        fn.scalar = namespace.pop("scalar")
     if hoisted:
         fn.split = (namespace.pop("pre"), namespace.pop("main"))
+    if inline:
+        names: dict = {}
+        fn.inline = (_writer(inline[0], names, {}, inline[1], True)(e), names)
     return fn
+
+
+def _writer(read: Callable, consts: dict, slots: dict, prefix: str = "", scalar: bool = False):
+    """``source(node)``: the text of a tree for ``_generate``, on arrays or
+    (``scalar``) on Python floats.  Each constant is bound as a new name in
+    ``consts`` that starts with ``prefix``; a node whose id is in ``slots``
+    is read from ``p``."""
+
+    def bind(value) -> str:
+        name = f"{prefix}c{len(consts)}"
+        consts[name] = value
+        return name
+
+    def source(node) -> str:
+        if id(node) in slots:
+            return f"p[{slots[id(node)]}]"
+        if isinstance(node, Const):
+            return bind(node.value)
+        if isinstance(node, Var):
+            if type(node.name) is not str:
+                raise TypeError(f"variable name must be a str: {node!r}")
+            return read(node.name, bind(CONSTANTS[node.name]) if node.name in CONSTANTS else None)
+        if isinstance(node, Neg):
+            return f"(-{source(node.operand)})"
+        if isinstance(node, BinOp):
+            template = (_SCALAR_BINOPS if scalar else _BINOPS).get(node.op)
+            if template is None:
+                raise TypeError(f"not an operator: {node.op!r}")
+            return template.format(source(node.left), source(node.right))
+        if isinstance(node, Call) and node.fn == "nthroot":
+            root = "power" if node.k % 2 == 0 else "_odd_root"
+            text = f"{root}({source(node.args[0])}, {bind(1.0 / node.k)})"
+        elif isinstance(node, Call):
+            if type(node.fn) is not str or node.fn not in _NP_FUNCS:
+                raise TypeError(f"not a function: {node.fn!r}")
+            text = f"{node.fn}({source(node.args[0])})"
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        return f"float({text})" if scalar else text
+
+    return source
 
 
 @functools.lru_cache(maxsize=256)

@@ -443,18 +443,27 @@ def state_free_subtrees(e: Expr, state: Iterable[str]) -> tuple:
     With ``state`` the components of a right-hand side, these are its parts
     in ``t`` and constants alone: on fixed nodes their values do not change
     from one evaluation to the next (see ``codegen._generate``'s ``hoisted``).
+    Whether a node reads ``state`` is found once per node, bottom up.
     """
-    state = frozenset(state)
+    state = frozenset(state).difference(CONSTANTS)
+    free: dict = {}  # id of a node -> whether it reads no variable in state
+
+    def mark(node: Expr) -> bool:
+        children = [mark(child) for child in _children(node)]
+        free[id(node)] = node.name not in state if isinstance(node, Var) else all(children)
+        return free[id(node)]
+
     found = []
 
     def walk(node: Expr) -> None:
-        if state.isdisjoint(free_variables(node)):
+        if free[id(node)]:
             if _children(node):
                 found.append(node)
             return
         for child in _children(node):
             walk(child)
 
+    mark(e)
     walk(e)
     return tuple(found)
 

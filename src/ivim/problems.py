@@ -27,6 +27,7 @@ form at one ``t``.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 
 import numpy as np
@@ -122,28 +123,31 @@ def _must_be(what: str, kind: str, value) -> ValueError:
     return ValueError(f"{what} must be {kind}, got {json.dumps(value, default=repr)}")
 
 
-def _compile(src, what: str, k: int = 0):
+def _compile(src, what: str, k: int = 0, eq: int = 0):
     """Parse, validate and compile one JSON string; an error names ``what``.
 
-    A right-hand side (``k`` components) compiles to ``f(t, s)`` reading
-    ``u_j`` as ``s[j-1]``; ``exact`` and ``guess`` (``k = 0``) to ``f(t)``.
-    A right-hand side carries ``f.scalar``, its form on Python floats for
-    ``rk4_reference``; one with parts in ``t`` alone also carries
-    ``f.split = (pre, main)``, so a solve on fixed nodes evaluates those
-    parts once (see ``codegen._generate``).
+    A right-hand side (``k`` components, equation ``eq`` from 0) compiles to
+    ``f(t, s)`` reading ``u_j`` as ``s[j-1]``; ``exact`` and ``guess``
+    (``k = 0``) to ``f(t)``.  A right-hand side carries ``f.inline``, its
+    text on Python floats with ``u_j`` read as the local ``s{j-1}`` and its
+    constants named ``e{eq}_c*``, for ``rk4_reference``'s march; one with
+    parts in ``t`` alone also carries ``f.split = (pre, main)``, so a solve
+    on fixed nodes evaluates those parts once (see ``codegen._generate``).
     """
     if not isinstance(src, str):
         raise _must_be(what, "a string", src)
-    slots = {"t": "t", **{f"u{j + 1}": f"s[{j}]" for j in range(k)}}
+    index = {f"u{j + 1}": j for j in range(k)}
     if k == 1:
-        slots["u"] = "s[0]"  # the alias of a single equation
+        index["u"] = 0  # the alias of a single equation
     try:
         tree = parse(src)
-        validate_vars(tree, slots)
+        validate_vars(tree, ["t", *index])
         if not k:
-            return _generate(tree, ("t",), slots.get, what)
-        state = set(slots) - {"t"}
-        return _generate(tree, ("t", "s"), slots.get, what, state_free_subtrees(tree, state))
+            return _generate(tree, ("t",), {"t": "t"}.get, what)
+        slots = {"t": "t", **{name: f"s[{j}]" for name, j in index.items()}}
+        stage = {"t": "t", **{name: f"s{j}" for name, j in index.items()}}
+        return _generate(tree, ("t", "s"), slots.get, what, state_free_subtrees(tree, index),
+                         (stage.get, f"e{eq}_"))
     except ExprError as exc:
         raise ExprError(f"{what}: {exc.reason}", exc.position) from None
 
@@ -222,7 +226,7 @@ def problem_from_dict(doc: dict) -> IvpSystem:
             raise ValueError(f"equation {idx + 1} must carry 'alpha' and 'rhs'")
         _reject_unknown_keys(eq, ("alpha", "rhs"), f"equation {idx + 1}")
         alphas.append(_number(eq["alpha"], f"alpha of equation {idx + 1}"))
-        rhs.append(_compile(eq["rhs"], f"rhs of equation {idx + 1}", k))
+        rhs.append(_compile(eq["rhs"], f"rhs of equation {idx + 1}", k, idx))
 
     return IvpSystem(
         alphas=tuple(alphas),
@@ -253,10 +257,11 @@ def _distinct_keys(pairs: list) -> dict:
 
 
 def load_problem_file(path) -> tuple:
-    """Load a JSON problem file; returns ``(system, document)``."""
+    """Load a JSON problem file; returns ``(system, document)``, a fresh document."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh, object_pairs_hook=_distinct_keys)
+            text = fh.read()
+            doc = json.loads(text, object_pairs_hook=_distinct_keys)
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed JSON in {path}: {exc}") from exc
         except (ValueError, RecursionError) as exc:
@@ -264,7 +269,7 @@ def load_problem_file(path) -> tuple:
             raise ValueError(f"cannot read {path} as JSON: {exc}") from exc
         except _DuplicateKey as exc:
             raise ValueError(f"duplicate key {exc.args[0]!r} in {path}") from None
-    return problem_from_dict(doc), doc
+    return _system(text), doc
 
 
 def get_problem(source) -> tuple:
@@ -272,5 +277,14 @@ def get_problem(source) -> tuple:
     source = str(source)
     if source in BUILTIN_PROBLEMS:
         doc = builtin_problem_dict(source)
-        return problem_from_dict(doc), doc
+        return _system(source), doc
     return load_problem_file(source)
+
+
+@functools.lru_cache(maxsize=32)
+def _system(source: str) -> IvpSystem:
+    """The system of a built-in's name or of a problem file's text (which
+    cannot be a name), compiled once per process for the last 32 sources;
+    an error is not kept.  The caller has parsed the text once already."""
+    doc = BUILTIN_PROBLEMS.get(source) or json.loads(source, object_pairs_hook=_distinct_keys)
+    return problem_from_dict(doc)

@@ -17,6 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .codegen import _NAMESPACE, _code
 from .engine import DivergenceError, IvpSystem, SolveReport
 from .grid import make_grid
 
@@ -74,17 +75,17 @@ def rk4_reference(sys: IvpSystem, step: float) -> ReferenceSolution:
     ``step`` must divide the interval to within 1e-9 relative, into no more
     steps than one array can hold.  Integration starts from the original
     (unshifted) initial values.  When every right-hand side is compiled,
-    the state is one Python float per component, and each stage calls the
-    scalar forms ``sys.rhs[j].scalar(t, state)`` with ``state`` a list of
-    those floats.  Otherwise the state is one ``np.float64`` per component
-    and each stage calls ``sys.rhs[j](t, state)``, so a callable of its own
-    sees ``np.float64`` items (``U[0] ** 2`` overflows to inf rather than
-    raising).  Either may only index the state and returns a real scalar.
-    IEEE arithmetic is the same on both types, so the trajectory has the
-    same bits either way.  Per component
-    the arithmetic is that of ``y + h/6 (k1 + 2 k2 + 2 k3 + k4)``, in that
-    order.  The steps run in one generated loop per equation count
-    (``_rk4_loop``), which holds the state in locals and writes each step
+    the state is one Python float per component, and each stage evaluates
+    the texts ``sys.rhs[j].inline`` written into the march itself, with the
+    stage's state in locals (``_inline_march``).  Otherwise the state is one
+    ``np.float64`` per component and each stage calls ``sys.rhs[j](t, state)``
+    with ``state`` a list, so a callable of its own sees ``np.float64`` items
+    (``U[0] ** 2`` overflows to inf rather than raising).  Either may only
+    index the state and returns a real scalar.  IEEE arithmetic is the same
+    on both types, so the trajectory has the same bits either way.  Per
+    component the arithmetic is that of ``y + h/6 (k1 + 2 k2 + 2 k3 + k4)``,
+    in that order.  The steps run in one generated loop, which holds the
+    state in locals and writes each step
     into ``values``.  Numpy's floating-point warnings are off for the whole
     run.  A step that turns the state non-finite raises ``ValueError`` naming
     the equation and ``t`` if a stage of it returned NaN at a finite state
@@ -122,35 +123,52 @@ def rk4_reference(sys: IvpSystem, step: float) -> ReferenceSolution:
         ) from None
     values[:, 0] = sys.initial
     with np.errstate(all="ignore"):
-        rhs = tuple(getattr(f, "scalar", None) for f in sys.rhs)
-        start = values[:, 0].tolist()
-        if None in rhs:
-            rhs, start = sys.rhs, list(values[:, 0])
-        i = _rk4_loop(sys.k)(rhs, start, values, sys.a, h, nsteps)
+        if all(hasattr(f, "inline") for f in sys.rhs):
+            march, start = _inline_march(sys.rhs), values[:, 0].tolist()
+        else:
+            march, start = _rk4_loop(sys.k), list(values[:, 0])
+        i = march(sys.rhs, start, values, sys.a, h, nsteps)
         if i is not None:
             _reject_nan_stage(sys.rhs, sys.a + i * h, list(values[:, i]), h)
             raise DivergenceError(f"RK4 state became non-finite at t={sys.a + (i + 1) * h}")
     return ReferenceSolution(nodes=nodes, values=values, source=("rk4", step))
 
 
+@functools.lru_cache(maxsize=32)
+def _inline_march(rhs: tuple) -> Callable:
+    """The march of ``_march`` with the texts ``f.inline`` of the compiled
+    right-hand sides ``rhs`` written into it; kept per system."""
+    namespace = {name: c for f in rhs for name, c in f.inline[1].items()}
+    return _march(len(rhs), tuple(f.inline[0] for f in rhs), namespace, gather=False)
+
+
 @functools.cache
 def _rk4_loop(k: int) -> Callable:
+    """The march of ``_march`` that calls ``rhs[j]`` on each stage's state list."""
+    return _march(k, tuple(f"f{j}(t, s)" for j in range(k)), {}, gather=True)
+
+
+def _march(k: int, slopes: tuple, namespace: dict, gather: bool) -> Callable:
     """``march(rhs, start, values, a, h, nsteps)``: the RK4 loop of
     ``rk4_reference`` for ``k`` equations, with the state in locals
     ``y0 .. y{k-1}``.
 
-    It starts from the list ``start`` (``values[:, 0]`` as Python floats or
-    as ``np.float64``; the state keeps that type), writes step ``i``'s
-    state into ``values[:, i]`` through a memoryview of each row and
-    returns the index of the first step whose new state is not finite, or
-    ``None``.
+    A stage puts its time in ``t`` and its state in ``s0 .. s{k-1}`` (or,
+    ``gather``, in the list ``s``); ``slopes[j]``, with ``f{j}`` bound to
+    ``rhs[j]`` and ``namespace`` among the globals, is equation ``j``'s
+    slope.  The march starts from the list ``start`` (Python floats or
+    ``np.float64``, a type the state keeps), writes step ``i``'s state into
+    ``values[:, i]`` through a memoryview of each row and returns the index
+    of the first step whose new state is not finite, or ``None``.
     """
 
     def each(template: str, sep: str = ", ") -> str:
         return sep.join(template.format(j=j) for j in range(k))
 
-    def stage(n: int, t: str) -> str:
-        return each(f"k{n}_{{j}} = f{{j}}({t}, s)", "; ")
+    def stage(n: int, t: str, state: str) -> str:
+        state = f"s = [{each(state)}]" if gather else f"{each('s{j}')}, = {each(state)},"
+        slope = "; ".join(f"k{n}_{j} = {text}" for j, text in enumerate(slopes))
+        return f"t = {t}; {state}\n        {slope}"
 
     src = f"""\
 def march(rhs, start, values, a, h, nsteps):
@@ -159,25 +177,21 @@ def march(rhs, start, values, a, h, nsteps):
     {each("r{j}")}, = map(memoryview, values)
     half = 0.5 * h
     sixth = h / 6.0
-    t = a
+    ta = a
     for i in range(1, nsteps + 1):
-        s = [{each("y{j}")}]
-        {stage(1, "t")}
-        s = [{each("y{j} + half * k1_{j}")}]
-        tm = t + half
-        {stage(2, "tm")}
-        s = [{each("y{j} + half * k2_{j}")}]
-        {stage(3, "tm")}
-        s = [{each("y{j} + h * k3_{j}")}]
-        {stage(4, "t + h")}
+        {stage(1, "ta", "y{j}")}
+        tm = ta + half
+        {stage(2, "tm", "y{j} + half * k1_{j}")}
+        {stage(3, "tm", "y{j} + half * k2_{j}")}
+        {stage(4, "ta + h", "y{j} + h * k3_{j}")}
         {each("n{j} = y{j} + sixth * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j} + k4_{j})", "; ")}
         if not ({each("isfinite(n{j})", " and ")}):
             return i - 1
         {each("y{j} = r{j}[i] = n{j}", "; ")}
-        t = a + i * h
+        ta = a + i * h
 """
-    namespace = {"isfinite": math.isfinite}
-    exec(compile(src, f"<rk4 loop of {k} equations>", "exec"), namespace)
+    namespace = {**_NAMESPACE, **namespace, "isfinite": math.isfinite}
+    exec(_code(src, f"rk4 loop of {k} equations"), namespace)
     return namespace.pop("march")
 
 

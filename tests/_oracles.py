@@ -15,17 +15,22 @@ before its weights were planned once per solve: it derives every weight
 afresh on each call, allocates its own temporaries, and the solver must
 match it bit for bit.
 
-``compile_array`` is no oracle: it is the package's own code generator,
-``codegen._generate``, reading each variable from a dict.  No code in the
-package calls it, so it lives here, for the tests of the generator.
+``compile_array`` and ``scalar_form`` are no oracles: the first is the
+package's own code generator, ``codegen._generate``, reading each variable
+from a dict, and the second runs the text ``f.inline`` that the generator
+keeps for ``rk4_reference``'s march as a function of its own.  No code in
+the package calls them, so they live here, for the tests of the generator.
+``walked_state_free_subtrees`` is ``expr.state_free_subtrees`` as it was
+before it found each node's free variables once: it asks
+``expr.free_variables`` again at every node it visits.
 """
 
 import math
 
 import numpy as np
 
-from ivim.codegen import _generate, _read_env
-from ivim.expr import _NP_FUNCS, CONSTANTS, BinOp, Call, Const, Neg, Var
+from ivim.codegen import _NAMESPACE, _generate, _read_env
+from ivim.expr import _NP_FUNCS, CONSTANTS, BinOp, Call, Const, Neg, Var, _children, free_variables
 from ivim.sweep import _BLOCK_EXPONENT
 
 
@@ -280,6 +285,39 @@ def compile_array(e):
     ``rk4_reference``, ``cli.main`` and the rest) does once per call.
     """
     return _generate(e, ("env",), _read_env, "expression")
+
+
+def scalar_form(f):
+    """``g(t, s)``: the inline text of the compiled right-hand side ``f``,
+    evaluated with ``t`` and the stage locals ``s0, s1, ..`` bound to ``t``
+    and the items of ``s``."""
+    text, consts = f.inline
+    code = compile(text, "<scalar form>", "eval")
+    namespace = {**_NAMESPACE, **consts}
+
+    def g(t, s):
+        return eval(code, {**namespace, "t": t, **{f"s{j}": x for j, x in enumerate(s)}})
+
+    return g
+
+
+def walked_state_free_subtrees(e, state):
+    """The maximal subtrees of ``e`` that read no variable in ``state`` and
+    apply at least one operator or call, left to right, by a walk that
+    collects each visited node's free variables afresh."""
+    state = frozenset(state)
+    found = []
+
+    def walk(node):
+        if state.isdisjoint(free_variables(node)):
+            if _children(node):
+                found.append(node)
+            return
+        for child in _children(node):
+            walk(child)
+
+    walk(e)
+    return tuple(found)
 
 
 def _flatten(e, program):

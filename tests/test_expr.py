@@ -28,8 +28,9 @@ import numpy as np
 from ivim.codegen import _generate
 from ivim.expr import _children
 from ivim.problems import problem_from_dict
+from ivim.reference import _inline_march
 
-from _oracles import compile_array, stack_eval
+from _oracles import compile_array, scalar_form, stack_eval
 
 
 # --- tokenizer ----------------------------------------------------------------
@@ -551,10 +552,11 @@ def test_compile_array_leaves_error_state_to_the_caller():
     ids=["one_by_zero", "minus_one_by_minus_zero", "zero_by_zero", "one_by_minus_zero", "plain"],
 )
 def test_scalar_rhs_divides_by_zero_as_numpy(src, u, want):
-    # Python's '/' raises ZeroDivisionError; the scalar form returns numpy's answer
-    f = _generate(parse(src), ("t", "s"), {"t": "t", "u": "s[0]"}.get, "rhs")
+    # Python's '/' raises ZeroDivisionError; the inline text returns numpy's answer
+    f = _generate(parse(src), ("t", "s"), {"t": "t", "u": "s[0]"}.get, "rhs",
+                  inline=({"t": "t", "u": "s0"}.get, ""))
     with np.errstate(all="ignore"):
-        got, array = f.scalar(0.0, [u]), f(np.float64(0.0), [np.float64(u)])
+        got, array = scalar_form(f)(0.0, [u]), f(np.float64(0.0), [np.float64(u)])
     assert type(got) is float
     assert np.float64(got).view(np.int64) == np.float64(array).view(np.int64)
     assert got == want or (math.isnan(got) and math.isnan(want))
@@ -597,15 +599,18 @@ def test_nesting_limit_boundary(family):
 
 @pytest.mark.parametrize("family", sorted(_NESTED))
 def test_deepest_rhs_compiles_its_scalar_form(family):
-    # the scalar form nests two brackets per call, under CPython's 200
-    (f,) = problem_from_dict({
+    # the inline text nests two brackets per call, under CPython's 200, and
+    # so does the RK4 march that it is written into
+    sys_ = problem_from_dict({
         "interval": {"a": 0.0, "T": 1.0},
         "equations": [{"alpha": 0.0, "rhs": _NESTED[family][0](MAX_DEPTH - 1)}],
         "initial": [0.0],
-    }).rhs
+    })
+    (f,) = sys_.rhs
     with np.errstate(all="ignore"):
-        got, want = f.scalar(0.25, [0.5]), f(np.float64(0.25), [np.float64(0.5)])
+        got, want = scalar_form(f)(0.25, [0.5]), f(np.float64(0.25), [np.float64(0.5)])
     assert math.isfinite(got) and got == want
+    assert callable(_inline_march(sys_.rhs))
 
 
 def test_nesting_limit_counts_the_tree_below_parentheses():

@@ -1,5 +1,6 @@
 import cProfile
 import copy
+import dataclasses
 import importlib.util
 import json
 import math
@@ -25,9 +26,10 @@ from ivim import (
     rk4_reference,
     solve,
 )
+from ivim.cli import main as cli_main
 from ivim.expr import ExprError, parse
 
-from _oracles import compile_array
+from _oracles import compile_array, scalar_form
 
 
 def test_builtin_names():
@@ -317,7 +319,9 @@ def test_generated_functions_hold_no_named_temporaries():
 def test_profile_counts_each_expression_apart():
     sys_, _ = get_problem("ex3")
     profile = cProfile.Profile()
-    profile.runcall(rk4_reference, sys_, 0.1)  # 15 steps of 4 stages
+    # the march that calls each rhs: the inlined march calls none of them
+    calling = dataclasses.replace(sys_, rhs=tuple(lambda t, s, f=f: f(t, s) for f in sys_.rhs))
+    profile.runcall(rk4_reference, calling, 0.1)  # 15 steps of 4 stages
     profile.runcall(sys_.exact, np.linspace(0.0, 1.5, 5))
     calls = {file: ncalls for (file, _, _), (_, ncalls, *_) in pstats.Stats(profile).stats.items()}
     assert calls["<rhs of equation 1>"] == calls["<rhs of equation 2>"] == 60
@@ -325,9 +329,10 @@ def test_profile_counts_each_expression_apart():
 
 
 def test_loading_a_problem_again_makes_new_functions_on_shared_code():
-    (first, _), (second, _) = get_problem("ex3"), get_problem("ex3")
-    pairs = [(f.scalar, g.scalar) for f, g in zip(first.rhs, second.rhs)]
-    pairs += [(f, g) for f, g in zip(first.rhs, second.rhs)]
+    # problem_from_dict compiles anew; get_problem would return its kept system
+    first, second = (problem_from_dict(builtin_problem_dict("ex3")) for _ in range(2))
+    assert [f.inline for f in first.rhs] == [g.inline for g in second.rhs]
+    pairs = [(f, g) for f, g in zip(first.rhs, second.rhs)]
     pairs += zip(first.rhs[1].split, second.rhs[1].split)  # t + 2*sin(t/2)^2 - ...
     for f, g in pairs:
         assert f is not g and f.__code__ is g.__code__
@@ -346,7 +351,8 @@ def test_a_rhs_of_a_known_shape_evaluates_its_own_constants():
 
     def values(f):
         pre, main = f.split
-        return [f(t, U), main(t, U, pre(t)), np.array([f.scalar(x, [y]) for x, y in zip(t, U[0])])]
+        scalar = scalar_form(f)
+        return [f(t, U), main(t, U, pre(t)), np.array([scalar(x, [y]) for x, y in zip(t, U[0])])]
 
     f = problem_from_dict(doc).rhs[0]
     g = problem_from_dict(other).rhs[0]
@@ -359,3 +365,88 @@ def test_a_rhs_of_a_known_shape_evaluates_its_own_constants():
     assert cold.__code__ is not f.__code__
     for got, want in zip(warm, values(cold)):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# --- the per-process cache of compiled documents -------------------------------
+
+_PENDULUM_TEXT = json.dumps({
+    "name": "pendulum",
+    "interval": {"a": 0.0, "T": 2.0},
+    "equations": [{"alpha": 0.0, "rhs": "u2"}, {"alpha": 0.25, "rhs": "-0.25*u2 - 4*sin(u1)"}],
+    "initial": [1.0, 0.0],
+})
+
+
+def test_a_document_is_compiled_once_under_any_path(tmp_path, monkeypatch):
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    first.write_text(_PENDULUM_TEXT, encoding="utf-8")
+    second.write_text(_PENDULUM_TEXT, encoding="utf-8")
+    compiled = []
+    monkeypatch.setattr(problems, "problem_from_dict",
+                        lambda doc: compiled.append(doc) or problem_from_dict(doc))
+    problems._system.cache_clear()
+    (sys_a, doc_a), (sys_b, doc_b) = get_problem(first), get_problem(second)
+    assert len(compiled) == 1 and sys_a is sys_b
+    assert doc_a == doc_b and doc_a is not doc_b
+    assert get_problem("ex1")[0] is get_problem("ex1")[0] and len(compiled) == 2
+
+
+def test_a_rewritten_file_is_compiled_again(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(_PENDULUM_TEXT, encoding="utf-8")
+    before, _ = get_problem(path)
+    path.write_text(_PENDULUM_TEXT.replace('"T": 2.0', '"T": 3.0'), encoding="utf-8")
+    after, doc = get_problem(path)
+    assert (before.T, after.T, doc["interval"]["T"]) == (2.0, 3.0, 3.0)
+
+
+@pytest.mark.parametrize("text", ["{", '{"a": 1, "a": 2}', _PENDULUM_TEXT.replace('"u2"', '"u3"')],
+                         ids=["malformed", "duplicate_key", "unknown_variable"])
+def test_a_bad_file_fails_on_every_call_with_the_same_message(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    kept = problems._system.cache_info().currsize
+    messages = []
+    for _ in range(3):
+        with pytest.raises(ValueError) as info:
+            get_problem(path)
+        messages.append(str(info.value))
+    assert len(set(messages)) == 1
+    assert problems._system.cache_info().currsize == kept
+
+
+def test_a_returned_document_is_the_callers_own(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(_PENDULUM_TEXT, encoding="utf-8")
+    for source in (path, "ex3"):
+        sys_, doc = get_problem(source)
+        doc["interval"]["T"] = 99.0
+        doc["equations"].clear()
+        again, fresh = get_problem(source)
+        assert again is sys_ and fresh["interval"]["T"] == sys_.T != 99.0
+        assert len(fresh["equations"]) == sys_.k
+
+
+def test_the_cache_keeps_a_bounded_number_of_documents(tmp_path):
+    kept = problems._system.cache_info().maxsize
+    paths = [tmp_path / f"p{i}.json" for i in range(2 * kept)]
+    for i, path in enumerate(paths):
+        path.write_text(_PENDULUM_TEXT.replace('"T": 2.0', f'"T": {i + 1}.0'), encoding="utf-8")
+        assert get_problem(path)[0].T == i + 1.0
+    assert problems._system.cache_info().currsize == kept
+    # the least recently used went first: the last one loaded is still kept
+    hits = problems._system.cache_info().hits
+    assert get_problem(paths[-1])[0].T == 2.0 * kept
+    assert problems._system.cache_info().hits == hits + 1
+
+
+def test_export_of_a_kept_document_writes_the_same_bytes(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(_PENDULUM_TEXT, encoding="utf-8")
+    for source in (str(path), "ex2"):
+        written = []
+        for i in range(2):
+            out = tmp_path / f"out{i}.json"
+            assert cli_main(["export", "--problem", source, "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]

@@ -45,7 +45,9 @@ from _oracles import (
     compile_array,
     naive_step,
     rk4_march,
+    scalar_form,
     stack_eval,
+    walked_state_free_subtrees,
 )
 
 
@@ -379,7 +381,9 @@ def _bits(x):
 @_settings(300)
 @given(_any_tree, st.integers(0, 2**32 - 1))
 def test_scalar_rhs_has_the_bits_of_the_rhs_on_float64(tree, seed):
-    f = _generate(tree, ("t", "s"), {"t": "t", "u": "s[0]"}.get, "rhs")
+    f = _generate(tree, ("t", "s"), {"t": "t", "u": "s[0]"}.get, "rhs",
+                  inline=({"t": "t", "u": "s0"}.get, ""))
+    scalar = scalar_form(f)
     rng = np.random.default_rng(seed)
     # NaNs of both signs, one with a payload
     nans = [math.nan, -math.nan, np.int64(0x7FF8_0000_0000_0123).view(np.float64)]
@@ -387,7 +391,7 @@ def test_scalar_rhs_has_the_bits_of_the_rhs_on_float64(tree, seed):
     values = np.concatenate([rng.normal(scale=3.0, size=6), special])
     with np.errstate(all="ignore"):
         for t, u in zip(rng.permutation(values), rng.permutation(values)):
-            got, want = f.scalar(float(t), [float(u)]), f(t, [u])
+            got, want = scalar(float(t), [float(u)]), f(t, [u])
             assert type(got) is float
             # a NaN's sign and payload may differ: once CPython specializes a
             # float '+' or '*', it keeps the other one of two NaN operands
@@ -453,18 +457,36 @@ def _rk4_systems(draw):
     return problem_from_dict(doc)
 
 
+def _calling(sys_):
+    """``sys_`` with each rhs behind a plain callable, which the np.float64 march calls."""
+    return dataclasses.replace(sys_, rhs=tuple(lambda t, s, f=f: f(t, s) for f in sys_.rhs))
+
+
 @_settings(150)
 @given(_rk4_systems(), st.integers(1, 40))
 def test_rk4_reference_equals_the_array_march_bit_for_bit(sys_, nsteps):
+    # the inlined march and the np.float64 one, against the oracle
     step = (sys_.T - sys_.a) / nsteps
     try:
         want = rk4_march(sys_, nsteps)
     except ArithmeticError:
-        with pytest.raises((ValueError, DivergenceError)):
-            rk4_reference(sys_, step)
+        errors = []
+        for each in (sys_, _calling(sys_)):
+            with pytest.raises((ValueError, DivergenceError)) as info:
+                rk4_reference(each, step)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
         return
-    got = rk4_reference(sys_, step).values
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for each in (sys_, _calling(sys_)):
+        got = rk4_reference(each, step).values
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@_settings(300)
+@given(_any_tree, st.sets(st.sampled_from(["t", "u", "pi", "x"])))
+def test_state_free_subtrees_are_those_of_the_walk_that_asks_every_node(tree, state):
+    got = state_free_subtrees(tree, state)
+    assert list(map(id, got)) == list(map(id, walked_state_free_subtrees(tree, state)))
 
 
 def _positive_node(sub):

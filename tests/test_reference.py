@@ -1,7 +1,9 @@
 import dataclasses
 import math
 import re
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,14 +12,16 @@ from ivim import (
     IvpSystem,
     ReferenceSolution,
     SolveReport,
+    builtin_problem_dict,
     empirical_order,
     error_metrics,
     exact_builtin_eval,
     get_problem,
     make_grid,
+    problem_from_dict,
     rk4_reference,
 )
-from ivim.reference import _rk4_loop
+from ivim.reference import _inline_march, _rk4_loop
 
 from _oracles import rk4_march
 
@@ -188,6 +192,98 @@ def test_rk4_failure_in_the_first_step_of_a_system(rhs2, u0, error, message):
         rk4_reference(_coupled(rhs2, u0), 0.001)
 
 
+def _calling(sys_):
+    """``sys_`` with each rhs behind a plain callable, which the np.float64 march calls."""
+    return dataclasses.replace(sys_, rhs=tuple(lambda t, s, f=f: f(t, s) for f in sys_.rhs))
+
+
+def _compiled(rhs2, u0):
+    return problem_from_dict({
+        "interval": {"a": 0.5, "T": 1.5},
+        "equations": [{"alpha": 0.0, "rhs": "u2"}, {"alpha": 0.0, "rhs": rhs2}],
+        "initial": list(u0),
+    })
+
+
+@pytest.mark.parametrize(
+    "rhs2, u0, error, message",
+    [
+        ("log(u1 - 1)", (0.0, 1.0), ValueError,
+         "right-hand side of equation 2 is nan at t=0.5 (RK4 stage, u=[0.0, 1.0]): outside its domain"),
+        ("sqrt(0.75 - t) + u1", (0.1, 0.2), ValueError, "right-hand side of equation 2 is nan at t=0.7505"),
+        ("u2^2", (0.1, 1e200), DivergenceError, "RK4 state became non-finite at t=0.501"),
+        ("u2^2", (0.1, 2.0), DivergenceError, "RK4 state became non-finite at t=1.0"),
+    ],
+    ids=["nan", "later_nan", "divergence", "later_divergence"],
+)
+def test_rk4_failure_of_a_compiled_system_reads_the_same_on_both_marches(rhs2, u0, error, message):
+    sys_ = _compiled(rhs2, u0)
+    texts = []
+    for each in (sys_, _calling(sys_)):
+        with pytest.raises(error, match=f"^{re.escape(message)}") as info:
+            rk4_reference(each, 0.001)
+        texts.append(str(info.value))
+    assert texts[0] == texts[1]
+
+
+# the benchmark's seed-1 stiff and pendulum documents, as bench/inputs.py writes them
+_BENCH_DOCUMENTS = {
+    "stiff": {
+        "interval": {"a": 0.0, "T": 1.0},
+        "equations": [{"alpha": 63.43718811426835, "rhs": (
+            "-63.437188114268352*u - 0.25642996114698069*u^2"
+            " + 6.5504542835763377*cos(7.3224559549051023*t)"
+            " + 63.437188114268352*(1.4260877069628752 + 0.89457066371131633*sin(7.3224559549051023*t))"
+            " + 0.25642996114698069*(1.4260877069628752 + 0.89457066371131633*sin(7.3224559549051023*t))^2"
+        )}],
+        "initial": [1.4260877069628752],
+    },
+    "pendulum": {
+        "interval": {"a": 0.0, "T": 2.0},
+        "equations": [
+            {"alpha": 0.0, "rhs": "u2"},
+            {"alpha": 0.2773770494479245, "rhs": "-0.27737704944792452*u2 - 0.99349186601132811*sin(u1)"},
+        ],
+        "initial": [0.5044394301617654, 0.0],
+    },
+}
+
+
+@pytest.mark.parametrize("source", ["ex1", "ex2", "ex3", "rotation", *_BENCH_DOCUMENTS])
+def test_rk4_marches_agree_bit_for_bit_on_the_checked_in_problems(source):
+    if source in _BENCH_DOCUMENTS:
+        sys_ = problem_from_dict(_BENCH_DOCUMENTS[source])
+    else:
+        sys_, _ = get_problem(Path(__file__).with_name("rotation.json") if source == "rotation" else source)
+    for nsteps in (128, 1000):
+        want = rk4_march(sys_, nsteps)
+        for each in (sys_, _calling(sys_)):
+            got = rk4_reference(each, (sys_.T - sys_.a) / nsteps).values
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_rk4_is_fourth_order_against_mpmath_on_a_damped_pendulum():
+    # u1' = u2, u2' = -0.25 u2 - 4 sin u1, u(0) = (1, 0): no closed form, so
+    # the reference is mpmath's Taylor-series integrator at 20 digits
+    sys_ = problem_from_dict({
+        "interval": {"a": 0.0, "T": 2.0},
+        "equations": [{"alpha": 0.0, "rhs": "u2"}, {"alpha": 0.25, "rhs": "-0.25*u2 - 4*sin(u1)"}],
+        "initial": [1.0, 0.0],
+    })
+    nodes = (0.5, 1.0, 1.5, 2.0)
+    with mpmath.workdps(20):
+        exact = mpmath.odefun(lambda t, u: [u[1], -u[1] / 4 - 4 * mpmath.sin(u[0])], 0, [1, 0])
+        want = np.array([[float(x) for x in exact(t)] for t in nodes]).T
+    errors = []
+    for nsteps in (64, 128, 256, 512):
+        at = [round(t / 2.0 * nsteps) for t in nodes]
+        errors.append(np.max(np.abs(rk4_reference(sys_, 2.0 / nsteps).values[:, at] - want)))
+    # measured: orders 3.998, 3.9992, 3.9997 and 1.023e-10 at h = 1/256
+    orders = [math.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
+    assert all(3.99 < p < 4.01 for p in orders), orders
+    assert 1.0e-10 < errors[-1] < 1.05e-10
+
+
 def test_rk4_compiles_one_loop_per_equation_count():
     _rk4_loop.cache_clear()
     one = _scalar_system(lambda t, U: U[0], 0.0, 1.0, 1.0)
@@ -201,7 +297,7 @@ def test_rk4_compiles_one_loop_per_equation_count():
 
 
 def test_rk4_hands_a_plain_rhs_float64_items():
-    # a callable without a scalar form sees the state as np.float64, so
+    # a callable without an inline text sees the state as np.float64, so
     # U[0] ** 2 overflows to inf instead of raising OverflowError
     seen = set()
 
@@ -211,41 +307,49 @@ def test_rk4_hands_a_plain_rhs_float64_items():
 
     sys_ = IvpSystem(alphas=(0.0, 0.25), a=0.0, T=2.0, initial=(0.5, 0.0),
                      rhs=(lambda t, U: U[1], rhs2))
-    assert not hasattr(rhs2, "scalar")
+    assert not hasattr(rhs2, "inline")
     got = rk4_reference(sys_, 2.0 / 400).values
     assert seen == {np.float64}
     assert np.array_equal(got.view(np.int64), rk4_march(sys_, 400).view(np.int64))
 
 
 def _spy(f, seen):
-    """``f`` with a scalar form that records the types it is called on."""
-
-    def scalar(t, U):
-        seen.update(map(type, [t, *U]))
-        return f.scalar(t, U)
+    """``f`` with its inline text, recording the types of the state it is called on."""
 
     def rhs(t, U):
+        seen.update(map(type, U))
         return f(t, U)
 
-    rhs.scalar = scalar
+    rhs.inline = f.inline
     return rhs
 
 
-def test_rk4_calls_scalar_forms_on_python_floats_only_when_all_have_one():
+def test_rk4_inlines_the_right_hand_sides_only_when_all_have_a_text():
     sys_, _ = get_problem("ex3")
     want = rk4_march(sys_, 300)
     seen = set()
     spied = dataclasses.replace(sys_, rhs=tuple(_spy(f, seen) for f in sys_.rhs))
     got = rk4_reference(spied, (sys_.T - sys_.a) / 300).values
-    assert seen == {float}
+    assert not seen  # the march evaluates the texts and calls no rhs
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    # one callable of its own: every equation runs on np.float64, scalar forms unused
-    seen.clear()
+    # one callable of its own: every equation is called on np.float64
     f1, f2 = sys_.rhs
     mixed = dataclasses.replace(sys_, rhs=(_spy(f1, seen), lambda t, U: f2(t, U)))
     got = rk4_reference(mixed, (sys_.T - sys_.a) / 300).values
-    assert not seen
+    assert seen == {np.float64}
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_rk4_keeps_one_inlined_march_per_system():
+    _inline_march.cache_clear()
+    sys_, _ = get_problem("ex3")
+    rk4_reference(sys_, 0.5)
+    rk4_reference(dataclasses.replace(sys_, exact=None), 0.25)
+    assert (_inline_march.cache_info().hits, _inline_march.cache_info().misses) == (1, 1)
+    # the same document compiled again shares the march's code, not its constants
+    again = problem_from_dict(builtin_problem_dict("ex3"))
+    assert _inline_march(again.rhs).__code__ is _inline_march(sys_.rhs).__code__
+    assert _inline_march.cache_info().misses == 2
 
 
 def test_rk4_system_trajectory():
