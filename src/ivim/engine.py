@@ -67,9 +67,9 @@ class IvpSystem:
     where ``state`` is indexable by equation (``state[j]``).  The solver
     passes numpy arrays over a contiguous chunk of the nodes, so ``rhs`` must
     act elementwise, and the result must broadcast to the shape of ``t``.
-    ``rk4_reference`` calls the scalar forms ``rhs[k].scalar`` of compiled
-    right-hand sides on Python floats, and any other rhs on ``np.float64``
-    scalars; there it returns a real scalar.  The state is unshifted.
+    ``rk4_reference`` evaluates the inline texts ``rhs[k].inline`` of compiled
+    right-hand sides on Python floats, and calls any other rhs on
+    ``np.float64`` scalars; there it returns a real scalar.  The state is unshifted.
 
     An equation may also carry the affine split ``f = -alpha*u + g(t)`` as
     ``forcing[k] = g`` (None leaves it to ``rhs``); the solver then takes

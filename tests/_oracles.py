@@ -15,16 +15,19 @@ before its weights were planned once per solve: it derives every weight
 afresh on each call, allocates its own temporaries, and the solver must
 match it bit for bit.
 
-``compile_array`` and ``scalar_form`` are no oracles: the first is the
-package's own code generator, ``codegen._generate``, reading each variable
-from a dict, and the second runs the text ``f.inline`` that the generator
-keeps for ``rk4_reference``'s march as a function of its own.  No code in
-the package calls them, so they live here, for the tests of the generator.
+``compile_array``, ``scalar_form`` and ``plain_callables`` are no
+oracles: the first is the package's own code generator,
+``codegen._generate``, reading each variable from a dict, the second runs
+the text ``f.inline`` that the generator keeps for ``rk4_reference``'s
+march as a function of its own, and the third hides that text, so that
+``rk4_reference`` takes its ``np.float64`` march.  No code in the package
+calls them, so they live here, for the tests.
 ``walked_state_free_subtrees`` is ``expr.state_free_subtrees`` as it was
 before it found each node's free variables once: it asks
 ``expr.free_variables`` again at every node it visits.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -187,6 +190,12 @@ def rk4_march(sys, nsteps):
                 raise ArithmeticError(f"RK4 state became non-finite at t={t}")
             values[:, i + 1] = y
     return values
+
+
+def plain_callables(sys):
+    """``sys`` with each right-hand side behind a plain callable: one with no
+    inline text, which ``rk4_reference`` calls from its ``np.float64`` march."""
+    return dataclasses.replace(sys, rhs=tuple(lambda t, s, f=f: f(t, s) for f in sys.rhs))
 
 
 def hat_eval(grid, i, t):

@@ -1,6 +1,5 @@
 import cProfile
 import copy
-import dataclasses
 import importlib.util
 import json
 import math
@@ -29,7 +28,7 @@ from ivim import (
 from ivim.cli import main as cli_main
 from ivim.expr import ExprError, parse
 
-from _oracles import compile_array, scalar_form
+from _oracles import compile_array, plain_callables, scalar_form
 
 
 def test_builtin_names():
@@ -320,8 +319,7 @@ def test_profile_counts_each_expression_apart():
     sys_, _ = get_problem("ex3")
     profile = cProfile.Profile()
     # the march that calls each rhs: the inlined march calls none of them
-    calling = dataclasses.replace(sys_, rhs=tuple(lambda t, s, f=f: f(t, s) for f in sys_.rhs))
-    profile.runcall(rk4_reference, calling, 0.1)  # 15 steps of 4 stages
+    profile.runcall(rk4_reference, plain_callables(sys_), 0.1)  # 15 steps of 4 stages
     profile.runcall(sys_.exact, np.linspace(0.0, 1.5, 5))
     calls = {file: ncalls for (file, _, _), (_, ncalls, *_) in pstats.Stats(profile).stats.items()}
     assert calls["<rhs of equation 1>"] == calls["<rhs of equation 2>"] == 60

@@ -44,6 +44,7 @@ from _oracles import (
     closure_compile,
     compile_array,
     naive_step,
+    plain_callables,
     rk4_march,
     scalar_form,
     stack_eval,
@@ -457,11 +458,6 @@ def _rk4_systems(draw):
     return problem_from_dict(doc)
 
 
-def _calling(sys_):
-    """``sys_`` with each rhs behind a plain callable, which the np.float64 march calls."""
-    return dataclasses.replace(sys_, rhs=tuple(lambda t, s, f=f: f(t, s) for f in sys_.rhs))
-
-
 @_settings(150)
 @given(_rk4_systems(), st.integers(1, 40))
 def test_rk4_reference_equals_the_array_march_bit_for_bit(sys_, nsteps):
@@ -471,13 +467,13 @@ def test_rk4_reference_equals_the_array_march_bit_for_bit(sys_, nsteps):
         want = rk4_march(sys_, nsteps)
     except ArithmeticError:
         errors = []
-        for each in (sys_, _calling(sys_)):
+        for each in (sys_, plain_callables(sys_)):
             with pytest.raises((ValueError, DivergenceError)) as info:
                 rk4_reference(each, step)
             errors.append((type(info.value), str(info.value)))
         assert errors[0] == errors[1]
         return
-    for each in (sys_, _calling(sys_)):
+    for each in (sys_, plain_callables(sys_)):
         got = rk4_reference(each, step).values
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 

@@ -23,7 +23,7 @@ from ivim import (
 )
 from ivim.reference import _inline_march, _rk4_loop
 
-from _oracles import rk4_march
+from _oracles import plain_callables, rk4_march
 
 
 def _scalar_system(rhs, a, T, u0):
@@ -192,11 +192,6 @@ def test_rk4_failure_in_the_first_step_of_a_system(rhs2, u0, error, message):
         rk4_reference(_coupled(rhs2, u0), 0.001)
 
 
-def _calling(sys_):
-    """``sys_`` with each rhs behind a plain callable, which the np.float64 march calls."""
-    return dataclasses.replace(sys_, rhs=tuple(lambda t, s, f=f: f(t, s) for f in sys_.rhs))
-
-
 def _compiled(rhs2, u0):
     return problem_from_dict({
         "interval": {"a": 0.5, "T": 1.5},
@@ -219,7 +214,7 @@ def _compiled(rhs2, u0):
 def test_rk4_failure_of_a_compiled_system_reads_the_same_on_both_marches(rhs2, u0, error, message):
     sys_ = _compiled(rhs2, u0)
     texts = []
-    for each in (sys_, _calling(sys_)):
+    for each in (sys_, plain_callables(sys_)):
         with pytest.raises(error, match=f"^{re.escape(message)}") as info:
             rk4_reference(each, 0.001)
         texts.append(str(info.value))
@@ -257,7 +252,7 @@ def test_rk4_marches_agree_bit_for_bit_on_the_checked_in_problems(source):
         sys_, _ = get_problem(Path(__file__).with_name("rotation.json") if source == "rotation" else source)
     for nsteps in (128, 1000):
         want = rk4_march(sys_, nsteps)
-        for each in (sys_, _calling(sys_)):
+        for each in (sys_, plain_callables(sys_)):
             got = rk4_reference(each, (sys_.T - sys_.a) / nsteps).values
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
