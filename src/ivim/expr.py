@@ -19,7 +19,6 @@ for ``u^(2/5)``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Union
@@ -178,9 +177,9 @@ CONSTANTS = {"pi": math.pi, "e": math.e}
 # generator) one to three; 100 levels keep the deepest case near 650 frames
 # under Python's default limit of 1000.  The generated source nests up to two
 # bracket levels per operator or call (a call inside float() in the scalar
-# form of a right-hand side) and one for a leaf ``s[j]``: 2 * 99 + 1 = 199 at
-# this depth, where CPython compiles at most 200 nested brackets, so this
-# cannot grow.
+# form of a right-hand side) and one for a leaf ``s[j]`` or a negative
+# literal ``(-0.5)``: 2 * 99 + 1 = 199 at this depth, where CPython compiles
+# at most 200 nested brackets, so this cannot grow.
 MAX_DEPTH = 100
 
 
@@ -243,11 +242,8 @@ def parse_expression(tokens: list[Token]) -> Expr:
     return tree
 
 
-@functools.lru_cache(maxsize=256)
 def parse(src: str) -> Expr:
-    """The tree of ``src``.  The trees of the last 256 texts are kept, as
-    trees are frozen, so parsing a text again is a lookup; a bad text
-    raises afresh every time."""
+    """The tree of ``src``."""
     return parse_expression(tokenize(src))
 
 

@@ -102,9 +102,8 @@ def builtin_problem_dict(name: str) -> dict:
 def exact_builtin_eval(name: str, t: float) -> np.ndarray:
     """Closed-form solution of a built-in problem at ``t``, shape (k,).
 
-    The values are those of the problem's compiled ``exact`` expressions,
-    written once in ``BUILTIN_PROBLEMS``; only they are compiled, stacked as
-    ``problem_from_dict`` stacks them.
+    The values are those of the closed form of the built-in's kept system,
+    ``_system(name).exact``.
     """
     if name not in BUILTIN_PROBLEMS:
         raise ValueError(f"unknown built-in problem {name!r}")
@@ -113,9 +112,7 @@ def exact_builtin_eval(name: str, t: float) -> np.ndarray:
     t = float(t)
     if not a <= t <= T:  # False for nan
         raise ValueError(f"t={t} outside [{a}, {T}] for {name}")
-    doc = BUILTIN_PROBLEMS[name]
-    exact = _stacked(_expressions_in_t(doc, "exact", len(doc["equations"])))
-    return exact(np.array([t]))[:, 0]
+    return _system(name).exact(np.array([t]))[:, 0]
 
 
 def _must_be(what: str, kind: str, value) -> ValueError:
@@ -123,16 +120,16 @@ def _must_be(what: str, kind: str, value) -> ValueError:
     return ValueError(f"{what} must be {kind}, got {json.dumps(value, default=repr)}")
 
 
-def _compile(src, what: str, k: int = 0, eq: int = 0):
+def _compile(src, what: str, k: int = 0):
     """Parse, validate and compile one JSON string; an error names ``what``.
 
-    A right-hand side (``k`` components, equation ``eq`` from 0) compiles to
-    ``f(t, s)`` reading ``u_j`` as ``s[j-1]``; ``exact`` and ``guess``
-    (``k = 0``) to ``f(t)``.  A right-hand side carries ``f.inline``, its
-    text on Python floats with ``u_j`` read as the local ``s{j-1}`` and its
-    constants named ``e{eq}_c*``, for ``rk4_reference``'s march; one with
-    parts in ``t`` alone also carries ``f.split = (pre, main)``, so a solve
-    on fixed nodes evaluates those parts once (see ``codegen._generate``).
+    A right-hand side (``k`` components) compiles to ``f(t, s)`` reading
+    ``u_j`` as ``s[j-1]``; ``exact`` and ``guess`` (``k = 0``) to ``f(t)``.
+    A right-hand side carries ``f.inline``, its text on Python floats with
+    ``u_j`` read as the local ``s{j-1}``, for ``rk4_reference``'s march;
+    one with parts in ``t`` alone also carries ``f.split = (pre, main)``, so
+    a solve on fixed nodes evaluates those parts once (see
+    ``codegen._generate``).
     """
     if not isinstance(src, str):
         raise _must_be(what, "a string", src)
@@ -147,7 +144,7 @@ def _compile(src, what: str, k: int = 0, eq: int = 0):
         slots = {"t": "t", **{name: f"s[{j}]" for name, j in index.items()}}
         stage = {"t": "t", **{name: f"s{j}" for name, j in index.items()}}
         return _generate(tree, ("t", "s"), slots.get, what, state_free_subtrees(tree, index),
-                         (stage.get, f"e{eq}_"))
+                         stage.get)
     except ExprError as exc:
         raise ExprError(f"{what}: {exc.reason}", exc.position) from None
 
@@ -226,7 +223,7 @@ def problem_from_dict(doc: dict) -> IvpSystem:
             raise ValueError(f"equation {idx + 1} must carry 'alpha' and 'rhs'")
         _reject_unknown_keys(eq, ("alpha", "rhs"), f"equation {idx + 1}")
         alphas.append(_number(eq["alpha"], f"alpha of equation {idx + 1}"))
-        rhs.append(_compile(eq["rhs"], f"rhs of equation {idx + 1}", k, idx))
+        rhs.append(_compile(eq["rhs"], f"rhs of equation {idx + 1}", k))
 
     return IvpSystem(
         alphas=tuple(alphas),

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .codegen import _NAMESPACE, _code
+from .codegen import _NAMESPACE
 from .engine import DivergenceError, IvpSystem, SolveReport
 from .grid import make_grid
 
@@ -77,17 +77,16 @@ def rk4_reference(sys: IvpSystem, step: float) -> ReferenceSolution:
     (unshifted) initial values.  When every right-hand side is compiled,
     the state is one Python float per component, and each stage evaluates
     the texts ``sys.rhs[j].inline`` written into the march itself, with the
-    stage's state in locals (``_inline_march``).  Otherwise the state is one
-    ``np.float64`` per component and each stage calls ``sys.rhs[j](t, state)``
-    with ``state`` a list, so a callable of its own sees ``np.float64`` items
+    stage's state in locals.  Otherwise the state is one ``np.float64`` per
+    component and each stage calls ``sys.rhs[j](t, state)`` with ``state``
+    a list, so a callable of its own sees ``np.float64`` items
     (``U[0] ** 2`` overflows to inf rather than raising).  Either may only
     index the state and returns a real scalar.  IEEE arithmetic is the same
     on both types, so the trajectory has the same bits either way.  Per
     component the arithmetic is that of ``y + h/6 (k1 + 2 k2 + 2 k3 + k4)``,
-    in that order.  The steps run in one generated loop, which holds the
-    state in locals and writes each step
-    into ``values``.  Numpy's floating-point warnings are off for the whole
-    run.  A step that turns the state non-finite raises ``ValueError`` naming
+    in that order.  The steps run in one generated loop (``_march``), which
+    holds the state in locals and writes each step into ``values``.  Numpy's
+    floating-point warnings are off for the whole run.  A step that turns the state non-finite raises ``ValueError`` naming
     the equation and ``t`` if a stage of it returned NaN at a finite state
     (``f`` outside its domain), and ``DivergenceError`` naming ``t``
     otherwise.  A step whose nodes float64 cannot tell apart raises
@@ -122,12 +121,11 @@ def rk4_reference(sys: IvpSystem, step: float) -> ReferenceSolution:
             f"closer than float64 can separate"
         ) from None
     values[:, 0] = sys.initial
+    inline = all(hasattr(f, "inline") for f in sys.rhs)
+    slopes = tuple(f.inline if inline else f"f{j}(t, s)" for j, f in enumerate(sys.rhs))
+    start = values[:, 0].tolist() if inline else list(values[:, 0])
     with np.errstate(all="ignore"):
-        if all(hasattr(f, "inline") for f in sys.rhs):
-            march, start = _inline_march(sys.rhs), values[:, 0].tolist()
-        else:
-            march, start = _rk4_loop(sys.k), list(values[:, 0])
-        i = march(sys.rhs, start, values, sys.a, h, nsteps)
+        i = _march(slopes, not inline)(sys.rhs, start, values, sys.a, h, nsteps)
         if i is not None:
             _reject_nan_stage(sys.rhs, sys.a + i * h, list(values[:, i]), h)
             raise DivergenceError(f"RK4 state became non-finite at t={sys.a + (i + 1) * h}")
@@ -135,32 +133,21 @@ def rk4_reference(sys: IvpSystem, step: float) -> ReferenceSolution:
 
 
 @functools.lru_cache(maxsize=32)
-def _inline_march(rhs: tuple) -> Callable:
-    """The march of ``_march`` with the texts ``f.inline`` of the compiled
-    right-hand sides ``rhs`` written into it; kept per system."""
-    namespace = {name: c for f in rhs for name, c in f.inline[1].items()}
-    return _march(len(rhs), tuple(f.inline[0] for f in rhs), namespace, gather=False)
-
-
-@functools.cache
-def _rk4_loop(k: int) -> Callable:
-    """The march of ``_march`` that calls ``rhs[j]`` on each stage's state list."""
-    return _march(k, tuple(f"f{j}(t, s)" for j in range(k)), {}, gather=True)
-
-
-def _march(k: int, slopes: tuple, namespace: dict, gather: bool) -> Callable:
+def _march(slopes: tuple, gather: bool) -> Callable:
     """``march(rhs, start, values, a, h, nsteps)``: the RK4 loop of
-    ``rk4_reference`` for ``k`` equations, with the state in locals
-    ``y0 .. y{k-1}``.
+    ``rk4_reference`` for ``k = len(slopes)`` equations, with the state in
+    locals ``y0 .. y{k-1}``; the last 32 are kept, keyed by their texts.
 
     A stage puts its time in ``t`` and its state in ``s0 .. s{k-1}`` (or,
     ``gather``, in the list ``s``); ``slopes[j]``, with ``f{j}`` bound to
-    ``rhs[j]`` and ``namespace`` among the globals, is equation ``j``'s
-    slope.  The march starts from the list ``start`` (Python floats or
-    ``np.float64``, a type the state keeps), writes step ``i``'s state into
-    ``values[:, i]`` through a memoryview of each row and returns the index
-    of the first step whose new state is not finite, or ``None``.
+    ``rhs[j]``, is equation ``j``'s slope: the text ``f.inline`` of a
+    compiled right-hand side, or ``f{j}(t, s)``.  The march starts from the
+    list ``start`` (Python floats or ``np.float64``, a type the state
+    keeps), writes step ``i``'s state into ``values[:, i]`` through a
+    memoryview of each row and returns the index of the first step whose
+    new state is not finite, or ``None``.
     """
+    k = len(slopes)
 
     def each(template: str, sep: str = ", ") -> str:
         return sep.join(template.format(j=j) for j in range(k))
@@ -190,8 +177,8 @@ def march(rhs, start, values, a, h, nsteps):
         {each("y{j} = r{j}[i] = n{j}", "; ")}
         ta = a + i * h
 """
-    namespace = {**_NAMESPACE, **namespace, "isfinite": math.isfinite}
-    exec(_code(src, f"rk4 loop of {k} equations"), namespace)
+    namespace = {**_NAMESPACE, "isfinite": math.isfinite}
+    exec(compile(src, f"<rk4 loop of {k} equations>", "exec"), namespace)
     return namespace.pop("march")
 
 

@@ -300,12 +300,10 @@ def scalar_form(f):
     """``g(t, s)``: the inline text of the compiled right-hand side ``f``,
     evaluated with ``t`` and the stage locals ``s0, s1, ..`` bound to ``t``
     and the items of ``s``."""
-    text, consts = f.inline
-    code = compile(text, "<scalar form>", "eval")
-    namespace = {**_NAMESPACE, **consts}
+    code = compile(f.inline, "<scalar form>", "eval")
 
     def g(t, s):
-        return eval(code, {**namespace, "t": t, **{f"s{j}": x for j, x in enumerate(s)}})
+        return eval(code, {**_NAMESPACE, "t": t, **{f"s{j}": x for j, x in enumerate(s)}})
 
     return g
 

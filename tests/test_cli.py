@@ -14,11 +14,12 @@ from ivim import (
     ReferenceSolution,
     SolveConfig,
     builtin_problem_dict,
-    codegen,
+    csvtext,
     error_metrics,
-    expr,
     get_problem,
     problem_from_dict,
+    problems,
+    reference,
     rk4_reference,
     solve,
 )
@@ -1338,9 +1339,12 @@ def test_help_exits_0(capsys):
 # --- one process, many main() calls -------------------------------------------
 
 def _clear_caches():
+    # every process cache (tests/test_package.py lists them), so a run after
+    # this one starts as a fresh process would
     ivim.cli._parser.cache_clear()
-    expr.parse.cache_clear()
-    codegen._code.cache_clear()
+    problems._system.cache_clear()
+    reference._march.cache_clear()
+    csvtext._spelling_tables.cache_clear()
 
 
 def _outcome(capsys, out, *argv):

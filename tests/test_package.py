@@ -136,6 +136,24 @@ def test_only_the_checking_records_are_dataclasses():
         assert record._field_defaults == defaults, qualname
 
 
+# The caches a process keeps: the argparse tree, the compiled system of a
+# problem document, the RK4 march of a set of slope texts, and the CSV
+# speller's tables, built on first use.  A new one holds memory for the
+# process's life and can hide a stale result, so this list makes it a
+# reviewed change.
+_CACHES = {"cli._parser", "problems._system", "reference._march", "csvtext._spelling_tables"}
+
+
+def test_process_caches_are_the_kept_ones():
+    found = set()
+    for info in pkgutil.iter_modules(ivim.__path__):
+        module = importlib.import_module(f"ivim.{info.name}")
+        found.update(f"{info.name}.{name}" for name, obj in vars(module).items()
+                     if callable(getattr(obj, "cache_info", None))
+                     and obj.__module__ == module.__name__)
+    assert found == _CACHES
+
+
 def test_grid_nodes_are_read_only():
     nodes = make_grid(0, 1, 5).nodes
     assert not nodes.flags.writeable

@@ -1,5 +1,4 @@
 import cProfile
-import copy
 import importlib.util
 import json
 import math
@@ -15,9 +14,7 @@ from ivim import (
     SolveConfig,
     builtin_names,
     builtin_problem_dict,
-    codegen,
     exact_builtin_eval,
-    expr,
     get_problem,
     load_problem_file,
     problem_from_dict,
@@ -28,7 +25,7 @@ from ivim import (
 from ivim.cli import main as cli_main
 from ivim.expr import ExprError, parse
 
-from _oracles import compile_array, plain_callables, scalar_form
+from _oracles import closure_compile, compile_array, plain_callables, scalar_form
 
 
 def test_builtin_names():
@@ -78,6 +75,12 @@ def test_builtin_exact_strings_match_closed_forms(name):
         reference = _closed_form(name, float(t))
         assert np.max(np.abs(compiled[:, i] - reference)) < 1e-13
         assert np.max(np.abs(exact_builtin_eval(name, float(t)) - reference)) < 1e-13
+
+
+def test_exact_builtin_eval_reads_the_kept_system(monkeypatch):
+    kept = get_problem("ex3")[0].exact(np.array([0.75]))[:, 0]
+    monkeypatch.setattr(problems, "_generate", lambda *a: pytest.fail("compiled again"))
+    assert np.array_equal(exact_builtin_eval("ex3", 0.75), kept)
 
 
 def test_ex2_carries_nonzero_guess():
@@ -326,43 +329,26 @@ def test_profile_counts_each_expression_apart():
     assert calls["<exact 1>"] == calls["<exact 2>"] == 1
 
 
-def test_loading_a_problem_again_makes_new_functions_on_shared_code():
-    # problem_from_dict compiles anew; get_problem would return its kept system
-    first, second = (problem_from_dict(builtin_problem_dict("ex3")) for _ in range(2))
-    assert [f.inline for f in first.rhs] == [g.inline for g in second.rhs]
-    pairs = [(f, g) for f, g in zip(first.rhs, second.rhs)]
-    pairs += zip(first.rhs[1].split, second.rhs[1].split)  # t + 2*sin(t/2)^2 - ...
-    for f, g in pairs:
-        assert f is not g and f.__code__ is g.__code__
-
-
 def test_a_rhs_of_a_known_shape_evaluates_its_own_constants():
-    doc = {
-        "interval": {"a": 0.0, "T": 1.0},
-        "equations": [{"alpha": -1.0, "rhs": "2*u - 3*cos(t)"}],
-        "initial": [1.0],
-    }
-    other = copy.deepcopy(doc)
-    other["equations"][0]["rhs"] = "5*u - 0.25*cos(t)"
+    # two texts of one shape that differ only in their numbers, each against
+    # a walk of its own tree
     t = np.linspace(0.0, 1.0, 7)
     U = np.sin(t)[None, :]
-
-    def values(f):
+    for src in ("2*u - 3*cos(t)", "5*u - 0.25*cos(t)"):
+        f = problem_from_dict({
+            "interval": {"a": 0.0, "T": 1.0},
+            "equations": [{"alpha": -1.0, "rhs": src}],
+            "initial": [1.0],
+        }).rhs[0]
+        walk = closure_compile(parse(src))
         pre, main = f.split
         scalar = scalar_form(f)
-        return [f(t, U), main(t, U, pre(t)), np.array([scalar(x, [y]) for x, y in zip(t, U[0])])]
-
-    f = problem_from_dict(doc).rhs[0]
-    g = problem_from_dict(other).rhs[0]
-    assert g.__code__ is f.__code__
-    warm = values(g)
-    assert not np.array_equal(warm[0], values(f)[0])
-    expr.parse.cache_clear()
-    codegen._code.cache_clear()
-    cold = problem_from_dict(other).rhs[0]
-    assert cold.__code__ is not f.__code__
-    for got, want in zip(warm, values(cold)):
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        want = walk({"t": t, "u": U[0]})
+        for got in (f(t, U), main(t, U, pre(t))):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for x, y in zip(t, U[0]):
+            got, want = scalar(x, [y]), walk({"t": np.float64(x), "u": np.float64(y)})
+            assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
 
 
 # --- the per-process cache of compiled documents -------------------------------

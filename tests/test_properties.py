@@ -297,7 +297,7 @@ def _any_node(sub):
 _any_tree = _trees(
     st.one_of(
         st.builds(Const, st.floats(-4.0, 4.0)),
-        st.builds(Const, st.sampled_from([0.0, -0.0, 1.0, 2.0, 0.5, math.inf, math.nan])),
+        st.builds(Const, st.sampled_from([0.0, -0.0, 1.0, 2.0, 0.5, math.inf, -math.inf, math.nan])),
         st.builds(Var, st.sampled_from(["t", "u", "pi", "e"])),
     ),
     _any_node,
@@ -383,7 +383,7 @@ def _bits(x):
 @given(_any_tree, st.integers(0, 2**32 - 1))
 def test_scalar_rhs_has_the_bits_of_the_rhs_on_float64(tree, seed):
     f = _generate(tree, ("t", "s"), {"t": "t", "u": "s[0]"}.get, "rhs",
-                  inline=({"t": "t", "u": "s0"}.get, ""))
+                  inline={"t": "t", "u": "s0"}.get)
     scalar = scalar_form(f)
     rng = np.random.default_rng(seed)
     # NaNs of both signs, one with a payload

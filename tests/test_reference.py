@@ -21,7 +21,7 @@ from ivim import (
     problem_from_dict,
     rk4_reference,
 )
-from ivim.reference import _inline_march, _rk4_loop
+from ivim.reference import _march
 
 from _oracles import plain_callables, rk4_march
 
@@ -279,18 +279,6 @@ def test_rk4_is_fourth_order_against_mpmath_on_a_damped_pendulum():
     assert 1.0e-10 < errors[-1] < 1.05e-10
 
 
-def test_rk4_compiles_one_loop_per_equation_count():
-    _rk4_loop.cache_clear()
-    one = _scalar_system(lambda t, U: U[0], 0.0, 1.0, 1.0)
-    rk4_reference(one, 0.5)
-    rk4_reference(one, 0.25)
-    assert (_rk4_loop.cache_info().hits, _rk4_loop.cache_info().misses) == (1, 1)
-    rk4_reference(_damped_pendulum(), 0.5)
-    assert _rk4_loop.cache_info().misses == 2
-    assert _rk4_loop(1) is not _rk4_loop(2)
-    assert _rk4_loop(2).__code__.co_filename == "<rk4 loop of 2 equations>"
-
-
 def test_rk4_hands_a_plain_rhs_float64_items():
     # a callable without an inline text sees the state as np.float64, so
     # U[0] ** 2 overflows to inf instead of raising OverflowError
@@ -335,16 +323,32 @@ def test_rk4_inlines_the_right_hand_sides_only_when_all_have_a_text():
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def test_rk4_keeps_one_inlined_march_per_system():
-    _inline_march.cache_clear()
+def test_rk4_keeps_one_march_per_set_of_slope_texts():
+    _march.cache_clear()
+
+    def misses():
+        return _march.cache_info().misses
+
     sys_, _ = get_problem("ex3")
     rk4_reference(sys_, 0.5)
     rk4_reference(dataclasses.replace(sys_, exact=None), 0.25)
-    assert (_inline_march.cache_info().hits, _inline_march.cache_info().misses) == (1, 1)
-    # the same document compiled again shares the march's code, not its constants
-    again = problem_from_dict(builtin_problem_dict("ex3"))
-    assert _inline_march(again.rhs).__code__ is _inline_march(sys_.rhs).__code__
-    assert _inline_march.cache_info().misses == 2
+    assert (_march.cache_info().hits, misses()) == (1, 1)
+    # the same document compiled again writes the same texts
+    rk4_reference(problem_from_dict(builtin_problem_dict("ex3")), 0.5)
+    assert misses() == 1
+    # a number is written into the march, so one that differs is a march of its own
+    doc = builtin_problem_dict("ex3")
+    doc["equations"][1]["rhs"] = doc["equations"][1]["rhs"].replace("2*u2^2", "3*u2^2")
+    rk4_reference(problem_from_dict(doc), 0.5)
+    assert misses() == 2
+    # plain callables share the march that calls them, one per equation count
+    rk4_reference(_scalar_system(lambda t, U: U[0], 0.0, 1.0, 1.0), 0.5)
+    rk4_reference(_scalar_system(lambda t, U: -U[0], 0.0, 1.0, 1.0), 0.25)
+    assert misses() == 3
+    rk4_reference(_damped_pendulum(), 0.5)
+    rk4_reference(plain_callables(sys_), 0.5)
+    assert misses() == 4
+    assert _march(("f0(t, s)", "f1(t, s)"), True).__code__.co_filename == "<rk4 loop of 2 equations>"
 
 
 def test_rk4_system_trajectory():
