@@ -112,14 +112,10 @@ def _spelling_tables() -> tuple:
     """
     powers = []
     for p in range(_P_MIN, _P_MAX + 1):
-        if p >= 0:
-            hi = float(10**p)
-            lo = float(10**p - int(hi))
-        else:
-            q = 10**-p
-            hi = 1 / q  # int division rounds correctly
-            num, den = hi.as_integer_ratio()
-            lo = (den - num * q) / (den * q)
+        num, den = 10**max(p, 0), 10**max(-p, 0)
+        hi = num / den  # int division rounds correctly
+        a, b = hi.as_integer_ratio()
+        lo = (num * b - a * den) / (den * b)
         m, ex = math.frexp(hi)  # split the mantissa, where m * _SPLIT cannot overflow
         s = m * _SPLIT
         m_hi = s - (s - m)

@@ -74,23 +74,25 @@ def rk4_reference(sys: IvpSystem, step: float) -> ReferenceSolution:
 
     ``step`` must divide the interval to within 1e-9 relative, into no more
     steps than one array can hold.  Integration starts from the original
-    (unshifted) initial values.  When every right-hand side is compiled,
-    the state is one Python float per component, and each stage evaluates
-    the texts ``sys.rhs[j].inline`` written into the march itself, with the
-    stage's state in locals.  Otherwise the state is one ``np.float64`` per
-    component and each stage calls ``sys.rhs[j](t, state)`` with ``state``
-    a list, so a callable of its own sees ``np.float64`` items
-    (``U[0] ** 2`` overflows to inf rather than raising).  Either may only
-    index the state and returns a real scalar.  IEEE arithmetic is the same
-    on both types, so the trajectory has the same bits either way.  Per
-    component the arithmetic is that of ``y + h/6 (k1 + 2 k2 + 2 k3 + k4)``,
-    in that order.  The steps run in one generated loop (``_march``), which
-    holds the state in locals and writes each step into ``values``.  Numpy's
-    floating-point warnings are off for the whole run.  A step that turns the state non-finite raises ``ValueError`` naming
-    the equation and ``t`` if a stage of it returned NaN at a finite state
+    (unshifted) initial values.  The steps run in one generated loop
+    (``_march``), which holds the state in locals and writes each step into
+    ``values``.  A stage evaluates the text ``sys.rhs[j].inline`` of a
+    compiled right-hand side in place and calls any other rhs as
+    ``sys.rhs[j](t, state)``, ``state`` a list it may only index; either
+    returns a real scalar.  The state is one ``np.float64`` per component
+    when some rhs is called, so that rhs sees ``np.float64`` items
+    (``U[0] ** 2`` overflows to inf rather than raising), and one Python
+    float otherwise.  IEEE arithmetic is the same on both types, so the
+    trajectory has the same bits either way.  Per component the arithmetic
+    is that of ``y + h/6 (k1 + 2 k2 + 2 k3 + k4)``, in that order.  Numpy's
+    floating-point warnings are off for the whole run.
+
+    A step that turns the state non-finite raises ``ValueError`` naming the
+    equation and ``t`` if a stage of it returned NaN at a finite state
     (``f`` outside its domain), and ``DivergenceError`` naming ``t``
-    otherwise.  A step whose nodes float64 cannot tell apart raises
-    ``ValueError`` naming the step and the interval, before the first step.
+    otherwise; both read the stages the march ran.  A step whose nodes
+    float64 cannot tell apart raises ``ValueError`` naming the step and the
+    interval, before the first step.
     """
     step = float(step)
     if step <= 0.0:
@@ -121,42 +123,54 @@ def rk4_reference(sys: IvpSystem, step: float) -> ReferenceSolution:
             f"closer than float64 can separate"
         ) from None
     values[:, 0] = sys.initial
-    inline = all(hasattr(f, "inline") for f in sys.rhs)
-    slopes = tuple(f.inline if inline else f"f{j}(t, s)" for j, f in enumerate(sys.rhs))
-    start = values[:, 0].tolist() if inline else list(values[:, 0])
+    stage = ", ".join(f"s{j}" for j in range(sys.k))
+    slopes = tuple(getattr(f, "inline", f"f{j}(t, [{stage}])") for j, f in enumerate(sys.rhs))
+    called = not all(hasattr(f, "inline") for f in sys.rhs)
+    start = list(values[:, 0]) if called else values[:, 0].tolist()
     with np.errstate(all="ignore"):
-        i = _march(slopes, not inline)(sys.rhs, start, values, sys.a, h, nsteps)
-        if i is not None:
-            _reject_nan_stage(sys.rhs, sys.a + i * h, list(values[:, i]), h)
+        failed = _march(slopes)(sys.rhs, start, values, sys.a, h, nsteps)
+        if failed:
+            i, stages = failed
+            for t, u, k in stages:
+                if not all(map(math.isfinite, u)):
+                    break
+                for j, kj in enumerate(k):
+                    if math.isnan(kj):
+                        raise ValueError(
+                            f"right-hand side of equation {j + 1} is nan at t={t} "
+                            f"(RK4 stage, u={[float(x) for x in u]}): outside its domain"
+                        )
             raise DivergenceError(f"RK4 state became non-finite at t={sys.a + (i + 1) * h}")
     return ReferenceSolution(nodes=nodes, values=values, source=("rk4", step))
 
 
 @functools.lru_cache(maxsize=32)
-def _march(slopes: tuple, gather: bool) -> Callable:
+def _march(slopes: tuple) -> Callable:
     """``march(rhs, start, values, a, h, nsteps)``: the RK4 loop of
-    ``rk4_reference`` for ``k = len(slopes)`` equations, with the state in
-    locals ``y0 .. y{k-1}``; the last 32 are kept, keyed by their texts.
+    ``rk4_reference`` for ``k = len(slopes)`` equations; the last 32 are
+    kept, keyed by their texts.
 
-    A stage puts its time in ``t`` and its state in ``s0 .. s{k-1}`` (or,
-    ``gather``, in the list ``s``); ``slopes[j]``, with ``f{j}`` bound to
-    ``rhs[j]``, is equation ``j``'s slope: the text ``f.inline`` of a
-    compiled right-hand side, or ``f{j}(t, s)``.  The march starts from the
-    list ``start`` (Python floats or ``np.float64``, a type the state
-    keeps), writes step ``i``'s state into ``values[:, i]`` through a
-    memoryview of each row and returns the index of the first step whose
-    new state is not finite, or ``None``.
+    The state is held in locals ``y0 .. y{k-1}``, from the list ``start``
+    (Python floats or ``np.float64``, a type the state keeps).  A stage puts
+    its time in ``t`` and its state in ``s0 .. s{k-1}``; ``slopes[j]``, with
+    ``f{j}`` bound to ``rhs[j]``, is equation ``j``'s slope.  Step ``i``'s
+    state goes into ``values[:, i]`` through a memoryview of each row.  The
+    march returns ``None``, or, at the first step whose new state is not
+    finite, its index and its four stages as ``(t, state, slopes)``.
     """
     k = len(slopes)
 
     def each(template: str, sep: str = ", ") -> str:
         return sep.join(template.format(j=j) for j in range(k))
 
-    def stage(n: int, t: str, state: str) -> str:
-        state = f"s = [{each(state)}]" if gather else f"{each('s{j}')}, = {each(state)},"
-        slope = "; ".join(f"k{n}_{j} = {text}" for j, text in enumerate(slopes))
-        return f"t = {t}; {state}\n        {slope}"
-
+    stages = (("ta", "y{j}"), ("ta + half", "y{j} + half * k1_{j}"),
+              ("ta + half", "y{j} + half * k2_{j}"), ("ta + h", "y{j} + h * k3_{j}"))
+    body = "\n        ".join(
+        f"t = {t}; {each('s{j}')}, = {each(state)},\n        "
+        + "; ".join(f"k{n}_{j} = {text}" for j, text in enumerate(slopes))
+        for n, (t, state) in enumerate(stages, 1))
+    record = ", ".join(f"({t}, ({each(state)},), ({each(f'k{n}_{{j}}')},))"
+                       for n, (t, state) in enumerate(stages, 1))
     src = f"""\
 def march(rhs, start, values, a, h, nsteps):
     {each("f{j}")}, = rhs
@@ -166,41 +180,19 @@ def march(rhs, start, values, a, h, nsteps):
     sixth = h / 6.0
     ta = a
     for i in range(1, nsteps + 1):
-        {stage(1, "ta", "y{j}")}
-        tm = ta + half
-        {stage(2, "tm", "y{j} + half * k1_{j}")}
-        {stage(3, "tm", "y{j} + half * k2_{j}")}
-        {stage(4, "ta + h", "y{j} + h * k3_{j}")}
+        {body}
         {each("n{j} = y{j} + sixth * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j} + k4_{j})", "; ")}
         if not ({each("isfinite(n{j})", " and ")}):
-            return i - 1
+            break
         {each("y{j} = r{j}[i] = n{j}", "; ")}
         ta = a + i * h
+    else:
+        return None
+    return i - 1, ({record})
 """
     namespace = {**_NAMESPACE, "isfinite": math.isfinite}
     exec(compile(src, f"<rk4 loop of {k} equations>", "exec"), namespace)
     return namespace.pop("march")
-
-
-def _reject_nan_stage(rhs, t: float, y: list, h: float) -> None:
-    """Re-run the RK4 step from ``(t, y)`` and raise ``ValueError`` at the
-    first stage where a right-hand side returns NaN at a finite state.
-
-    Called only once a step has turned non-finite.  From the first stage at
-    a non-finite state on, the step is left to the caller's divergence report.
-    """
-    k = None
-    for dt in (0.0, 0.5 * h, 0.5 * h, h):
-        state = y if k is None else [yj + dt * kj for yj, kj in zip(y, k)]
-        if not all(map(math.isfinite, state)):
-            return
-        k = [f(t + dt, state) for f in rhs]
-        for j, kj in enumerate(k):
-            if math.isnan(kj):
-                raise ValueError(
-                    f"right-hand side of equation {j + 1} is nan at t={t + dt} "
-                    f"(RK4 stage, u={[float(x) for x in state]}): outside its domain"
-                )
 
 
 def error_metrics(sol: SolveReport, ref: ReferenceSolution) -> ErrorMetrics:

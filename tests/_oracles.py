@@ -20,8 +20,8 @@ oracles: the first is the package's own code generator,
 ``codegen._generate``, reading each variable from a dict, the second runs
 the text ``f.inline`` that the generator keeps for ``rk4_reference``'s
 march as a function of its own, and the third hides that text, so that
-``rk4_reference`` takes its ``np.float64`` march.  No code in the package
-calls them, so they live here, for the tests.
+``rk4_reference``'s march calls each rhs on ``np.float64``.  No code in
+the package calls them, so they live here, for the tests.
 ``walked_state_free_subtrees`` is ``expr.state_free_subtrees`` as it was
 before it found each node's free variables once: it asks
 ``expr.free_variables`` again at every node it visits.
@@ -194,7 +194,8 @@ def rk4_march(sys, nsteps):
 
 def plain_callables(sys):
     """``sys`` with each right-hand side behind a plain callable: one with no
-    inline text, which ``rk4_reference`` calls from its ``np.float64`` march."""
+    inline text, which ``rk4_reference``'s march calls on a list of the
+    stage's ``np.float64`` state instead of writing its text in place."""
     return dataclasses.replace(sys, rhs=tuple(lambda t, s, f=f: f(t, s) for f in sys.rhs))
 
 

@@ -605,7 +605,7 @@ def test_deepest_rhs_compiles_its_scalar_form(family):
     with np.errstate(all="ignore"):
         got, want = scalar_form(f)(0.25, [0.5]), f(np.float64(0.25), [np.float64(0.5)])
     assert math.isfinite(got) and got == want
-    assert callable(_march((f.inline,), False))
+    assert callable(_march((f.inline,)))
 
 
 def test_nesting_limit_counts_the_tree_below_parentheses():

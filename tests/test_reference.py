@@ -307,7 +307,7 @@ def _spy(f, seen):
     return rhs
 
 
-def test_rk4_inlines_the_right_hand_sides_only_when_all_have_a_text():
+def test_rk4_inlines_each_right_hand_side_that_has_a_text():
     sys_, _ = get_problem("ex3")
     want = rk4_march(sys_, 300)
     seen = set()
@@ -315,12 +315,46 @@ def test_rk4_inlines_the_right_hand_sides_only_when_all_have_a_text():
     got = rk4_reference(spied, (sys_.T - sys_.a) / 300).values
     assert not seen  # the march evaluates the texts and calls no rhs
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    # one callable of its own: every equation is called on np.float64
-    f1, f2 = sys_.rhs
-    mixed = dataclasses.replace(sys_, rhs=(_spy(f1, seen), lambda t, U: f2(t, U)))
-    got = rk4_reference(mixed, (sys_.T - sys_.a) / 300).values
-    assert seen == {np.float64}
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # one callable of its own, either side: the compiled rhs is still written
+    # into the march, and the plain one is called on np.float64
+    for j in range(2):
+        plain = set()
+        rhs = [_spy(f, seen) for f in sys_.rhs]
+        rhs[j] = lambda t, U, f=sys_.rhs[j]: plain.update(map(type, U)) or f(t, U)
+        got = rk4_reference(dataclasses.replace(sys_, rhs=tuple(rhs)), (sys_.T - sys_.a) / 300).values
+        assert not seen
+        assert plain == {np.float64}
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_rk4_failure_calls_no_rhs_beyond_the_steps_it_ran():
+    # equation 2 turns nan past t = 0.5: the steps from t = 0.0 .. 0.5 ran,
+    # four stages each, and the message reads the stages of the last one
+    calls = [0, 0]
+
+    def counted(j, f):
+        def rhs(t, U):
+            calls[j] += 1
+            return f(t, U)
+        return rhs
+
+    sys_ = IvpSystem(alphas=(0.0, 0.0), a=0.0, T=1.0, initial=(0.5, 1.0), rhs=(
+        counted(0, lambda t, U: U[1]),
+        counted(1, lambda t, U: math.nan if t > 0.5 else -U[0]),
+    ))
+    y = rk4_march(dataclasses.replace(sys_, T=0.5), 5)[:, -1]
+    state = [float(yj + 0.05 * kj) for yj, kj in zip(y, (y[1], -y[0]))]
+    message = f"right-hand side of equation 2 is nan at t={0.5 + 0.05} (RK4 stage, u={state}): outside its domain"
+    calls[:] = [0, 0]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        rk4_reference(sys_, 0.1)
+    assert calls == [24, 24]
+    # a compiled system is not called at all, not even to explain its failure
+    seen = set()
+    sys_ = _compiled("log(u1 - 1)", (0.0, 1.0))
+    with pytest.raises(ValueError, match="equation 2 is nan at t=0.5 "):
+        rk4_reference(dataclasses.replace(sys_, rhs=tuple(_spy(f, seen) for f in sys_.rhs)), 0.001)
+    assert not seen
 
 
 def test_rk4_keeps_one_march_per_set_of_slope_texts():
@@ -348,7 +382,7 @@ def test_rk4_keeps_one_march_per_set_of_slope_texts():
     rk4_reference(_damped_pendulum(), 0.5)
     rk4_reference(plain_callables(sys_), 0.5)
     assert misses() == 4
-    assert _march(("f0(t, s)", "f1(t, s)"), True).__code__.co_filename == "<rk4 loop of 2 equations>"
+    assert _march(("f0(t, [s0, s1])", "f1(t, [s0, s1])")).__code__.co_filename == "<rk4 loop of 2 equations>"
 
 
 def test_rk4_system_trajectory():
