@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .grid import Grid, PiecewiseLinear, _as_size, interp_eval, make_grid, project_samples
+from .grid import Grid, PiecewiseLinear, _as_size, make_grid, project_samples
 from .sweep import MODES, DivergenceError, _plan, _sweep
 
 __all__ = [
@@ -386,6 +386,11 @@ def _run(sys: IvpSystem, group: list) -> Iterator[SolveReport]:
 
 
 def eval_solution(report: SolveReport, t: float) -> np.ndarray:
-    """Solution values at ``t`` (one per equation), initial offset restored."""
-    shifted = np.array([interp_eval(pl, t) for pl in report.final])
+    """Solution values at ``t`` in ``[a, T]``, one per equation: each row of
+    ``report.iterate`` read linearly between its nodes, plus ``u(a)``."""
+    grid = report.grid
+    t = float(t)
+    if not grid.a <= t <= grid.T:  # False for nan
+        raise ValueError(f"t={t} outside [{grid.a}, {grid.T}]")
+    shifted = np.array([np.interp(t, grid.nodes, row) for row in report.iterate])
     return shifted + np.asarray(report.u_a)

@@ -1,4 +1,4 @@
-"""Uniform grids and first-order B-spline (hat function) interpolation.
+"""Uniform grids and the first-order B-spline (hat function) space.
 
 The iteration state space is the span of the hat functions ``phi_2 .. phi_n``
 on a uniform grid over ``[a, T]``: piecewise-linear functions that vanish at
@@ -22,7 +22,6 @@ __all__ = [
     "Grid",
     "PiecewiseLinear",
     "make_grid",
-    "interp_eval",
     "project_samples",
 ]
 
@@ -95,8 +94,9 @@ def make_grid(a: float, T: float, n: int) -> Grid:
 class PiecewiseLinear:
     """Element of the hat-function space: nodal values, zero at the left end.
 
-    Evaluation between nodes is exact linear interpolation of the two
-    bracketing nodal values.  Instances are immutable and safe to share.
+    Between nodes the element is the linear interpolation of the two
+    bracketing nodal values, which is how ``engine.eval_solution`` reads a
+    solve.  Instances are immutable and safe to share.
     """
 
     grid: Grid
@@ -112,18 +112,6 @@ class PiecewiseLinear:
             raise ValueError("nodal value at t_1 = a must be 0")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-
-
-def interp_eval(pl: PiecewiseLinear, t: float) -> float:
-    """Evaluate a piecewise-linear element at ``t`` in ``[a, T]``.
-
-    Exactly reproduces nodal values at the nodes and returns 0 at ``t = a``.
-    """
-    grid = pl.grid
-    t = float(t)
-    if not grid.a <= t <= grid.T:  # False for nan
-        raise ValueError(f"t={t} outside [{grid.a}, {grid.T}]")
-    return float(np.interp(t, grid.nodes, pl.values))
 
 
 def project_samples(grid: Grid, sampler: Callable[[np.ndarray], np.ndarray]) -> PiecewiseLinear:

@@ -725,6 +725,23 @@ def test_eval_solution_rejects_nan():
         eval_solution(rep, float("nan"))
 
 
+def test_eval_solution_reads_each_row_linearly_and_adds_u_a():
+    # rotation.json has k = 2 and u(a) = (1, 0), so u(a) is added per row
+    system, _ = get_problem(Path(__file__).with_name("rotation.json"))
+    rng = np.random.default_rng(41)
+    for mode in ("paper", "full_trapezoid"):
+        rep = solve(system, SolveConfig(n=33, m_max=4, mode=mode))
+        g = rep.grid
+        for t in [g.a, g.T, *rng.uniform(g.a, g.T, size=200)]:
+            expected = np.array([np.interp(t, g.nodes, row) for row in rep.iterate])
+            assert np.array_equal(eval_solution(rep, t), expected + np.asarray(system.initial))
+        at_nodes = np.column_stack([eval_solution(rep, t) for t in g.nodes])
+        assert np.array_equal(at_nodes, rep.nodal_values())
+        for t, shown in ((1.5, "1.5"), (-0.25, "-0.25"), (float("nan"), "nan")):
+            with pytest.raises(ValueError, match=re.escape(f"t={shown} outside [0.0, 1.0]")):
+                eval_solution(rep, t)
+
+
 def test_history_snapshots():
     sys_, _ = get_problem("ex1")
     rep = solve(sys_, SolveConfig(n=33, m_max=4, keep_history=True))

@@ -5,12 +5,23 @@ import pytest
 
 from ivim import (
     PiecewiseLinear,
-    interp_eval,
+    SolveReport,
+    eval_solution,
     make_grid,
     project_samples,
 )
 
 from _oracles import hat_eval
+
+
+def _read(grid, values, t):
+    """One element read at ``t`` through ``eval_solution``: a one-equation
+    report whose iterate is ``values``, with ``u(a) = 0``."""
+    report = SolveReport(
+        iterate=np.array(values, dtype=float, ndmin=2), u_a=(0.0,), grid=grid, diffs=[],
+        iterations_run=0, wall_time=0.0,
+    )
+    return eval_solution(report, t)[0]
 
 
 def test_make_grid_benchmark_resolution():
@@ -116,20 +127,16 @@ def test_hat_eval_errors():
         hat_eval(g, 3, 1.5)
 
 
-def test_interp_eval_examples():
+def test_eval_solution_examples():
     g = make_grid(0, 1, 3)
-    pl = PiecewiseLinear(g, np.array([0.0, 1.0, 4.0]))
-    assert interp_eval(pl, 0.75) == pytest.approx(2.5, abs=1e-15)
-    assert interp_eval(pl, 0.5) == 1.0
-    assert interp_eval(pl, 0.0) == 0.0
-    with pytest.raises(ValueError, match="outside"):
-        interp_eval(pl, 1.25)
-
-
-def test_interp_eval_rejects_nan():
-    pl = PiecewiseLinear(make_grid(0, 1, 3), np.array([0.0, 1.0, 4.0]))
+    values = [0.0, 1.0, 4.0]
+    assert _read(g, values, 0.75) == pytest.approx(2.5, abs=1e-15)
+    assert _read(g, values, 0.5) == 1.0
+    assert _read(g, values, 0.0) == 0.0
+    with pytest.raises(ValueError, match=re.escape("t=1.25 outside [0.0, 1.0]")):
+        _read(g, values, 1.25)
     with pytest.raises(ValueError, match=re.escape("t=nan outside [0.0, 1.0]")):
-        interp_eval(pl, float("nan"))
+        _read(g, values, float("nan"))
 
 
 def test_piecewise_linear_must_vanish_at_a():
@@ -156,7 +163,7 @@ def test_project_samples_parabola():
     pl = project_samples(g, lambda t: t * t)
     assert list(pl.values) == [0.0, 0.25, 1.0]
     # chord of the parabola between the last two nodes
-    assert interp_eval(pl, 0.75) == pytest.approx(0.625, abs=1e-15)
+    assert _read(g, pl.values, 0.75) == pytest.approx(0.625, abs=1e-15)
 
 
 def test_project_samples_zero_and_pinning():
@@ -194,16 +201,15 @@ def test_interp_reproduces_affine_through_a():
     c = -1.75
     pl = project_samples(g, lambda t: c * (t - g.a))
     for t in np.linspace(g.a, g.T, 97):
-        assert interp_eval(pl, t) == pytest.approx(c * (t - g.a), abs=1e-12)
+        assert _read(g, pl.values, t) == pytest.approx(c * (t - g.a), abs=1e-12)
 
 
 def test_interp_matches_hat_expansion():
     rng = np.random.default_rng(42)
     g = make_grid(-1.0, 2.0, 13)
     values = np.concatenate(([0.0], rng.normal(size=g.n - 1)))
-    pl = PiecewiseLinear(g, values)
     for t in rng.uniform(g.a, g.T, size=100):
         expansion = sum(
             values[r - 1] * hat_eval(g, r, t) for r in range(2, g.n + 1)
         )
-        assert interp_eval(pl, t) == pytest.approx(expansion, abs=1e-12)
+        assert _read(g, values, t) == pytest.approx(expansion, abs=1e-12)

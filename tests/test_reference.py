@@ -11,6 +11,7 @@ from ivim import (
     DivergenceError,
     IvpSystem,
     ReferenceSolution,
+    SolveConfig,
     SolveReport,
     builtin_problem_dict,
     empirical_order,
@@ -20,6 +21,7 @@ from ivim import (
     make_grid,
     problem_from_dict,
     rk4_reference,
+    solve,
 )
 from ivim.reference import _march
 
@@ -501,12 +503,18 @@ def test_reference_at_is_the_stacked_interpolation():
     assert np.array_equal(ref.at(ref.nodes), ref.values)
 
 
-def test_error_metrics_rejects_sparser_reference():
-    grid = make_grid(0, 1, 9)
-    rep = _report_from_values(grid, [np.zeros(9)])
-    ref = ReferenceSolution(nodes=np.linspace(0, 1, 5), values=np.zeros((1, 5)), source=("rk4", 0.25))
-    with pytest.raises(ValueError, match="grid mismatch"):
-        error_metrics(rep, ref)
+def test_error_metrics_scores_a_coarser_reference_read_onto_the_grid():
+    # an 11-node RK4 run scores a 21-node solve: every other grid node falls
+    # between two RK4 nodes, and ref.at reads the run there
+    system = _damped_pendulum()
+    ref = rk4_reference(system, 0.2)
+    report = solve(system, SolveConfig(n=21, m_max=3))
+    assert ref.nodes.size == 11
+    nodes = report.grid.nodes
+    expected = np.max(np.abs(report.nodal_values() - ref.at(nodes)), axis=0)
+    m = error_metrics(report, ref)
+    assert np.array_equal(m.per_node_abs, expected)
+    assert m.max_abs == np.max(expected)
 
 
 def test_error_metrics_rejects_a_mismatched_reference():
@@ -515,8 +523,18 @@ def test_error_metrics_rejects_a_mismatched_reference():
     with pytest.raises(ValueError, match="component mismatch: reference has 2, solution 1"):
         error_metrics(rep, two)
     short = ReferenceSolution(np.linspace(0, 0.5, 9), np.zeros((1, 9)), ("rk4", 0.0625))
-    with pytest.raises(ValueError, match="reference does not cover the solution interval"):
+    with pytest.raises(ValueError, match=re.escape("reference on [0.0, 0.5] does not cover t=0.75")):
         error_metrics(rep, short)
+
+
+def test_reference_at_reads_only_inside_its_span():
+    # np.interp alone would clamp to an end value
+    ref = ReferenceSolution(np.linspace(1.0, 3.0, 5), np.arange(5.0)[None, :], ("rk4", 0.5))
+    for t in (4.0, 3.0 + 3e-12, 1.0 - 3e-12, -np.inf, np.nan):
+        with pytest.raises(ValueError, match=re.escape(f"reference on [1.0, 3.0] does not cover t={t}")):
+            ref.at(np.array([2.0, t]))
+    # within 1e-12 of the span, an end reads its end value
+    assert np.array_equal(ref.at([1.0 - 1e-12, 3.0 + 1e-12]), [[0.0, 4.0]])
 
 
 @pytest.mark.parametrize(
